@@ -254,7 +254,6 @@ def _cmd_serve(args) -> None:
         batch_window_s=args.batch_window,
         request_timeout_s=args.request_timeout,
         workers=args.workers,
-        batched=args.batched,
         window_s=args.window,
         model=args.model,
     )
@@ -564,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--e2e",
         action="store_true",
         help="run the end-to-end capture-path macro benchmark (fused "
-        "batched vs per-capture fleet throughput, with a byte-identity "
+        "vs per-capture fleet throughput, with a byte-identity "
         "check) instead of the kernel cases",
     )
     p.add_argument(
@@ -695,12 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="capture worker processes (0 = serial, -1 = all cores); "
         "results are bit-identical for every setting",
-    )
-    p.add_argument(
-        "--batched",
-        action="store_true",
-        help="route coalesced same-(phone, scene) requests through the "
-        "fused vectorized capture path (bit-identical, opt-in)",
     )
     p.add_argument(
         "--cache-dir",

@@ -1,22 +1,21 @@
-"""End-to-end capture-path macro benchmark: fused batched vs per-capture.
+"""End-to-end capture-path macro benchmark: fused vs per-capture.
 
 ``python -m repro bench --e2e`` measures fleet throughput (captures/s)
 for the full sensor -> ISP -> encode -> decode path on the macro case the
 fleet studies run: every phone in the capture fleet photographing a set
-of displayed scenes several times each. Two executors resolve the *same*
-unit list:
+of displayed scenes several times each. Two arms resolve the *same* unit
+list:
 
-* **per_capture** — ``FleetExecutor(batched=False)``, the legacy path:
-  one ``execute_unit`` per capture, including a full parse-and-decode of
+* **per_capture** — ``[execute_unit(u) for u in units]``, the per-unit
+  oracle: one capture at a time, including a full parse-and-decode of
   the encoded file;
-* **fused** — ``FleetExecutor(batched=True)`` (the default), which
-  groups the repeats of each (phone, scene) pair into one vectorized
-  ``execute_unit_group`` pass.
+* **fused** — ``FleetExecutor``, which groups the repeats of each
+  (phone, scene) pair into one vectorized ``execute_unit_group`` pass.
 
-Both passes run serially on a cold capture cache (no cache attached at
-all) with the model out of the loop, so the ratio isolates the capture
-path itself. A warm-up pass outside the clock populates the per-process
-phone cache and the kernel LUTs for both arms alike.
+Both arms run serially with no capture cache and the model out of the
+loop, so the ratio isolates the capture path itself. A warm-up pass
+outside the clock populates the per-process phone cache and the kernel
+LUTs for both arms alike.
 
 The report also carries ``identity_ok``: a byte-level comparison of
 every payload between the two arms. The speedup claim is only meaningful
@@ -35,7 +34,7 @@ from .. import kernels
 from ..devices.profiles import capture_fleet
 from ..runner.executor import FleetExecutor
 from ..runner.seeds import unit_entropy
-from ..runner.units import CaptureUnit
+from ..runner.units import CaptureUnit, execute_unit
 from . import _time_once
 
 __all__ = ["run_e2e_bench", "format_e2e_report"]
@@ -95,20 +94,22 @@ def run_e2e_bench(quick: bool = False, repeats: int = 1, seed: int = 0) -> Dict:
     scenes = _synthetic_scenes(scene_count, size, seed)
     units = _build_units(scenes, capture_repeats, seed)
 
-    per_capture = FleetExecutor(workers=0, batched=False)
-    fused = FleetExecutor(workers=0, batched=True)
+    fused = FleetExecutor(workers=0)
+
+    def per_capture(batch: List[CaptureUnit]) -> List[Dict]:
+        return [execute_unit(unit) for unit in batch]
 
     # Warm-up outside the clock: one scene's worth through both arms
     # (phone construction, kernel LUTs, scipy imports).
     warm = [u for u in units if u.radiance is scenes[0]][: len(capture_fleet())]
-    per_capture.run(warm)
+    per_capture(warm)
     fused.run(warm)
 
-    baseline_payloads = per_capture.run(units)
+    baseline_payloads = per_capture(units)
     fused_payloads = fused.run(units)
     identity_ok = _payloads_identical(baseline_payloads, fused_payloads)
 
-    baseline_s = _time_once(lambda: per_capture.run(units), repeats)
+    baseline_s = _time_once(lambda: per_capture(units), repeats)
     fused_s = _time_once(lambda: fused.run(units), repeats)
 
     def arm(seconds: float) -> Dict:

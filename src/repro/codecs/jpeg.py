@@ -439,6 +439,21 @@ class JpegDecodeOptions:
     chroma_upsample: str = "bilinear"
 
 
+#: The Annex K tables every encoder here writes. A DHT segment equal to
+#: one of them decodes with the module instance, so its lazily built
+#: 65536-entry ``peek_table`` is built once per process, not per decode.
+_STANDARD_TABLES = (STD_DC_LUMA, STD_DC_CHROMA, STD_AC_LUMA, STD_AC_CHROMA)
+
+
+def _dht_table(bits: Sequence[int], values: Sequence[int]) -> HuffmanTable:
+    """The standard table equal to ``(bits, values)``, else a fresh one."""
+    key = (tuple(bits), tuple(values))
+    for table in _STANDARD_TABLES:
+        if (table.bits, table.values) == key:
+            return table
+    return HuffmanTable(bits, values)
+
+
 def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageBuffer:
     """Decode a baseline JFIF stream produced by :func:`encode_jpeg`.
 
@@ -498,7 +513,7 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
                 bits = list(payload[offset + 1 : offset + 17])
                 count = sum(bits)
                 values = list(payload[offset + 17 : offset + 17 + count])
-                huff_tables[(table_class, table_id)] = HuffmanTable(bits, values)
+                huff_tables[(table_class, table_id)] = _dht_table(bits, values)
                 offset += 17 + count
         elif marker == 0xC0:  # SOF0 baseline
             precision, height, width, ncomp = struct.unpack(">BHHB", payload[:6])

@@ -5,28 +5,27 @@
 1. **Cache probe** — each unit's content-addressed key is looked up in
    the attached :class:`~repro.runner.cache.CaptureCache`; hits skip
    execution entirely.
-2. **Execution** — misses run through the capture path. In batched mode
-   (the default) pending units are first grouped by
+2. **Execution** — misses are grouped by
    :func:`~repro.runner.units.group_signature`, so all repeats of the
    same (phone, scene, options) triple fuse into one vectorized
-   :func:`~repro.runner.units.execute_unit_group` pass; per-unit cache
-   keys are untouched because the fused outputs are split back into
-   per-unit payloads before reassembly. With ``workers > 1`` the groups
-   fan out across a ``ProcessPoolExecutor`` as pixel-free
+   :func:`~repro.runner.units.execute_unit_group` pass (a group of one
+   included); per-unit cache keys are untouched because the fused
+   outputs are split back into per-unit payloads before reassembly.
+   With ``workers > 1`` the groups fan out across a
+   ``ProcessPoolExecutor`` as pixel-free
    :class:`~repro.runner.shm.GroupTask` descriptors — radiance travels
    through a shared-memory input slab, decoded pixels come back through
    a preallocated output slab, and only scalar metadata crosses the
-   pickle boundary. With ``batched=False`` every miss runs the legacy
-   per-unit path (:func:`~repro.runner.units.execute_unit`), serially or
-   via ``pool.map``.
+   pickle boundary. Unit kinds the fused path does not cover run
+   :func:`~repro.runner.units.execute_unit`, serially or via
+   ``pool.map``.
 3. **Reassembly** — results return in input order, and fresh results
    are written back to the cache.
 
 Because every unit owns its RNG (see :mod:`repro.runner.seeds`) and the
 fused group path is bit-identical to per-unit execution by construction
-(``tests/runner/test_batch_invariance.py``), stage 2's mode — batched or
-not, pooled or serial, any grouping order — cannot influence any output
-bit.
+(``tests/runner/test_batch_invariance.py``), stage 2's scheduling —
+pooled or serial, any grouping order — cannot influence any output bit.
 
 Observability: when a :mod:`repro.obs` observer is active, the whole
 ``run`` is wrapped in a ``fleet.run`` span, cache probes and executions
@@ -102,24 +101,15 @@ class FleetExecutor:
     cache:
         Optional :class:`CaptureCache` consulted before execution and
         populated after.
-    batched:
-        When true (the default), pending units that share a
-        :func:`~repro.runner.units.group_signature` fuse into one
-        vectorized pass per group; when false, every unit runs the
-        legacy per-unit path. Both modes produce bit-identical payloads
-        — ``batched=False`` exists as the benchmark baseline and as the
-        conservative setting for online serving.
     """
 
     def __init__(
         self,
         workers: Optional[int] = 0,
         cache: Optional[CaptureCache] = None,
-        batched: bool = True,
     ) -> None:
         self.workers = resolve_workers(workers)
         self.cache = cache
-        self.batched = batched
 
     def run(self, units: Sequence[CaptureUnit]) -> List[Dict[str, np.ndarray]]:
         """Execute every unit, in input order.
@@ -134,8 +124,8 @@ class FleetExecutor:
         Returns
         -------
         One ``{name: ndarray}`` payload per unit, positionally aligned
-        with ``units`` regardless of worker count, cache state, batching
-        mode, or scheduling order.
+        with ``units`` regardless of worker count, cache state, grouping,
+        or scheduling order.
         """
         units = list(units)
         with obs.span("fleet.run", units=len(units), workers=self.workers):
@@ -173,8 +163,6 @@ class FleetExecutor:
     def _execute(
         self, units: List[CaptureUnit]
     ) -> List[Dict[str, np.ndarray]]:
-        if not self.batched:
-            return self._execute_per_unit(units)
         groups = _group_pending(units)
         if self.workers <= 1 or len(units) <= 1:
             # Serial fused path: one vectorized pass per group, straight
@@ -186,36 +174,6 @@ class FleetExecutor:
                     results[i] = payload
             return results  # type: ignore[return-value]
         return self._execute_groups_pooled(units, groups)
-
-    def _execute_per_unit(
-        self, units: List[CaptureUnit]
-    ) -> List[Dict[str, np.ndarray]]:
-        if self.workers <= 1 or len(units) <= 1:
-            # Serial fallback: hooks (if any) record straight into the
-            # active observer, no serialization needed.
-            return [execute_unit(unit) for unit in units]
-        max_workers = min(self.workers, len(units))
-        # Chunk generously: units are ~ms-scale, so per-task IPC overhead
-        # would otherwise dominate.
-        chunksize = max(1, len(units) // (max_workers * 4))
-        observer = obs.active()
-        with ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=_pool_context()
-        ) as pool:
-            if observer is None:
-                return list(pool.map(execute_unit, units, chunksize=chunksize))
-            # Observed fan-out: each worker records into its own fresh
-            # observer and ships (payload, spans, metrics) back; merging
-            # happens here in submission order, so the assembled trace is
-            # deterministic in structure even though worker timing isn't.
-            payloads: List[Dict[str, np.ndarray]] = []
-            for payload, span_dicts, metrics_snapshot in pool.map(
-                execute_unit_observed, units, chunksize=chunksize
-            ):
-                observer.tracer.absorb(span_dicts)
-                observer.metrics.merge(metrics_snapshot)
-                payloads.append(payload)
-            return payloads
 
     # ------------------------------------------------------------------
     def _execute_groups_pooled(

@@ -365,11 +365,12 @@ def execute_unit_group(units: Sequence[CaptureUnit]) -> List[Dict[str, np.ndarra
         q = quality if quality is not None else phone.profile.save_quality
         if codec.name == "jpeg":
             pairs = jpeg_roundtrip_batch(images, quality=q)
+            # Encode counters only: the fused roundtrip parses no bytes,
+            # and ``codec.bytes_decoded`` counts real decodes.
             for data, _img in pairs:
                 obs.count("codec.bytes_encoded", len(data))
                 obs.count("codec.encoded.jpeg")
                 obs.observe("codec.encoded_size", len(data))
-                obs.count("codec.bytes_decoded", len(data))
         else:
             # Non-JPEG codecs have no fused roundtrip; the batched
             # sensor+ISP still carries the group, encode/decode loop here.

@@ -27,7 +27,10 @@ displayed scene *s*, repeat *r* — and flow through four stages:
    :class:`~repro.runner.executor.FleetExecutor` (and optional
    :class:`~repro.runner.cache.CaptureCache`) as every offline study,
    in a worker thread so the event loop keeps admitting and shedding
-   while capture work is in flight. Inference runs **per capture**
+   while capture work is in flight. The executor's fused group pass
+   (:func:`~repro.runner.units.execute_unit_group`) carries every
+   capture, a group of one included, and is bit-identical to one
+   ``execute_unit`` per capture. Inference runs **per capture**
    (``predict_one``), never over the coalesced batch, so a response is a
    pure function of its request coordinates alone — batch composition,
    arrival order, and worker count cannot change a bit. That is the
@@ -48,7 +51,7 @@ open window folds in, and the final accounting is returned.
 
 This module is DET002-exempt (see ``repro.lint``): wall-clock here
 steers scheduling and reported latencies only — payload bits all come
-from the pure ``execute_unit`` path.
+from the pure capture path.
 """
 
 from __future__ import annotations
@@ -151,14 +154,6 @@ class ServeConfig:
     workers:
         :class:`FleetExecutor` process count for the capture fan-out
         (``0`` = serial in-thread — output-identical either way).
-    batched:
-        Opt-in: route each executor batch through the fused
-        same-(phone, scene) group path
-        (:func:`repro.runner.units.execute_unit_group`). Off by default
-        for serving — the conservative per-unit path keeps per-request
-        latency attribution trivial — and bit-identical when on, which
-        ``tests/serve/test_batched.py`` pins against
-        :meth:`serial_reference`.
     window_s:
         Streaming-metrics window length; ``0`` disables the periodic
         window task (windows then roll only at :meth:`drain`).
@@ -177,7 +172,6 @@ class ServeConfig:
     batch_window_s: float = 0.05
     request_timeout_s: float = 30.0
     workers: int = 0
-    batched: bool = False
     window_s: float = 5.0
     model: str = "quick"
 
@@ -312,9 +306,7 @@ class IngestService:
 
                 model = fleet_model()
         self.runtime = DeviceRuntime(model)
-        self.executor = FleetExecutor(
-            workers=config.workers, cache=cache, batched=config.batched
-        )
+        self.executor = FleetExecutor(workers=config.workers, cache=cache)
 
         # Streaming metrics: events land in the current window; the
         # cumulative registry is built purely by merging window
@@ -493,7 +485,6 @@ class IngestService:
                 "queue_capacity": self.config.queue_capacity,
                 "batch_max": self.config.batch_max,
                 "workers": self.config.workers,
-                "batched": self.config.batched,
                 "model": self.config.model,
             },
         }

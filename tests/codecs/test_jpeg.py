@@ -3,6 +3,15 @@
 import numpy as np
 import pytest
 
+from repro import kernels
+from repro.codecs import jpeg
+from repro.codecs.huffman import (
+    STD_AC_CHROMA,
+    STD_AC_LUMA,
+    STD_DC_CHROMA,
+    STD_DC_LUMA,
+    HuffmanTable,
+)
 from repro.codecs.jpeg import (
     BASE_LUMA_QUANT,
     JpegDecodeOptions,
@@ -72,6 +81,47 @@ class TestMarkerStream:
         data[idx + 1] = 0xC2  # rewrite SOF0 -> SOF2
         with pytest.raises(ValueError):
             decode_jpeg(bytes(data))
+
+
+def _spy_scan_tables(monkeypatch):
+    """Record the ``(dc_tables, ac_tables)`` each scan decode receives."""
+    seen = []
+    original = kernels.decode_jpeg_scan
+
+    def spy(reader, comp_of_unit, block_of_unit, dc_tables, ac_tables, *rest, **kw):
+        seen.append((list(dc_tables), list(ac_tables)))
+        return original(reader, comp_of_unit, block_of_unit, dc_tables, ac_tables, *rest, **kw)
+
+    monkeypatch.setattr(kernels, "decode_jpeg_scan", spy)
+    return seen
+
+
+class TestHuffmanTableReuse:
+    def test_standard_tables_are_shared_across_decodes(self, monkeypatch):
+        seen = _spy_scan_tables(monkeypatch)
+        decode_jpeg(encode_jpeg(_smooth_image(seed=1), quality=85))
+        decode_jpeg(encode_jpeg(_smooth_image(seed=2), quality=60))
+        standard = [STD_DC_LUMA, STD_DC_CHROMA, STD_DC_CHROMA]
+        standard += [STD_AC_LUMA, STD_AC_CHROMA, STD_AC_CHROMA]
+        for dc_tables, ac_tables in seen:
+            assert all(t is s for t, s in zip(dc_tables + ac_tables, standard))
+
+    def test_non_standard_dht_still_decodes(self, monkeypatch):
+        image = _smooth_image(seed=3)
+        expected = decode_jpeg(encode_jpeg(image, quality=85))
+        # Same code lengths, symbols reversed: a valid, complete AC table
+        # that is not Annex K's, written to the DHT and used by the scan.
+        custom = HuffmanTable(STD_AC_LUMA.bits, STD_AC_LUMA.values[::-1])
+        with monkeypatch.context() as patch:
+            patch.setattr(jpeg, "STD_AC_LUMA", custom)
+            data = encode_jpeg(image, quality=85)
+        assert bytes(custom.values) in data
+        seen = _spy_scan_tables(monkeypatch)
+        decoded = decode_jpeg(data)
+        ac_luma = seen[0][1][0]
+        assert ac_luma is not STD_AC_LUMA and ac_luma is not custom
+        assert (ac_luma.bits, ac_luma.values) == (custom.bits, custom.values)
+        assert decoded.pixels.tobytes() == expected.pixels.tobytes()
 
 
 class TestRoundtrip:

@@ -1,10 +1,10 @@
 """The batch-invariance invariant: fused execution is a no-op, bitwise.
 
-The batched executor may group units however it likes — by (phone,
-scene) signature, any batch size, any submission order, serial or
-pooled, cold or warm cache — and the payloads must still be
-byte-for-byte what the legacy one-``execute_unit``-per-capture path
-produces. The hypothesis suite drives random unit mixes through every
+The executor may group units however it likes — by (phone, scene)
+signature, any batch size, any submission order, serial or pooled, cold
+or warm cache — and the payloads must still be byte-for-byte what
+``[execute_unit(u) for u in units]`` produces: a batch of N equals N
+batches of 1. The hypothesis suite drives random unit mixes through every
 combination; the shared-memory regression tests pin that the pooled
 fan-out no longer ships pixel buffers through pickle.
 """
@@ -94,7 +94,7 @@ class TestBatchInvariance:
         )
         rng = np.random.default_rng(shuffle_seed)
         rng.shuffle(indices)
-        executor = FleetExecutor(workers=0, batched=True)
+        executor = FleetExecutor(workers=0)
         payloads = executor.run([unit_pool[i] for i in indices])
         for i, payload in zip(indices, payloads):
             _assert_payloads_equal(payload, reference[i])
@@ -106,7 +106,7 @@ class TestBatchInvariance:
         for batch_size in (1, 3, 8):
             indices = list(rng.integers(0, len(unit_pool), size=batch_size))
             rng.shuffle(indices)
-            executor = FleetExecutor(workers=workers, batched=True)
+            executor = FleetExecutor(workers=workers)
             payloads = executor.run([unit_pool[int(i)] for i in indices])
             for i, payload in zip(indices, payloads):
                 _assert_payloads_equal(payload, reference[int(i)])
@@ -116,9 +116,7 @@ class TestBatchInvariance:
         """Cold misses and warm hits both reproduce the per-unit oracle."""
         indices = [0, 8, 16, 1, 9, 0]  # duplicates: same-key units coexist
         units = [unit_pool[i] for i in indices]
-        executor = FleetExecutor(
-            workers=workers, cache=CaptureCache(tmp_path / "c"), batched=True
-        )
+        executor = FleetExecutor(workers=workers, cache=CaptureCache(tmp_path / "c"))
         cold = executor.run(units)
         warm = executor.run(units)
         for i, cold_p, warm_p in zip(indices, cold, warm):
@@ -126,7 +124,7 @@ class TestBatchInvariance:
             _assert_payloads_equal(warm_p, reference[i])
 
     def test_mixed_kinds_share_a_run(self, unit_pool, scenes, reference):
-        """Non-photograph units ride the legacy path inside a batched run."""
+        """Non-photograph units run ``execute_unit`` inside a fused run."""
         profile = capture_fleet()[0]
         raw_unit = CaptureUnit(
             kind="raw",
@@ -137,16 +135,9 @@ class TestBatchInvariance:
         units = [unit_pool[0], raw_unit, unit_pool[1]]
         expected = [reference[0], execute_unit(raw_unit), reference[1]]
         for workers in (0, 2):
-            payloads = FleetExecutor(workers=workers, batched=True).run(units)
+            payloads = FleetExecutor(workers=workers).run(units)
             for payload, exp in zip(payloads, expected):
                 _assert_payloads_equal(payload, exp)
-
-    def test_per_capture_mode_unchanged(self, unit_pool, reference):
-        """batched=False is still the untouched baseline path."""
-        executor = FleetExecutor(workers=0, batched=False)
-        payloads = executor.run(unit_pool[:4])
-        for payload, exp in zip(payloads, reference[:4]):
-            _assert_payloads_equal(payload, exp)
 
 
 class TestGrouping:
@@ -227,7 +218,7 @@ class TestSharedMemoryFanout:
 
     def test_pooled_run_returns_fresh_buffers(self, unit_pool, reference):
         """Scattered payloads are private copies, not live slab views."""
-        executor = FleetExecutor(workers=2, batched=True)
+        executor = FleetExecutor(workers=2)
         payloads = executor.run(unit_pool[:8])
         for payload, exp in zip(payloads, reference[:8]):
             _assert_payloads_equal(payload, exp)
