@@ -1,18 +1,16 @@
-"""Opt-in batched serving: fused coalesced batches stay bit-identical.
+"""Fused serving over repeat-heavy traffic stays bit-identical.
 
-``ServeConfig(batched=True)`` routes each coalesced executor batch
-through the fused same-(phone, scene) group path. That is throughput
-machinery only: a drained batched service must agree with the serial
-per-unit runner — and with the default (unbatched) service — on every
-deterministic response field, under coalescing, repeats, worker pools,
-and arrival reordering.
+Every coalesced executor batch runs through the fused same-(phone,
+scene) group pass. On a schedule where every (device, scene) pair has
+repeats to fuse, neither the worker pool nor the arrival order may
+change a single deterministic response field.
 """
 
 import asyncio
 
 from repro.loadgen.client import drive_inproc
 from repro.loadgen.generator import build_schedule
-from repro.serve.service import CaptureRequest, IngestService
+from repro.serve.service import IngestService
 
 from .conftest import make_config
 
@@ -35,46 +33,19 @@ def fields(report):
     }
 
 
-# repeats=3 gives every (device, scene) triple captures to fuse.
+# repeats=3 gives every (device, scene) pair repeats to fuse.
 SCHEDULE = build_schedule(count=24, rate=1000.0, devices=4, scenes=2, seed=13, repeats=3)
 
 
 class TestBatchedServing:
-    def test_default_is_unbatched(self):
-        assert make_config().batched is False
-        assert IngestService(make_config()).executor.batched is False
-        assert IngestService(make_config(batched=True)).executor.batched is True
-
-    def test_drained_batched_service_matches_serial_reference(self):
-        config = make_config(batched=True, batch_max=16, queue_capacity=64)
-        service, report = drive(config, SCHEDULE)
-        assert all(r.status == "ok" for r in report["responses"].values())
-        requests = [
-            CaptureRequest(p.request_id, p.device, p.scene, p.repeat)
-            for p in SCHEDULE
-        ]
-        serial = {
-            r.request_id: r.deterministic_fields()
-            for r in service.serial_reference(requests)
-        }
-        assert fields(report) == serial
-
-    def test_batched_matches_unbatched_service(self):
-        _, unbatched = drive(make_config(batched=False), SCHEDULE)
-        _, batched = drive(make_config(batched=True), SCHEDULE)
-        assert fields(batched) == fields(unbatched)
-
     def test_batched_with_worker_pool(self):
-        _, serial = drive(make_config(batched=True, workers=0), SCHEDULE)
-        _, pooled = drive(make_config(batched=True, workers=2), SCHEDULE)
+        _, serial = drive(make_config(workers=0), SCHEDULE)
+        _, pooled = drive(make_config(workers=2), SCHEDULE)
+        assert all(r.status == "ok" for r in serial["responses"].values())
         assert fields(serial) == fields(pooled)
 
     def test_batched_request_order(self):
         reordered = list(reversed(SCHEDULE))
-        _, forward = drive(make_config(batched=True), SCHEDULE)
-        _, backward = drive(make_config(batched=True), reordered)
+        _, forward = drive(make_config(), SCHEDULE)
+        _, backward = drive(make_config(), reordered)
         assert fields(forward) == fields(backward)
-
-    def test_batched_recorded_in_summary(self):
-        service, _ = drive(make_config(batched=True), SCHEDULE[:4])
-        assert service.run_summary()["config"]["batched"] is True

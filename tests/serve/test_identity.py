@@ -79,13 +79,13 @@ class TestBitIdentity:
         assert fields(singles) == fields(batched)
 
     def test_worker_pool_cannot_change_responses(self):
-        _, serial = drive(make_config(workers=0), REPEATS_SCHEDULE)
-        _, pooled = drive(make_config(workers=2), REPEATS_SCHEDULE)
+        _, serial = drive(make_config(workers=0), SCHEDULE)
+        _, pooled = drive(make_config(workers=2), SCHEDULE)
         assert fields(serial) == fields(pooled)
 
     def test_request_order_cannot_change_responses(self):
-        reordered = list(reversed(REPEATS_SCHEDULE))
-        _, forward = drive(make_config(), REPEATS_SCHEDULE)
+        reordered = list(reversed(SCHEDULE))
+        _, forward = drive(make_config(), SCHEDULE)
         _, backward = drive(make_config(), reordered)
         assert fields(forward) == fields(backward)
 
