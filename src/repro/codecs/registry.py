@@ -20,7 +20,15 @@ from .jpeg import JpegDecodeOptions, decode_jpeg, encode_jpeg
 from .png import decode_png, encode_png
 from .webp import decode_webp, encode_webp
 
-__all__ = ["Codec", "get_codec", "available_codecs", "register_codec", "sniff_format", "decode_any"]
+__all__ = [
+    "Codec",
+    "get_codec",
+    "available_codecs",
+    "register_codec",
+    "sniff_format",
+    "decode_any",
+    "count_encoded",
+]
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,19 @@ class Codec:
 _REGISTRY: Dict[str, Codec] = {}  # lint: disable=PROC001
 
 
+def count_encoded(codec_name: str, data: bytes) -> None:
+    """Record one encoded file in the active observer's metrics.
+
+    The single source of the ``codec.bytes_encoded`` /
+    ``codec.encoded.<name>`` / ``codec.encoded_size`` counters: the
+    registry's wrapped ``encode`` and the fused JPEG roundtrip (which
+    calls the encoder directly) both report through here.
+    """
+    obs.count("codec.bytes_encoded", len(data))
+    obs.count(f"codec.encoded.{codec_name}")
+    obs.observe("codec.encoded_size", len(data))
+
+
 def _instrumented(codec: Codec) -> Codec:
     """Wrap a codec's callables with tracing spans and byte counters.
 
@@ -67,9 +88,7 @@ def _instrumented(codec: Codec) -> Codec:
             return encode_fn(image, **params)
         with ob.tracer.span("codec.encode", codec=codec.name):
             data = encode_fn(image, **params)
-        ob.metrics.count("codec.bytes_encoded", len(data))
-        ob.metrics.count(f"codec.encoded.{codec.name}")
-        ob.metrics.observe("codec.encoded_size", len(data))
+        count_encoded(codec.name, data)
         return data
 
     @functools.wraps(decode_fn)

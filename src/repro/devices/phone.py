@@ -52,7 +52,7 @@ class Phone:
     # Capture paths
     # ------------------------------------------------------------------
     def capture_raw(self, radiance: ImageBuffer, rng: np.random.Generator) -> RawImage:
-        """Expose one frame; returns the sensor's raw mosaic."""
+        """Expose one frame (a batch of one); returns the raw mosaic."""
         return self.sensor.capture(radiance, rng)
 
     def capture_raw_batch(
@@ -65,7 +65,7 @@ class Phone:
         return self.sensor.capture_batch(radiance, rngs)
 
     def develop(self, raw: RawImage) -> ImageBuffer:
-        """Run a raw capture through this phone's vendor ISP."""
+        """Run a raw capture through this phone's vendor ISP (a batch of one)."""
         return self.isp.process(raw)
 
     def develop_batch(self, raws: Sequence[RawImage]) -> List[ImageBuffer]:

@@ -10,7 +10,6 @@ from .ops import (
     gaussian_blur,
     pad_to_multiple,
     perspective_shift,
-    unsharp_mask,
 )
 from . import color
 
@@ -30,6 +29,5 @@ __all__ = [
     "gaussian_blur",
     "pad_to_multiple",
     "perspective_shift",
-    "unsharp_mask",
     "color",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "srgb_decode",
     "gray_world_gains",
     "gray_world_gains_batch",
-    "apply_wb_gains",
     "apply_wb_gains_batch",
     "luminance",
 ]
@@ -144,15 +143,6 @@ def gray_world_gains(rgb: np.ndarray) -> np.ndarray:
     means = np.maximum(means, 1e-6)
     gains = means[1] / means
     return gains.astype(np.float32)
-
-
-@tensor_contract("* float32, _ -> * float32")
-def apply_wb_gains(rgb: np.ndarray, gains: Sequence[float]) -> np.ndarray:
-    """Multiply each channel by its white-balance gain."""
-    gains_arr = np.asarray(gains, dtype=np.float32)
-    if gains_arr.shape != (3,):
-        raise ValueError(f"expected 3 gains, got shape {gains_arr.shape}")
-    return np.asarray(rgb, dtype=np.float32) * gains_arr
 
 
 def gray_world_gains_batch(rgb: np.ndarray) -> np.ndarray:

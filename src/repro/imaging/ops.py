@@ -21,7 +21,6 @@ __all__ = [
     "gaussian_blur_batch",
     "gaussian_blur_planes_batch",
     "box_blur",
-    "unsharp_mask",
     "unsharp_mask_batch",
     "affine_warp",
     "perspective_shift",
@@ -201,16 +200,10 @@ def box_blur(image: np.ndarray, size: int) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def unsharp_mask(image: np.ndarray, sigma: float, amount: float) -> np.ndarray:
-    """Classic unsharp masking: ``img + amount * (img - blur(img))``."""
-    image = np.asarray(image, dtype=np.float32)
-    blurred = gaussian_blur(image, sigma)
-    return image + np.float32(amount) * (image - blurred)
-
-
 @tensor_contract("(N, ?, ?, ?) float32, _, _ -> (N, ?, ?, ?) float32")
 def unsharp_mask_batch(images: np.ndarray, sigma: float, amount: float) -> np.ndarray:
-    """Batched :func:`unsharp_mask` over an ``(N, H, W, C)`` stack."""
+    """Classic unsharp masking over an ``(N, H, W, C)`` stack:
+    ``img + amount * (img - blur(img))``."""
     images = np.asarray(images, dtype=np.float32)
     blurred = gaussian_blur_batch(images, sigma)
     return images + np.float32(amount) * (images - blurred)

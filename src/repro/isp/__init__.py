@@ -9,7 +9,6 @@ from .stages import (
     Denoise,
     GammaEncode,
     ISPStage,
-    ISPState,
     Resize,
     Sharpen,
     ToneMap,
@@ -24,7 +23,6 @@ __all__ = [
     "GammaEncode",
     "ISPPipeline",
     "ISPStage",
-    "ISPState",
     "Resize",
     "Sharpen",
     "ToneMap",

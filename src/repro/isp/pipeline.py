@@ -1,22 +1,24 @@
 """The ISP pipeline: an ordered chain of stages with tap points.
 
-``ISPPipeline.process(raw)`` runs a :class:`~repro.imaging.image.RawImage`
-through every stage and returns the finished
-:class:`~repro.imaging.image.ImageBuffer`. ``process_with_taps`` also
-returns the intermediate image after each stage, which the tests and the
-ablation benchmarks use to attribute instability to individual stages
-(in the spirit of Buckler et al. 2017, which the paper builds on).
+``ISPPipeline.process_batch(raws)`` runs a stack of
+:class:`~repro.imaging.image.RawImage` captures through every stage on a
+leading batch axis and returns the finished
+:class:`~repro.imaging.image.ImageBuffer` per item; ``process(raw)`` is
+the same pass over a batch of one. ``process_with_taps`` also returns the
+intermediate image after each stage, which the tests and the ablation
+benchmarks use to attribute instability to individual stages (in the
+spirit of Buckler et al. 2017, which the paper builds on).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..imaging.image import ImageBuffer, RawImage
-from .stages import BatchISPState, BlackLevelCorrection, Demosaic, ISPStage, ISPState
+from .stages import BatchISPState, BlackLevelCorrection, Demosaic, ISPStage
 
 __all__ = ["ISPPipeline"]
 
@@ -42,50 +44,45 @@ class ISPPipeline:
         self.name = name
 
     def process(self, raw: RawImage) -> ImageBuffer:
-        """Run the raw capture through every stage.
-
-        Each stage executes inside its own ``isp.<stage>`` tracing span
-        (annotated with the pipeline name) when observability is active,
-        so traces attribute develop time stage by stage.
-        """
-        with obs.span("isp.process", pipeline=self.name):
-            state = ISPState(raw=raw, mosaic=raw.mosaic.astype("float32").copy())
-            for stage in self.stages:
-                with obs.span(f"isp.{stage.name}", pipeline=self.name):
-                    state = stage.process(state)
-            return ImageBuffer(state.require_rgb()).clipped()
+        """Develop one raw capture (a batch of one)."""
+        return self.process_batch([raw])[0]
 
     def process_batch(self, raws: Sequence[RawImage]) -> List[ImageBuffer]:
         """Develop a batch of raw captures in one vectorized pass.
 
-        Item ``i`` of the result is bit-identical to ``process(raws[i])``:
-        every stage's ``process_batch`` either vectorizes over the leading
-        batch axis with elementwise-equivalent arithmetic or falls back to
-        a per-item loop.
+        Every stage vectorizes over the leading batch axis with per-item
+        arithmetic, so item ``i`` of the result is bit-identical to
+        ``process(raws[i])``. Each stage executes inside its own
+        ``isp.<stage>`` tracing span (annotated with the pipeline name)
+        when observability is active, so traces attribute develop time
+        stage by stage.
         """
         raws = list(raws)
         if not raws:
             return []
+        return self._develop(raws)
+
+    def process_with_taps(self, raw: RawImage) -> Tuple[ImageBuffer, Dict[str, ImageBuffer]]:
+        """Run the pipeline, also returning the image after each RGB stage."""
+        taps: Dict[str, ImageBuffer] = {}
+        return self._develop([raw], taps)[0], taps
+
+    def _develop(
+        self, raws: List[RawImage], taps: Optional[Dict[str, ImageBuffer]] = None
+    ) -> List[ImageBuffer]:
         with obs.span("isp.process_batch", pipeline=self.name, items=len(raws)):
             state = BatchISPState(
                 raws=raws,
                 mosaic=np.stack([raw.mosaic.astype("float32") for raw in raws]),
             )
-            for stage in self.stages:
+            for i, stage in enumerate(self.stages):
                 with obs.span(f"isp.{stage.name}", pipeline=self.name):
                     state = stage.process_batch(state)
+                if taps is not None and state.rgb is not None:
+                    tap = ImageBuffer(state.rgb[0].copy()).clipped()
+                    taps[f"{i:02d}:{stage.name}"] = tap
             rgb = state.require_rgb()
             return [ImageBuffer(rgb[i]).clipped() for i in range(len(raws))]
-
-    def process_with_taps(self, raw: RawImage) -> Tuple[ImageBuffer, Dict[str, ImageBuffer]]:
-        """Run the pipeline, also returning the image after each RGB stage."""
-        state = ISPState(raw=raw, mosaic=raw.mosaic.astype("float32").copy())
-        taps: Dict[str, ImageBuffer] = {}
-        for i, stage in enumerate(self.stages):
-            state = stage.process(state)
-            if state.rgb is not None:
-                taps[f"{i:02d}:{stage.name}"] = ImageBuffer(state.rgb.copy()).clipped()
-        return ImageBuffer(state.require_rgb()).clipped(), taps
 
     def stage_names(self) -> List[str]:
         return [s.name for s in self.stages]

@@ -3,8 +3,9 @@
 An image signal processor turns raw sensor data into a display-referred
 image through a sequence of stages (paper §6 lists the common ones:
 color correction, lens correction, demosaicing, noise reduction). Each
-stage here transforms an :class:`ISPState`; :mod:`repro.isp.pipeline`
-chains them.
+stage here transforms a :class:`BatchISPState` — a stack of captures on a
+leading batch axis, one capture being a batch of one — and
+:mod:`repro.isp.pipeline` chains them.
 
 Stage parameterization is the mechanism for modeling *different vendors'
 ISPs*: the same stage classes with different parameters (demosaic
@@ -24,25 +25,19 @@ from scipy import ndimage
 
 from ..imaging.color import (
     apply_color_matrix,
-    apply_wb_gains,
     apply_wb_gains_batch,
-    gray_world_gains,
     gray_world_gains_batch,
     srgb_encode,
 )
 from ..imaging.image import BAYER_PATTERNS, RawImage
 from ..imaging.ops import (
-    bilinear_resize,
     bilinear_resize_batch,
-    gaussian_blur,
     gaussian_blur_planes_batch,
-    unsharp_mask,
     unsharp_mask_batch,
 )
 from ..lint.contracts import tensor_contract
 
 __all__ = [
-    "ISPState",
     "BatchISPState",
     "ISPStage",
     "BlackLevelCorrection",
@@ -58,46 +53,21 @@ __all__ = [
 
 
 @dataclass
-class ISPState:
-    """Data flowing through the pipeline.
-
-    Starts with ``mosaic`` set (and ``rgb`` None); the demosaic stage
-    populates ``rgb`` and later stages refine it. ``raw`` keeps the
-    original capture's calibration metadata accessible to all stages.
-    """
-
-    raw: RawImage
-    mosaic: Optional[np.ndarray] = None
-    rgb: Optional[np.ndarray] = None
-
-    def require_mosaic(self) -> np.ndarray:
-        if self.mosaic is None:
-            raise RuntimeError("stage requires mosaic-domain data (before demosaic)")
-        return self.mosaic
-
-    def require_rgb(self) -> np.ndarray:
-        if self.rgb is None:
-            raise RuntimeError("stage requires RGB-domain data (after demosaic)")
-        return self.rgb
-
-
-@dataclass
 class BatchISPState:
-    """A batch of :class:`ISPState` flowing through the pipeline together.
+    """A stack of captures flowing through the pipeline together.
 
     ``mosaic`` is ``(N, H, W)`` and ``rgb`` is ``(N, H, W, 3)``; ``raws``
-    keeps each item's calibration metadata. The batch invariant every
-    stage upholds: item ``i`` of the batch is bit-identical to running
-    the same stage on ``split()[i]`` alone.
+    keeps each item's calibration metadata, which may differ per item.
+    Starts with ``mosaic`` set (and ``rgb`` None); the demosaic stage
+    populates ``rgb`` and later stages refine it. The invariant every
+    stage upholds: item ``i`` depends only on item ``i``'s inputs, so a
+    batch of N is bit-identical to N batches of one.
     """
 
     raws: List[RawImage]
     mosaic: Optional[np.ndarray] = None
     rgb: Optional[np.ndarray] = None
 
-    def __len__(self) -> int:
-        return len(self.raws)
-
     def require_mosaic(self) -> np.ndarray:
         if self.mosaic is None:
             raise RuntimeError("stage requires mosaic-domain data (before demosaic)")
@@ -108,43 +78,14 @@ class BatchISPState:
             raise RuntimeError("stage requires RGB-domain data (after demosaic)")
         return self.rgb
 
-    def split(self) -> List[ISPState]:
-        """Per-item views (for stages without a vectorized path)."""
-        return [
-            ISPState(
-                raw=raw,
-                mosaic=None if self.mosaic is None else self.mosaic[i],
-                rgb=None if self.rgb is None else self.rgb[i],
-            )
-            for i, raw in enumerate(self.raws)
-        ]
-
-    @classmethod
-    def join(cls, items: List[ISPState]) -> "BatchISPState":
-        """Restack per-item states produced by a split-and-loop stage."""
-        mosaic = None
-        if all(s.mosaic is not None for s in items):
-            mosaic = np.stack([s.mosaic for s in items])
-        rgb = None
-        if all(s.rgb is not None for s in items):
-            rgb = np.stack([s.rgb for s in items])
-        return cls(raws=[s.raw for s in items], mosaic=mosaic, rgb=rgb)
-
 
 class ISPStage:
-    """Base class: stages implement ``process`` and are stateless."""
+    """Base class: stages implement ``process_batch`` and are stateless."""
 
-    def process(self, state: ISPState) -> ISPState:  # pragma: no cover - abstract
+    def process_batch(
+        self, state: BatchISPState
+    ) -> BatchISPState:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        """Batched ``process``; bit-identical to the per-item path.
-
-        The default splits the batch and loops — trivially identical —
-        so custom stages stay correct; the built-in stages override this
-        with vectorized implementations.
-        """
-        return BatchISPState.join([self.process(s) for s in state.split()])
 
     @property
     def name(self) -> str:
@@ -152,64 +93,60 @@ class ISPStage:
 
 
 @tensor_contract("(N, ?, ?) float32, _, _ -> (N, ?, ?) float32")
-def _black_level_batch(mosaic: np.ndarray, black_level: float, span: float) -> np.ndarray:
-    """Elementwise pedestal removal over an ``(N, H, W)`` mosaic stack."""
+def _black_level_batch(
+    mosaic: np.ndarray, black_level: np.ndarray, span: np.ndarray
+) -> np.ndarray:
+    """Pedestal removal over an ``(N, H, W)`` stack with ``(N, 1, 1)`` levels."""
     return np.clip((mosaic - black_level) / span, 0.0, 1.0)
+
+
+def _per_item(values) -> np.ndarray:
+    """An ``(N, 1, 1)`` float32 column of per-item calibration scalars.
+
+    Each Python float rounds to float32 exactly as it would as a scalar
+    operand of a float32 array, so mixed-calibration batches develop each
+    item as it would develop alone.
+    """
+    return np.asarray(values, dtype=np.float32).reshape(-1, 1, 1)
 
 
 @dataclass
 class BlackLevelCorrection(ISPStage):
     """Subtract the pedestal and normalize to [0, 1] sensor range."""
 
-    def process(self, state: ISPState) -> ISPState:
-        mosaic = state.require_mosaic()
-        raw = state.raw
-        span = raw.white_level - raw.black_level
-        state.mosaic = np.clip((mosaic - raw.black_level) / span, 0.0, 1.0)
-        return state
-
     def process_batch(self, state: BatchISPState) -> BatchISPState:
-        calib = {(r.black_level, r.white_level) for r in state.raws}
-        if len(calib) != 1:
-            return super().process_batch(state)
-        raw = state.raws[0]
-        span = raw.white_level - raw.black_level
-        state.mosaic = _black_level_batch(state.require_mosaic(), raw.black_level, span)
+        raws = state.raws
+        black = _per_item([r.black_level for r in raws])
+        span = _per_item([r.white_level - r.black_level for r in raws])
+        state.mosaic = _black_level_batch(state.require_mosaic(), black, span)
         return state
 
 
-@tensor_contract("(H, W) float32, _ -> (H, W, 3) float32")
-def _bilinear_demosaic(mosaic: np.ndarray, pattern: str) -> np.ndarray:
-    """Normalized-convolution bilinear demosaic."""
-    h, w = mosaic.shape
-    cell = BAYER_PATTERNS[pattern]
-    channel_map = np.tile(cell, (h // 2, w // 2))
-    kernel = np.array([[0.25, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 0.25]])
-    rgb = np.empty((h, w, 3), dtype=np.float32)
-    for c in range(3):
-        mask = (channel_map == c).astype(np.float32)
-        values = ndimage.convolve(mosaic * mask, kernel, mode="mirror")
-        weights = ndimage.convolve(mask, kernel, mode="mirror")
-        rgb[..., c] = values / np.maximum(weights, 1e-8)
-    return rgb
+def _channel_maps(raws: List[RawImage], height: int, width: int) -> np.ndarray:
+    """CFA channel index per photosite: ``(1, H, W)`` when every item
+    shares one Bayer pattern, else ``(N, H, W)``."""
+    patterns = [r.pattern for r in raws]
+    if len(set(patterns)) == 1:
+        patterns = patterns[:1]
+    return np.stack(
+        [np.tile(BAYER_PATTERNS[p], (height // 2, width // 2)) for p in patterns]
+    )
 
 
 @tensor_contract("(N, ?, ?) float32, _ -> (N, ?, ?, ?) float32")
-def _bilinear_demosaic_batch(mosaic: np.ndarray, pattern: str) -> np.ndarray:
-    """Batched :func:`_bilinear_demosaic` over ``(N, H, W)`` mosaics.
+def _bilinear_demosaic_batch(mosaic: np.ndarray, channel_map: np.ndarray) -> np.ndarray:
+    """Normalized-convolution bilinear demosaic over ``(N, H, W)`` mosaics.
 
-    A ``(1, k, k)`` kernel makes ``ndimage.convolve`` filter each item's
-    spatial plane independently (the batch axis never mixes), so each
-    output item is bit-identical to the per-item convolution.
+    ``channel_map`` is :func:`_channel_maps` output. A ``(1, k, k)``
+    kernel makes ``ndimage.convolve`` filter each item's spatial plane
+    independently (the batch axis never mixes).
     """
     n, h, w = mosaic.shape
-    cell = BAYER_PATTERNS[pattern]
-    channel_map = np.tile(cell, (h // 2, w // 2))
-    kernel = np.array([[0.25, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 0.25]])
+    kernel = np.array([[0.25, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 0.25]])[None]
     rgb = np.empty((n, h, w, 3), dtype=np.float32)
     for c in range(3):
         mask = (channel_map == c).astype(np.float32)
-        values = ndimage.convolve(mosaic * mask, kernel[None], mode="mirror")
+        values = ndimage.convolve(mosaic * mask, kernel, mode="mirror")
         weights = ndimage.convolve(mask, kernel, mode="mirror")
         rgb[..., c] = values / np.maximum(weights, 1e-8)
     return rgb
@@ -252,51 +189,15 @@ _MALVAR_RB_AT_OPPOSITE = np.array(
 ) / 8.0
 
 
-@tensor_contract("(H, W) float32, _ -> (H, W, 3) float32")
-def _malvar_demosaic(mosaic: np.ndarray, pattern: str) -> np.ndarray:
-    """Malvar-He-Cutler gradient-corrected linear demosaic.
+@tensor_contract("(N, ?, ?) float32, _ -> (N, ?, ?, ?) float32")
+def _malvar_demosaic_batch(mosaic: np.ndarray, channel_map: np.ndarray) -> np.ndarray:
+    """Malvar-He-Cutler gradient-corrected linear demosaic, ``(N, H, W)``.
 
     Sharper than bilinear with characteristic edge behaviour — exactly the
     kind of algorithmic choice that distinguishes one vendor ISP from
-    another.
+    another. ``channel_map`` is :func:`_channel_maps` output.
     """
-    h, w = mosaic.shape
-    cell = BAYER_PATTERNS[pattern]
-    channel_map = np.tile(cell, (h // 2, w // 2))
-    m = mosaic.astype(np.float64)
-
-    conv = lambda kern: ndimage.convolve(m, kern, mode="mirror")  # noqa: E731
-    g_at_rb = conv(_MALVAR_G_AT_RB)
-    rb_same_row = conv(_MALVAR_RB_AT_G_SAME_ROW)
-    rb_same_col = conv(_MALVAR_RB_AT_G_SAME_COL)
-    rb_opposite = conv(_MALVAR_RB_AT_OPPOSITE)
-
-    is_r = channel_map == 0
-    is_g = channel_map == 1
-    is_b = channel_map == 2
-
-    # Row kind: does this row contain red photosites?
-    rows_with_r = is_r.any(axis=1)[:, None] & np.ones((1, w), dtype=bool)
-
-    rgb = np.empty((h, w, 3), dtype=np.float64)
-    # Green: native at G, interpolated at R and B.
-    rgb[..., 1] = np.where(is_g, m, g_at_rb)
-    # Red.
-    r_at_g = np.where(rows_with_r, rb_same_row, rb_same_col)
-    rgb[..., 0] = np.where(is_r, m, np.where(is_g, r_at_g, rb_opposite))
-    # Blue (mirror of red: blue rows are the non-red rows).
-    b_at_g = np.where(rows_with_r, rb_same_col, rb_same_row)
-    rgb[..., 2] = np.where(is_b, m, np.where(is_g, b_at_g, rb_opposite))
-
-    return np.clip(rgb, 0.0, 1.0).astype(np.float32)
-
-
-@tensor_contract("(N, ?, ?) float32, _ -> (N, ?, ?, ?) float32")
-def _malvar_demosaic_batch(mosaic: np.ndarray, pattern: str) -> np.ndarray:
-    """Batched :func:`_malvar_demosaic` over ``(N, H, W)`` mosaics."""
     n, h, w = mosaic.shape
-    cell = BAYER_PATTERNS[pattern]
-    channel_map = np.tile(cell, (h // 2, w // 2))
     m = mosaic.astype(np.float64)
 
     conv = lambda kern: ndimage.convolve(m, kern[None], mode="mirror")  # noqa: E731
@@ -308,12 +209,16 @@ def _malvar_demosaic_batch(mosaic: np.ndarray, pattern: str) -> np.ndarray:
     is_r = channel_map == 0
     is_g = channel_map == 1
     is_b = channel_map == 2
-    rows_with_r = is_r.any(axis=1)[:, None] & np.ones((1, w), dtype=bool)
+    # Row kind: does this row contain red photosites?
+    rows_with_r = is_r.any(axis=-1, keepdims=True)
 
     rgb = np.empty((n, h, w, 3), dtype=np.float64)
+    # Green: native at G, interpolated at R and B.
     rgb[..., 1] = np.where(is_g, m, g_at_rb)
+    # Red.
     r_at_g = np.where(rows_with_r, rb_same_row, rb_same_col)
     rgb[..., 0] = np.where(is_r, m, np.where(is_g, r_at_g, rb_opposite))
+    # Blue (mirror of red: blue rows are the non-red rows).
     b_at_g = np.where(rows_with_r, rb_same_col, rb_same_row)
     rgb[..., 2] = np.where(is_b, m, np.where(is_g, b_at_g, rb_opposite))
 
@@ -329,26 +234,13 @@ class Demosaic(ISPStage):
 
     algorithm: str = "malvar"
 
-    def process(self, state: ISPState) -> ISPState:
-        mosaic = state.require_mosaic()
-        if self.algorithm == "bilinear":
-            state.rgb = _bilinear_demosaic(mosaic, state.raw.pattern)
-        elif self.algorithm == "malvar":
-            state.rgb = _malvar_demosaic(mosaic, state.raw.pattern)
-        else:
-            raise ValueError(f"unknown demosaic algorithm {self.algorithm!r}")
-        state.mosaic = None
-        return state
-
     def process_batch(self, state: BatchISPState) -> BatchISPState:
-        if len({r.pattern for r in state.raws}) != 1:
-            return super().process_batch(state)
         mosaic = state.require_mosaic()
-        pattern = state.raws[0].pattern
+        channel_map = _channel_maps(state.raws, *mosaic.shape[1:])
         if self.algorithm == "bilinear":
-            state.rgb = _bilinear_demosaic_batch(mosaic, pattern)
+            state.rgb = _bilinear_demosaic_batch(mosaic, channel_map)
         elif self.algorithm == "malvar":
-            state.rgb = _malvar_demosaic_batch(mosaic, pattern)
+            state.rgb = _malvar_demosaic_batch(mosaic, channel_map)
         else:
             raise ValueError(f"unknown demosaic algorithm {self.algorithm!r}")
         state.mosaic = None
@@ -367,18 +259,6 @@ class WhiteBalance(ISPStage):
 
     source: str = "as_shot"
     strength: float = 1.0
-
-    def process(self, state: ISPState) -> ISPState:
-        rgb = state.require_rgb()
-        if self.source == "as_shot":
-            gains = np.asarray(state.raw.wb_gains, dtype=np.float32)
-        elif self.source == "gray_world":
-            gains = gray_world_gains(rgb)
-        else:
-            raise ValueError(f"unknown white balance source {self.source!r}")
-        blended = 1.0 + (gains - 1.0) * np.float32(self.strength)
-        state.rgb = np.clip(apply_wb_gains(rgb, blended), 0.0, 4.0)
-        return state
 
     def process_batch(self, state: BatchISPState) -> BatchISPState:
         rgb = state.require_rgb()
@@ -406,11 +286,6 @@ class ColorCorrection(ISPStage):
         )
     )
 
-    def process(self, state: ISPState) -> ISPState:
-        rgb = state.require_rgb()
-        state.rgb = np.clip(apply_color_matrix(rgb, self.matrix), 0.0, 4.0)
-        return state
-
     def process_batch(self, state: BatchISPState) -> BatchISPState:
         # ``(..., 3) @ (3, 3).T`` batches over leading dims independently.
         rgb = state.require_rgb()
@@ -427,17 +302,6 @@ class ToneMap(ISPStage):
     """
 
     strength: float = 0.3
-
-    def process(self, state: ISPState) -> ISPState:
-        if self.strength < 0:
-            raise ValueError("tone map strength must be non-negative")
-        rgb = np.clip(state.require_rgb(), 0.0, 1.0)
-        if self.strength == 0:
-            return state
-        # Smoothstep-family curve blended with identity.
-        curved = rgb * rgb * (3.0 - 2.0 * rgb)
-        state.rgb = (1 - self.strength) * rgb + self.strength * curved
-        return state
 
     def process_batch(self, state: BatchISPState) -> BatchISPState:
         if self.strength < 0:
@@ -456,16 +320,6 @@ class GammaEncode(ISPStage):
 
     mode: str = "srgb"
     gamma: float = 2.2
-
-    def process(self, state: ISPState) -> ISPState:
-        rgb = np.clip(state.require_rgb(), 0.0, 1.0)
-        if self.mode == "srgb":
-            state.rgb = srgb_encode(rgb)
-        elif self.mode == "power":
-            state.rgb = np.power(rgb, np.float32(1.0 / self.gamma))
-        else:
-            raise ValueError(f"unknown gamma mode {self.mode!r}")
-        return state
 
     def process_batch(self, state: BatchISPState) -> BatchISPState:
         # Both curves are elementwise, so the stacked call is identical.
@@ -491,19 +345,6 @@ class Denoise(ISPStage):
     luma_sigma: float = 0.4
     chroma_sigma: float = 1.2
 
-    def process(self, state: ISPState) -> ISPState:
-        from ..imaging.color import rgb_to_ycbcr, ycbcr_to_rgb
-
-        rgb = state.require_rgb()
-        ycc = rgb_to_ycbcr(np.clip(rgb, 0.0, 1.0))
-        if self.luma_sigma > 0:
-            ycc[..., 0] = gaussian_blur(ycc[..., 0], self.luma_sigma)
-        if self.chroma_sigma > 0:
-            ycc[..., 1] = gaussian_blur(ycc[..., 1], self.chroma_sigma)
-            ycc[..., 2] = gaussian_blur(ycc[..., 2], self.chroma_sigma)
-        state.rgb = np.clip(ycbcr_to_rgb(ycc), 0.0, 1.0)
-        return state
-
     def process_batch(self, state: BatchISPState) -> BatchISPState:
         from ..imaging.color import rgb_to_ycbcr, ycbcr_to_rgb
 
@@ -525,13 +366,6 @@ class Sharpen(ISPStage):
     amount: float = 0.5
     sigma: float = 1.0
 
-    def process(self, state: ISPState) -> ISPState:
-        if self.amount < 0:
-            raise ValueError("sharpen amount must be non-negative")
-        rgb = state.require_rgb()
-        state.rgb = np.clip(unsharp_mask(rgb, self.sigma, self.amount), 0.0, 1.0)
-        return state
-
     def process_batch(self, state: BatchISPState) -> BatchISPState:
         if self.amount < 0:
             raise ValueError("sharpen amount must be non-negative")
@@ -546,11 +380,6 @@ class Resize(ISPStage):
 
     height: int = 96
     width: int = 96
-
-    def process(self, state: ISPState) -> ISPState:
-        rgb = state.require_rgb()
-        state.rgb = bilinear_resize(rgb, self.height, self.width)
-        return state
 
     def process_batch(self, state: BatchISPState) -> BatchISPState:
         rgb = state.require_rgb()

@@ -10,16 +10,16 @@ guaranteed bit-identical either way:
   from ``(master_seed, device, image, repeat)``, so no unit's noise
   stream depends on execution order or worker assignment;
 * :mod:`~repro.runner.units` defines the picklable
-  :class:`~repro.runner.units.CaptureUnit` payloads and the pure worker
-  function that executes one unit;
+  :class:`~repro.runner.units.CaptureUnit` payloads, the pure fused
+  group pass that executes them, and the per-unit reference path;
 * :mod:`~repro.runner.cache` is a content-addressed in-memory + on-disk
   cache keyed by a canonical fingerprint of everything that determines a
   unit's output (scene pixels, device profile, seed, options), letting
   repeated experiments and ablation sweeps skip redundant capture work;
 * :mod:`~repro.runner.executor` schedules units over
   ``concurrent.futures`` with a serial fallback and cache short-circuit,
-  fusing same-(phone, scene) repeats into vectorized group passes
-  (:func:`~repro.runner.units.execute_unit_group`) by default;
+  fusing same-(phone, scene) repeats of every unit kind into vectorized
+  group passes (:func:`~repro.runner.units.execute_unit_group`);
 * :mod:`~repro.runner.shm` ships fused groups to pooled workers as
   pixel-free shared-memory descriptors instead of pickled buffers.
 
@@ -31,7 +31,7 @@ The package is instrumented with :mod:`repro.obs`: when an observer is
 active, ``FleetExecutor.run`` emits ``fleet.*`` spans and counters, the
 cache reports ``capture_cache.*`` hit/miss/store counts, and units
 executed in worker processes serialize their spans and metrics back with
-their payloads (see ``execute_unit_observed``). Observation is timing
+their payloads (see ``execute_unit_group_observed``). Observation is timing
 side-band only and cannot change any payload bit.
 """
 

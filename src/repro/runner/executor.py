@@ -11,14 +11,17 @@
    :func:`~repro.runner.units.execute_unit_group` pass (a group of one
    included); per-unit cache keys are untouched because the fused
    outputs are split back into per-unit payloads before reassembly.
-   With ``workers > 1`` the groups fan out across a
-   ``ProcessPoolExecutor`` as pixel-free
-   :class:`~repro.runner.shm.GroupTask` descriptors — radiance travels
-   through a shared-memory input slab, decoded pixels come back through
-   a preallocated output slab, and only scalar metadata crosses the
-   pickle boundary. Unit kinds the fused path does not cover run
-   :func:`~repro.runner.units.execute_unit`, serially or via
-   ``pool.map``.
+   Every unit kind runs through that one pass: ``photograph``, ``raw``
+   and ``raw_vs_jpeg`` repeats fuse, and each ``develop`` unit is a
+   group of one. With ``workers > 1`` the groups fan out across a
+   ``ProcessPoolExecutor`` in one submit-and-collect loop. Capture
+   groups ship as pixel-free :class:`~repro.runner.shm.GroupTask`
+   descriptors — radiance travels through a shared-memory input slab,
+   and photograph pixels come back through a preallocated output slab,
+   so only scalar metadata crosses the pickle boundary (``raw`` and
+   ``raw_vs_jpeg`` payloads, and photographs from an ISP without a
+   Resize stage, come back pickled). ``develop`` units, which carry
+   their raw frame, are pickled whole.
 3. **Reassembly** — results return in input order, and fresh results
    are written back to the cache.
 
@@ -29,11 +32,12 @@ pooled or serial, any grouping order — cannot influence any output bit.
 
 Observability: when a :mod:`repro.obs` observer is active, the whole
 ``run`` is wrapped in a ``fleet.run`` span, cache probes and executions
-feed the fleet counters, and pooled workers execute through the
-``*_observed`` variants, which serialize each worker's spans and metrics
-back with its results so the parent's trace covers work done in other
-processes. Observation is side-band only — payloads (and therefore
-experiment outputs) are bit-identical with it on or off.
+feed the fleet counters, and pooled workers execute through
+:func:`~repro.runner.units.execute_unit_group_observed`, which
+serializes each worker's spans and metrics back with its results so the
+parent's trace covers work done in other processes. Observation is
+side-band only — payloads (and therefore experiment outputs) are
+bit-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -48,12 +52,10 @@ import numpy as np
 
 from .. import obs
 from .cache import CaptureCache
-from .shm import GroupTask, SharedArrayRef, run_group_task
+from .shm import GroupTask, SharedArrayRef, run_group_task, run_unit_group
 from .units import (
     CaptureUnit,
-    execute_unit,
     execute_unit_group,
-    execute_unit_observed,
     group_signature,
     photograph_output_shape,
     unit_cache_key,
@@ -181,49 +183,39 @@ class FleetExecutor:
     ) -> List[Dict[str, np.ndarray]]:
         """Fan fused groups across the pool via shared-memory slabs.
 
-        Photograph groups ship as pixel-free :class:`GroupTask`
-        descriptors; units outside the fused path (no group signature)
-        fall back to the legacy per-unit ``pool.map``. Results are
-        scattered back to pending order, so callers see the same
-        alignment as every other execution mode.
+        Capture groups ship as pixel-free :class:`GroupTask` descriptors;
+        ``develop`` units (groups of one) ship pickled. Every group is
+        submitted in one loop and collected in submission order, and
+        results are scattered back to pending order, so callers see the
+        same alignment as every other execution mode.
         """
         results: List[Optional[Dict[str, np.ndarray]]] = [None] * len(units)
         observer = obs.active()
-
-        fusable: List[List[int]] = []
-        legacy_indices: List[int] = []
-        for indices in groups:
-            first = units[indices[0]]
-            # Same condition under which group_signature is non-None;
-            # checked directly to avoid re-fingerprinting the radiance.
-            if first.kind == "photograph" and first.profile is not None:
-                fusable.append(indices)
-            else:
-                legacy_indices.extend(indices)
+        observed = observer is not None
 
         # Input slab: each distinct radiance buffer is written once, no
         # matter how many groups (phones x repeats) reference it.
         radiance_refs: Dict[int, Tuple[int, np.ndarray]] = {}
         input_bytes = 0
-        for indices in fusable:
-            radiance = units[indices[0]].radiance
-            if id(radiance) not in radiance_refs:
-                contiguous = np.ascontiguousarray(radiance)
-                radiance_refs[id(radiance)] = (input_bytes, contiguous)
-                input_bytes += contiguous.nbytes
-
-        # Output slab: one (N, H, W, 3) float32 region per group whose
-        # decoded shape is statically known; the rest pickle their
-        # payloads back (the fallback path).
+        # Output slab: one (N, H, W, 3) float32 region per photograph
+        # group whose decoded shape is statically known; every other
+        # group pickles its payloads back.
         out_specs: List[Optional[Tuple[int, Tuple[int, int, int, int]]]] = []
         output_bytes = 0
-        for indices in fusable:
-            shape = photograph_output_shape(units[indices[0]].profile)
+        for indices in groups:
+            first = units[indices[0]]
+            shape = None
+            if first.kind != "develop":
+                if id(first.radiance) not in radiance_refs:
+                    contiguous = np.ascontiguousarray(first.radiance)
+                    radiance_refs[id(first.radiance)] = (input_bytes, contiguous)
+                    input_bytes += contiguous.nbytes
+                if first.kind == "photograph":
+                    shape = photograph_output_shape(first.profile)
             if shape is None:
                 out_specs.append(None)
                 continue
-            height, width = shape
-            region = (len(indices), height, width, 3)
+            region = (len(indices),) + shape + (3,)
             out_specs.append((output_bytes, region))
             output_bytes += int(np.prod(region)) * 4
 
@@ -250,18 +242,26 @@ class FleetExecutor:
                 )
                 slabs.append(output_slab)
 
-            tasks: List[GroupTask] = []
-            for indices, out_spec in zip(fusable, out_specs):
-                first = units[indices[0]]
-                offset, contiguous = radiance_refs[id(first.radiance)]
-                out_ref = None
-                if out_spec is not None:
-                    out_offset, region = out_spec
-                    out_ref = SharedArrayRef(
-                        output_slab.name, out_offset, region, "float32"
-                    )
-                tasks.append(
-                    GroupTask(
+            max_workers = min(self.workers, max(1, len(groups)))
+            with ProcessPoolExecutor(
+                max_workers=max_workers, mp_context=_pool_context()
+            ) as pool:
+                futures = []
+                for indices, out_spec in zip(groups, out_specs):
+                    first = units[indices[0]]
+                    if first.kind == "develop":
+                        futures.append(
+                            pool.submit(run_unit_group, [first], observed)
+                        )
+                        continue
+                    offset, contiguous = radiance_refs[id(first.radiance)]
+                    out_ref = None
+                    if out_spec is not None:
+                        out_offset, region = out_spec
+                        out_ref = SharedArrayRef(
+                            output_slab.name, out_offset, region, "float32"
+                        )
+                    task = GroupTask(
                         profile=first.profile,
                         radiance=SharedArrayRef(
                             input_slab.name,
@@ -273,31 +273,15 @@ class FleetExecutor:
                         options=dict(first.options),
                         kind=first.kind,
                         out=out_ref,
-                        observed=observer is not None,
+                        observed=observed,
                     )
-                )
-
-            legacy_units = [units[i] for i in legacy_indices]
-            max_workers = min(self.workers, max(1, len(tasks) + len(legacy_units)))
-            with ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=_pool_context()
-            ) as pool:
-                futures = [pool.submit(run_group_task, task) for task in tasks]
-                if legacy_units:
-                    if observer is None:
-                        legacy_results = pool.map(execute_unit, legacy_units)
-                    else:
-                        legacy_results = pool.map(
-                            execute_unit_observed, legacy_units
-                        )
+                    futures.append(pool.submit(run_group_task, task))
                 # Collect in submission order: the assembled trace (and
                 # the scatter below) is deterministic in structure even
                 # though worker timing is not.
-                for future, indices, task, out_spec in zip(
-                    futures, fusable, tasks, out_specs
-                ):
+                for future, indices, out_spec in zip(futures, groups, out_specs):
                     metas, span_dicts, metrics_snapshot = future.result()
-                    if observer is not None and span_dicts is not None:
+                    if observed:
                         observer.tracer.absorb(span_dicts)
                         observer.metrics.merge(metrics_snapshot)
                     if out_spec is None:
@@ -317,17 +301,6 @@ class FleetExecutor:
                             "encoded_size": metas[j]["encoded_size"],
                         }
                     del view
-                if legacy_units:
-                    if observer is None:
-                        for i, payload in zip(legacy_indices, legacy_results):
-                            results[i] = payload
-                    else:
-                        for i, (payload, span_dicts, metrics_snapshot) in zip(
-                            legacy_indices, legacy_results
-                        ):
-                            observer.tracer.absorb(span_dicts)
-                            observer.metrics.merge(metrics_snapshot)
-                            results[i] = payload
         finally:
             for slab in slabs:
                 try:
@@ -346,8 +319,8 @@ def _group_pending(units: List[CaptureUnit]) -> List[List[int]]:
     """Partition pending units into fused groups, preserving order.
 
     Units sharing a :func:`group_signature` land in one group (ordered by
-    first occurrence, members in submission order); units outside the
-    fused path get singleton groups. The grouping is a pure function of
+    first occurrence, members in submission order); ``develop`` units,
+    which have no signature, get singleton groups. The grouping is a pure function of
     unit *content*, so any submission order of the same multiset of units
     yields the same group contents — the batch-invariance suite shuffles
     submission order to prove the outputs don't care.

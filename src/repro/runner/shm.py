@@ -1,19 +1,24 @@
 """Zero-copy shared-memory fan-out for fused capture groups.
 
-The legacy pool path pickles every :class:`~repro.runner.units.CaptureUnit`
-— including its full radiance buffer — into each worker, and pickles the
-decoded pixel payload back out. For a fleet study the radiance fields
-dominate that traffic: every repeat of every phone re-ships the same
-scene. This module replaces both directions with
-``multiprocessing.shared_memory`` slabs:
+Pickling a :class:`~repro.runner.units.CaptureUnit` ships its full
+radiance buffer into the worker, and pickling the decoded pixel payload
+ships it back out. For a fleet study the radiance fields dominate that
+traffic: every repeat of every phone re-ships the same scene. This
+module replaces both directions with ``multiprocessing.shared_memory``
+slabs:
 
 * the parent writes each *distinct* radiance buffer into one input slab
   and ships workers a :class:`SharedArrayRef` (name + offset + shape +
   dtype — a few hundred bytes) instead of the pixels;
 * the parent preallocates one output slab with an ``(N, H, W, 3)``
-  float32 region per group (shapes come from
+  float32 region per photograph group (shapes come from
   :func:`~repro.runner.units.photograph_output_shape`), and workers write
   their decoded pixels straight into it, returning only scalar metadata.
+  ``raw`` and ``raw_vs_jpeg`` groups have no output region
+  (``out=None``) and pickle their payloads back.
+
+``develop`` units carry their raw frame rather than a radiance field, so
+they skip the slabs: :func:`run_unit_group` runs a pickled group of one.
 
 A :class:`GroupTask` is therefore pixel-free by construction —
 ``tests/runner/test_batch_invariance.py`` bounds its pickled size as a
@@ -53,7 +58,13 @@ import numpy as np
 from ..devices.profiles import DeviceProfile
 from .units import CaptureUnit, execute_unit_group, execute_unit_group_observed
 
-__all__ = ["SharedArrayRef", "GroupTask", "run_group_task", "detach_all"]
+__all__ = [
+    "SharedArrayRef",
+    "GroupTask",
+    "run_group_task",
+    "run_unit_group",
+    "detach_all",
+]
 
 
 @dataclass(frozen=True)
@@ -78,9 +89,10 @@ class GroupTask:
     """Everything a worker needs to run one fused capture group.
 
     Deliberately pixel-free: the radiance travels as a
-    :class:`SharedArrayRef`, and decoded pixels return through ``out``
-    (or, when ``out`` is ``None`` because the group's output shape is not
-    statically known, by pickling the payloads — the fallback path).
+    :class:`SharedArrayRef`, and photograph pixels return through
+    ``out``. With ``out`` ``None`` — a ``raw``/``raw_vs_jpeg`` group, or
+    a photograph whose ISP has no Resize stage — the payloads come back
+    pickled.
     """
 
     profile: DeviceProfile
@@ -136,6 +148,17 @@ def detach_all() -> None:
     _ATTACHED.clear()
 
 
+def run_unit_group(units: List[CaptureUnit], observed: bool = False):
+    """Worker entry point for a pickled unit group.
+
+    Returns ``(payloads, span_dicts, metrics_snapshot)``; the last two
+    are ``None`` unless ``observed``.
+    """
+    if observed:
+        return execute_unit_group_observed(units)
+    return execute_unit_group(units), None, None
+
+
 def run_group_task(task: GroupTask):
     """Worker entry point: rebuild the group's units and run them fused.
 
@@ -156,12 +179,7 @@ def run_group_task(task: GroupTask):
         )
         for entropy in task.entropies
     ]
-    if task.observed:
-        payloads, span_dicts, metrics_snapshot = execute_unit_group_observed(units)
-    else:
-        payloads = execute_unit_group(units)
-        span_dicts, metrics_snapshot = None, None
-
+    payloads, span_dicts, metrics_snapshot = run_unit_group(units, task.observed)
     if task.out is None:
         return payloads, span_dicts, metrics_snapshot
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .. import obs
 from ..codecs.jpeg import jpeg_roundtrip_batch
-from ..codecs.registry import decode_any, get_codec
+from ..codecs.registry import count_encoded, decode_any, get_codec
 from ..devices.phone import Phone
 from ..devices.profiles import DeviceProfile
 from ..imaging.image import ImageBuffer, RawImage
@@ -46,7 +46,6 @@ from .seeds import unit_entropy  # noqa: F401  (re-exported convenience)
 __all__ = [
     "CaptureUnit",
     "execute_unit",
-    "execute_unit_observed",
     "execute_unit_group",
     "execute_unit_group_observed",
     "group_signature",
@@ -188,15 +187,18 @@ def _phone_for(profile: DeviceProfile) -> Phone:
 
 
 def execute_unit(unit: CaptureUnit) -> Dict[str, np.ndarray]:
-    """Run one unit to completion.
+    """Run one unit to completion: the per-unit reference path.
 
     Pure: the returned payload depends only on the unit itself (all
     randomness comes from ``unit.entropy``), which is the property the
-    parallel==serial determinism suite relies on. When observability is
-    active, the whole execution is wrapped in a ``unit.execute`` span
-    (annotated with the unit kind and device) whose children are the
-    per-stage sensor/ISP/codec spans — timing only, never affecting the
-    payload.
+    parallel==serial determinism suite relies on. Unlike the executor's
+    fused :func:`execute_unit_group`, this path writes every file to
+    bytes and parses them back with
+    :func:`~repro.codecs.registry.decode_any`, so it independently checks
+    the fused JPEG reconstruction. When observability is active, the
+    whole execution is wrapped in a ``unit.execute`` span (annotated with
+    the unit kind and device) whose children are the per-stage
+    sensor/ISP/codec spans — timing only, never affecting the payload.
 
     Parameters
     ----------
@@ -248,14 +250,18 @@ def _execute_unit_inner(unit: CaptureUnit) -> Dict[str, np.ndarray]:
         developed = phone.develop(raw)
         quality = unit.options.get("quality", phone.profile.save_quality)
         data = get_codec("jpeg").encode(developed, quality=quality)
-        conversion = build_isp(str(unit.options.get("conversion_isp", "imagemagick")))
         return {
             "jpeg_pixels": decode_any(data).pixels,
-            "raw_pixels": conversion.process(raw).pixels,
+            "raw_pixels": _conversion_isp(unit).process(raw).pixels,
             "encoded_size": np.int64(len(data)),
         }
 
     raise ValueError(f"unknown unit kind {unit.kind!r}")  # pragma: no cover
+
+
+def _conversion_isp(unit: CaptureUnit):
+    """The consistent software ISP of a ``raw_vs_jpeg`` unit's raw arm."""
+    return build_isp(str(unit.options.get("conversion_isp", "imagemagick")))
 
 
 def group_signature(
@@ -263,11 +269,12 @@ def group_signature(
 ) -> Optional[str]:
     """Fingerprint of a unit's fusable inputs (everything but entropy).
 
-    Units sharing a signature are repeat captures of the same (phone,
-    scene, options) triple: their execution differs only in the per-unit
+    Units sharing a signature are repeat captures of the same (kind,
+    phone, scene, options): their execution differs only in the per-unit
     RNG stream, which is exactly what :func:`execute_unit_group`
-    vectorizes over. Returns ``None`` for kinds the fused path does not
-    cover (they stay on the per-unit path).
+    vectorizes over. Every capture kind (``photograph``, ``raw``,
+    ``raw_vs_jpeg``) has one; ``develop`` units carry no capture to fuse
+    and return ``None`` (they run as groups of one).
 
     ``_radiance_memo`` lets a caller grouping many units amortize the
     radiance digest across the (typical) case where every repeat of a
@@ -275,7 +282,7 @@ def group_signature(
     caller keeps the buffers alive, which is why it is caller-supplied
     rather than a module-level cache.
     """
-    if unit.kind != "photograph" or unit.profile is None:
+    if unit.kind == "develop":
         return None
     if _radiance_memo is None:
         radiance_fp = fingerprint(unit.radiance)
@@ -300,7 +307,7 @@ def photograph_output_shape(profile: DeviceProfile) -> Optional[Tuple[int, int]]
     Derived from the profile ISP's Resize stage; the shared-memory
     fan-out uses it to preallocate output slabs. ``None`` when the ISP
     has no Resize stage (output then depends on the radiance size, and
-    the fan-out falls back to pickled returns).
+    the fan-out pickles the payloads back instead).
     """
     phone = _phone_for(profile)
     for stage in reversed(phone.isp.stages):
@@ -309,33 +316,62 @@ def photograph_output_shape(profile: DeviceProfile) -> Optional[Tuple[int, int]]
     return None
 
 
-def _group_is_fusable(units: Sequence[CaptureUnit]) -> bool:
+def _check_group(units: Sequence[CaptureUnit]) -> None:
+    """Reject a group that is not repeats of one capture."""
     first = units[0]
-    if first.kind != "photograph" or first.profile is None or first.radiance is None:
-        return False
+    if first.kind == "develop":
+        if len(units) != 1:
+            raise ValueError("develop units run as groups of one")
+        return
     for u in units[1:]:
-        if u.kind != "photograph":
-            return False
-        if u.profile is not first.profile and u.profile != first.profile:
-            return False
-        if u.radiance is not first.radiance and not np.array_equal(
-            u.radiance, first.radiance
+        if (
+            u.kind != first.kind
+            or (u.profile is not first.profile and u.profile != first.profile)
+            or (
+                u.radiance is not first.radiance
+                and not np.array_equal(u.radiance, first.radiance)
+            )
+            or u.options != first.options
         ):
-            return False
-        if u.options != first.options:
-            return False
-    return True
+            raise ValueError(
+                "a unit group must share kind, profile, radiance and options"
+            )
+
+
+def _encode_decode(codec, images, quality) -> List[Tuple[bytes, ImageBuffer]]:
+    """``[(file bytes, decoded image)]`` per image through ``codec``.
+
+    JPEG takes the fused :func:`~repro.codecs.jpeg.jpeg_roundtrip_batch`
+    (encode, then rebuild the decoded pixels from the encoder's own
+    blocks — no bytes are parsed, so no decode is counted); other codecs
+    encode and decode each image.
+    """
+    if codec.name == "jpeg":
+        with obs.span("codec.encode", codec="jpeg"):
+            pairs = jpeg_roundtrip_batch(images, quality=quality)
+        for data, _img in pairs:
+            count_encoded("jpeg", data)
+        return pairs
+    pairs = []
+    for img in images:
+        if codec.default_quality is None:
+            data = codec.encode(img)
+        else:
+            data = codec.encode(img, quality=quality)
+        pairs.append((data, decode_any(data)))
+    return pairs
 
 
 def execute_unit_group(units: Sequence[CaptureUnit]) -> List[Dict[str, np.ndarray]]:
-    """Run a group of same-(phone, scene) photograph units in one pass.
+    """Run a group of repeat captures in one fused pass.
 
     All units must share kind/profile/radiance/options and differ only in
-    seed entropy (i.e. be repeats of one capture); anything else falls
-    back to per-unit :func:`execute_unit`. Payload ``i`` is bit-identical
-    to ``execute_unit(units[i])`` — the sensor fans one shared exposure
+    seed entropy (i.e. be repeats of one capture, as
+    :func:`group_signature` groups them); a ``develop`` unit runs as a
+    group of one. Payload ``i`` is bit-identical to
+    ``execute_unit(units[i])`` — the sensor fans one shared exposure
     front end out over the per-unit RNGs, the ISP develops the stack as
-    ``(N, H, W, C)``, and JPEG devices use the fused
+    ``(N, H, W, C)``, and JPEG files go through the fused
     :func:`~repro.codecs.jpeg.jpeg_roundtrip_batch` encode+reconstruct.
     A single-unit group still wins: the fused roundtrip skips the decode
     marker parse and Huffman walk entirely.
@@ -343,80 +379,69 @@ def execute_unit_group(units: Sequence[CaptureUnit]) -> List[Dict[str, np.ndarra
     units = list(units)
     if not units:
         return []
-    if not _group_is_fusable(units):
-        return [execute_unit(u) for u in units]
-
+    _check_group(units)
     first = units[0]
-    phone = _phone_for(first.profile)
     with obs.span(
         "unit.execute_group",
         kind=first.kind,
-        device=first.profile.name,
+        device=first.profile.name if first.profile is not None else "-",
         units=len(units),
     ):
-        rngs = [np.random.default_rng(tuple(u.entropy)) for u in units]
-        radiance = ImageBuffer(first.radiance)
-        raws = phone.capture_raw_batch(radiance, rngs)
-        images = phone.develop_batch(raws)
-
-        fmt = first.options.get("format_override")
-        codec = get_codec(str(fmt)) if fmt else phone.codec
-        quality = first.options.get("quality")
-        q = quality if quality is not None else phone.profile.save_quality
-        if codec.name == "jpeg":
-            pairs = jpeg_roundtrip_batch(images, quality=q)
-            # Encode counters only: the fused roundtrip parses no bytes,
-            # and ``codec.bytes_decoded`` counts real decodes.
-            for data, _img in pairs:
-                obs.count("codec.bytes_encoded", len(data))
-                obs.count("codec.encoded.jpeg")
-                obs.observe("codec.encoded_size", len(data))
+        if first.kind == "develop":
+            payloads = [_execute_develop(first)]
         else:
-            # Non-JPEG codecs have no fused roundtrip; the batched
-            # sensor+ISP still carries the group, encode/decode loop here.
-            pairs = []
-            for img in images:
-                if codec.default_quality is None:
-                    data = codec.encode(img)
-                else:
-                    data = codec.encode(img, quality=q)
-                pairs.append((data, decode_any(data)))
-
-    payloads = [
-        {"pixels": img.pixels, "encoded_size": np.int64(len(data))}
-        for data, img in pairs
-    ]
+            payloads = _execute_capture_group(units)
     for _ in units:
         obs.count("fleet.units_executed")
     return payloads
 
 
+def _execute_capture_group(units: List[CaptureUnit]) -> List[Dict[str, np.ndarray]]:
+    first = units[0]
+    phone = _phone_for(first.profile)
+    rngs = [np.random.default_rng(tuple(u.entropy)) for u in units]
+    raws = phone.capture_raw_batch(ImageBuffer(first.radiance), rngs)
+    if first.kind == "raw":
+        return [raw_to_payload(raw) for raw in raws]
+
+    images = phone.develop_batch(raws)
+    if first.kind == "raw_vs_jpeg":
+        quality = first.options.get("quality", phone.profile.save_quality)
+        pairs = _encode_decode(get_codec("jpeg"), images, quality)
+        converted = _conversion_isp(first).process_batch(raws)
+        return [
+            {
+                "jpeg_pixels": img.pixels,
+                "raw_pixels": conv.pixels,
+                "encoded_size": np.int64(len(data)),
+            }
+            for (data, img), conv in zip(pairs, converted)
+        ]
+
+    fmt = first.options.get("format_override")
+    codec = get_codec(str(fmt)) if fmt else phone.codec
+    quality = first.options.get("quality")
+    q = quality if quality is not None else phone.profile.save_quality
+    return [
+        {"pixels": img.pixels, "encoded_size": np.int64(len(data))}
+        for data, img in _encode_decode(codec, images, q)
+    ]
+
+
 def execute_unit_group_observed(units: Sequence[CaptureUnit]):
     """Worker-side :func:`execute_unit_group` under a local observer.
 
-    Returns ``(payloads, span_dicts, metrics_snapshot)``; see
-    :func:`execute_unit_observed` for the merge protocol.
+    Runs the group under a fresh, process-local observer and returns
+    ``(payloads, span_dicts, metrics_snapshot)`` so the spans and
+    counters recorded inside a pool worker survive the process boundary;
+    the parent merges them via :meth:`~repro.obs.trace.Tracer.absorb` and
+    :meth:`~repro.obs.metrics.MetricsRegistry.merge`. The payloads are
+    exactly what :func:`execute_unit_group` returns — observation adds
+    side-band data, never changes results.
     """
     with obs.observed() as ob:
         payloads = execute_unit_group(units)
     return payloads, ob.tracer.to_dicts(), ob.metrics.snapshot()
-
-
-def execute_unit_observed(unit: CaptureUnit):
-    """Worker-side entry point when the parent is observing.
-
-    Runs :func:`execute_unit` under a fresh, process-local observer and
-    returns ``(payload, span_dicts, metrics_snapshot)`` so the spans and
-    counters recorded inside the worker survive the process-pool
-    boundary; the parent merges them via
-    :meth:`~repro.obs.trace.Tracer.absorb` and
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge`. The payload is the
-    exact object :func:`execute_unit` returns — observation adds
-    side-band data, never changes results.
-    """
-    with obs.observed() as ob:
-        payload = execute_unit(unit)
-    return payload, ob.tracer.to_dicts(), ob.metrics.snapshot()
 
 
 def _execute_develop(unit: CaptureUnit) -> Dict[str, np.ndarray]:

@@ -73,52 +73,23 @@ class SensorNoiseModel:
 
         Fixed-pattern noise (PRNU) is deterministic per sensor; temporal
         noise (shot, read, dark, row) is drawn from ``rng`` so repeat
-        captures differ.
+        captures differ. One capture of :meth:`apply_batch`.
         """
-        signal = np.asarray(signal, dtype=np.float32)
-        h, w = signal.shape
-
-        # Fixed-pattern gain.
-        noisy = signal * self.prnu_map(h, w)
-
-        # Photon shot noise: Gaussian approximation to Poisson statistics.
-        electrons = np.clip(noisy, 0.0, 1.0) * self.full_well_electrons
-        shot_sigma = np.sqrt(np.maximum(electrons, 0.0)) / self.full_well_electrons
-        noisy = noisy + rng.normal(0.0, 1.0, (h, w)).astype(np.float32) * shot_sigma
-
-        # Dark current: offset plus its own shot noise.
-        if self.dark_current > 0:
-            dark_electrons = self.dark_current * self.full_well_electrons
-            dark_sigma = np.sqrt(dark_electrons) / self.full_well_electrons
-            noisy = (
-                noisy
-                + self.dark_current
-                + rng.normal(0.0, dark_sigma, (h, w)).astype(np.float32)
-            )
-
-        # Read noise.
-        if self.read_noise > 0:
-            noisy = noisy + rng.normal(0.0, self.read_noise, (h, w)).astype(np.float32)
-
-        # Row banding: one offset per row.
-        if self.row_noise > 0:
-            rows = rng.normal(0.0, self.row_noise, (h, 1)).astype(np.float32)
-            noisy = noisy + rows
-
-        return noisy.astype(np.float32)
+        (noisy,) = self.apply_batch(signal, [rng])
+        return noisy
 
     @tensor_contract("(H, W) float32, _ -> (N, ?, ?) float32")
     def apply_batch(
         self, signal: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """Vectorized :meth:`apply` for repeat captures of one exposure.
+        """Noise for ``len(rngs)`` repeat captures of one exposure.
 
         One shared pre-noise ``signal`` is observed through ``len(rngs)``
         independent temporal-noise draws. The fixed-pattern gain and the
         shot-noise sigma depend only on ``signal``, so they are computed
-        once and broadcast; each generator then draws its components in
-        exactly the order :meth:`apply` would (shot, dark, read, row),
-        keeping item ``i`` bit-identical to ``apply(signal, rngs[i])``.
+        once and broadcast; each generator then draws its components in a
+        fixed order (shot, dark, read, row), so item ``i`` depends only
+        on ``rngs[i]`` and equals ``apply(signal, rngs[i])``.
         """
         signal = np.asarray(signal, dtype=np.float32)
         h, w = signal.shape
@@ -126,13 +97,14 @@ class SensorNoiseModel:
         if n == 0:
             return np.empty((0, h, w), dtype=np.float32)
 
-        # Shared (rng-independent) terms, identical to the serial path.
+        # Shared (rng-independent) terms: the fixed-pattern gain, then the
+        # photon shot noise sigma (Gaussian approximation to Poisson).
         noisy0 = signal * self.prnu_map(h, w)
         electrons = np.clip(noisy0, 0.0, 1.0) * self.full_well_electrons
         shot_sigma = np.sqrt(np.maximum(electrons, 0.0)) / self.full_well_electrons
 
-        # Per-generator draws, in the serial per-capture order so each
-        # item consumes its rng stream exactly as ``apply`` would.
+        # Per-generator draws: shot, dark current (its own shot noise),
+        # read noise, and one row-banding offset per row.
         shot_draws = np.empty((n, h, w), dtype=np.float32)
         dark_draws = np.empty((n, h, w), dtype=np.float32) if self.dark_current > 0 else None
         read_draws = np.empty((n, h, w), dtype=np.float32) if self.read_noise > 0 else None
@@ -149,7 +121,7 @@ class SensorNoiseModel:
             if row_draws is not None:
                 row_draws[i] = rng.normal(0.0, self.row_noise, (h, 1)).astype(np.float32)
 
-        # Batched arithmetic with the serial path's operand association.
+        # Sum the components; dark current also adds its mean offset.
         noisy = noisy0[None, :, :] + shot_draws * shot_sigma[None, :, :]
         if dark_draws is not None:
             noisy = noisy + self.dark_current + dark_draws

@@ -106,13 +106,13 @@ class TestWhiteBalance:
         rgb = rng.random((8, 8, 3)).astype(np.float32)
         rgb[..., 0] *= 0.5  # red-deficient cast
         gains = color.gray_world_gains(rgb)
-        balanced = color.apply_wb_gains(rgb, gains)
+        balanced = color.apply_wb_gains_batch(rgb[None], gains[None])[0]
         means = balanced.reshape(-1, 3).mean(axis=0)
         assert means[0] == pytest.approx(means[1], rel=1e-4)
 
     def test_apply_wb_rejects_bad_gains(self):
         with pytest.raises(ValueError):
-            color.apply_wb_gains(np.zeros((2, 2, 3)), [1.0, 2.0])
+            color.apply_wb_gains_batch(np.zeros((1, 2, 2, 3)), [[1.0, 2.0]])
 
 
 def test_luminance_weights():

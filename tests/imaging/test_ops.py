@@ -108,7 +108,7 @@ class TestBlurs:
     def test_unsharp_sharpens_edge(self):
         img = np.zeros((8, 16), dtype=np.float32)
         img[:, 8:] = 1.0
-        out = ops.unsharp_mask(img, sigma=1.0, amount=1.0)
+        out = ops.unsharp_mask_batch(img[None, ..., None], sigma=1.0, amount=1.0)
         # Overshoot on the bright side of the edge.
         assert out.max() > 1.0
 

@@ -1,11 +1,13 @@
-"""Batched ISP development is bit-identical to serial development.
+"""A batch of N develops bit-identically to N batches of one.
 
 ``ISPPipeline.process_batch`` stacks the raw mosaics on a leading batch
-axis and runs every stage's ``process_batch``; each must reproduce the
-per-item ``process`` byte for byte. Custom stages without an override
-inherit the split -> process -> join fallback, which is correct by
-construction.
+axis and runs every stage's ``process_batch``; item ``i`` must depend on
+``raws[i]`` alone, whatever else shares the batch — including raws with
+different calibration or Bayer pattern. Every named ISP's golden
+``develop`` output stays pinned when it rides in a larger batch.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from repro.devices import capture_fleet
 from repro.devices.phone import Phone
 from repro.imaging.image import ImageBuffer, RawImage
 from repro.isp.pipeline import ISPPipeline
-from repro.isp.stages import BatchISPState, ISPStage
+from repro.isp.profiles import available_isps, build_isp
+from repro.isp.stages import ISPStage
+from repro.runner.units import payload_to_raw
+from tests.runner.test_golden_captures import GOLDEN_PATH, golden_units, payload_digest
 
 
 @pytest.fixture(scope="module")
@@ -31,20 +36,40 @@ def raws_by_profile():
         phone = Phone(profile)
         out[profile.name] = (
             phone,
-            [phone.capture_raw(radiance, np.random.default_rng((4, r))) for r in range(4)],
+            phone.capture_raw_batch(
+                radiance, [np.random.default_rng((4, r)) for r in range(4)]
+            ),
         )
     return out
 
 
-@pytest.mark.parametrize("name", [p.name for p in capture_fleet()])
-def test_process_batch_matches_serial(name, raws_by_profile):
-    phone, raws = raws_by_profile[name]
-    serial = [phone.develop(raw) for raw in raws]
-    batch = phone.develop_batch(raws)
-    assert len(batch) == len(serial)
-    for one, many in zip(serial, batch):
+def _assert_same(singles, batch):
+    assert len(batch) == len(singles)
+    for one, many in zip(singles, batch):
         assert one.pixels.dtype == many.pixels.dtype
         assert one.pixels.tobytes() == many.pixels.tobytes()
+
+
+@pytest.mark.parametrize("name", [p.name for p in capture_fleet()])
+def test_process_batch_matches_serial(name, raws_by_profile):
+    """Four raws in one batch == each developed alone, in any order."""
+    phone, raws = raws_by_profile[name]
+    singles = [phone.develop_batch([raw])[0] for raw in raws]
+    _assert_same(singles, phone.develop_batch(raws))
+    _assert_same(singles[::-1], phone.develop_batch(raws[::-1]))
+    _assert_same(singles[:1], [phone.develop(raws[0])])
+
+
+@pytest.mark.parametrize("isp", available_isps())
+def test_golden_develop_inside_a_batch(isp, raws_by_profile):
+    """The pinned ``develop`` output, developed as item 1 of 3, keeps its hash."""
+    unit = golden_units()[f"develop/{isp}/none"]
+    golden = json.loads(GOLDEN_PATH.read_text())[f"develop/{isp}/none"]
+    _, others = raws_by_profile[capture_fleet()[0].name]
+    raws = [others[0], payload_to_raw(unit.raw), others[1]]
+    image = build_isp(isp).process_batch(raws)[1]
+    payload = {"pixels": image.pixels, "encoded_size": np.int64(0)}
+    assert payload_digest(payload) == golden
 
 
 def test_process_batch_empty(raws_by_profile):
@@ -52,54 +77,54 @@ def test_process_batch_empty(raws_by_profile):
     assert phone.isp.process_batch([]) == []
 
 
-def test_batch_state_split_join_roundtrip(raws_by_profile):
-    _, raws = raws_by_profile[capture_fleet()[0].name]
-    state = BatchISPState(
-        raws=raws, mosaic=np.stack([r.mosaic.astype("float32") for r in raws])
-    )
-    rejoined = BatchISPState.join(state.split())
-    assert rejoined.mosaic.tobytes() == state.mosaic.tobytes()
-    assert len(rejoined) == len(state)
-
-
 class _NegateStage(ISPStage):
-    """A custom stage with no process_batch override (fallback path)."""
+    """A custom stage: implements ``process_batch`` only."""
 
     name = "negate"
 
-    def process(self, state):
-        rgb = state.require_rgb()
-        state.rgb = np.float32(1.0) - rgb
+    def process_batch(self, state):
+        state.rgb = np.float32(1.0) - state.require_rgb()
         return state
 
 
-def test_custom_stage_uses_fallback(raws_by_profile):
+def test_custom_stage_implements_process_batch(raws_by_profile):
     phone, raws = raws_by_profile[capture_fleet()[0].name]
-    stages = list(phone.isp.stages) + [_NegateStage()]
-    pipeline = ISPPipeline(stages, name="custom_with_negate")
-    serial = [pipeline.process(raw) for raw in raws]
+    pipeline = ISPPipeline(
+        list(phone.isp.stages) + [_NegateStage()], name="custom_with_negate"
+    )
     batch = pipeline.process_batch(raws)
-    for one, many in zip(serial, batch):
-        assert one.pixels.tobytes() == many.pixels.tobytes()
+    _assert_same([pipeline.process(raw) for raw in raws], batch)
+    plain = phone.develop_batch(raws)
+    for negated, image in zip(batch, plain):
+        assert np.array_equal(negated.pixels, np.float32(1.0) - image.pixels)
+
+
+def _raws(**per_item):
+    rng = np.random.default_rng(2)
+    fields = dict(pattern="RGGB", black_level=64, white_level=1023)
+    out = []
+    for i in range(2):
+        item = dict(fields, **{k: v[i] for k, v in per_item.items()})
+        out.append(
+            RawImage(
+                mosaic=rng.random((16, 16)).astype(np.float32),
+                wb_gains=(2.0, 1.0, 1.5),
+                **item,
+            )
+        )
+    return out
 
 
 def test_mixed_raw_geometry_falls_back():
-    """Batches mixing black/white levels still develop correctly."""
-    profile = capture_fleet()[0]
-    phone = Phone(profile)
-    rng = np.random.default_rng(2)
-    mosaics = [rng.random((16, 16)).astype(np.float32) for _ in range(2)]
-    raws = [
-        RawImage(
-            mosaic=m,
-            pattern="RGGB",
-            black_level=bl,
-            white_level=1023,
-            wb_gains=(2.0, 1.0, 1.5),
-        )
-        for m, bl in zip(mosaics, (64, 32))  # non-uniform black level
-    ]
-    serial = [phone.isp.process(raw) for raw in raws]
-    batch = phone.isp.process_batch(raws)
-    for one, many in zip(serial, batch):
-        assert one.pixels.tobytes() == many.pixels.tobytes()
+    """Batches mixing black/white levels still develop per item."""
+    phone = Phone(capture_fleet()[0])
+    raws = _raws(black_level=(64, 32), white_level=(1023, 4095))
+    _assert_same([phone.isp.process(raw) for raw in raws], phone.isp.process_batch(raws))
+
+
+@pytest.mark.parametrize("isp", ["samsung_s10", "imagemagick"])
+def test_mixed_bayer_patterns_develop_per_item(isp):
+    """Malvar and bilinear demosaics honour each item's own CFA pattern."""
+    pipeline = build_isp(isp, 16, 16)
+    raws = _raws(pattern=("RGGB", "GBRG"))
+    _assert_same([pipeline.process(raw) for raw in raws], pipeline.process_batch(raws))

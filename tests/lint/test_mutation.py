@@ -106,7 +106,7 @@ def test_float64_promotion_in_a_demosaic_trips_num001(tree):
     the whole plane; NUM001 pins the promotion site and walks the chain
     from the capture roots down to it."""
     _inject(
-        tree, "isp/stages.py", "_malvar_demosaic",
+        tree, "isp/stages.py", "_malvar_demosaic_batch",
         "mosaic = mosaic * np.float64(1.0)",
     )
     report = _lint(tree, "NUM001")
@@ -115,7 +115,7 @@ def test_float64_promotion_in_a_demosaic_trips_num001(tree):
     assert finding.rel == "isp/stages.py"
     assert "float32" in finding.message and "float64" in finding.message
     assert "reachable from the capture path" in finding.message
-    assert "isp/stages.py:_malvar_demosaic" in finding.message
+    assert "isp/stages.py:_malvar_demosaic_batch" in finding.message
 
 
 def test_batch_axis_reduction_under_contract_trips_shape001(tree):

@@ -12,8 +12,14 @@ import numpy as np
 from repro import obs
 from repro.lab import EndToEndExperiment
 from repro.obs.report import render_report
-from repro.runner import CaptureCache, CaptureUnit, execute_unit, unit_entropy
-from repro.runner.units import execute_unit_observed
+from repro.runner import (
+    CaptureCache,
+    CaptureUnit,
+    FleetExecutor,
+    execute_unit,
+    unit_entropy,
+)
+from repro.runner.units import execute_unit_group, execute_unit_group_observed
 
 
 def _records(result):
@@ -58,19 +64,27 @@ class TestBitIdentical:
         from repro.devices import capture_fleet
 
         profile = capture_fleet()[0]
-        unit = CaptureUnit(
-            kind="photograph",
-            profile=profile,
-            radiance=small_radiance,
-            entropy=unit_entropy(0, profile.name, 0, 0),
-        )
-        bare = execute_unit(unit)
-        observed_payload, span_dicts, metrics_snapshot = execute_unit_observed(unit)
-        for key in bare:
-            assert np.array_equal(bare[key], observed_payload[key]), key
-        assert bare.keys() == observed_payload.keys()
-        assert any(d["name"] == "unit.execute" for d in span_dicts)
-        assert metrics_snapshot["counters"]["fleet.units_executed"] == 1
+        units = [
+            CaptureUnit(
+                kind="photograph",
+                profile=profile,
+                radiance=small_radiance,
+                entropy=unit_entropy(0, profile.name, 0, repeat),
+            )
+            for repeat in range(2)
+        ]
+        bare = execute_unit_group(units)
+        observed, span_dicts, metrics_snapshot = execute_unit_group_observed(units)
+        assert len(observed) == len(bare)
+        for bare_payload, observed_payload in zip(bare, observed):
+            assert bare_payload.keys() == observed_payload.keys()
+            for key in bare_payload:
+                assert np.array_equal(bare_payload[key], observed_payload[key]), key
+        # Observation is neutral against the per-unit reference too.
+        reference = execute_unit(units[0])
+        assert np.array_equal(reference["pixels"], observed[0]["pixels"])
+        assert any(d["name"] == "unit.execute_group" for d in span_dicts)
+        assert metrics_snapshot["counters"]["fleet.units_executed"] == 2
 
     def test_observation_does_not_leak_after_block(self, small_radiance):
         from repro.devices import capture_fleet
@@ -88,6 +102,44 @@ class TestBitIdentical:
         after = execute_unit(unit)  # no observer: must still work and match
         bare = execute_unit(unit)
         assert np.array_equal(after["pixels"], bare["pixels"])
+
+
+class TestFusedCodecAccounting:
+    def test_jpeg_phone_codec_column_is_timed(self, small_radiance):
+        """The fused JPEG roundtrip lands in the per-phone codec column."""
+        from repro.devices import capture_fleet
+        from repro.obs.report import device_rows
+
+        phones = [p for p in capture_fleet() if p.save_format == "jpeg"]
+        assert phones
+        units = [
+            CaptureUnit(
+                kind="photograph",
+                profile=profile,
+                radiance=small_radiance,
+                entropy=unit_entropy(0, profile.name, 0, repeat),
+            )
+            for profile in phones
+            for repeat in range(4)
+        ]
+        bare = FleetExecutor(workers=0).run(units)
+        with obs.observed() as ob:
+            traced = FleetExecutor(workers=0).run(units)
+        for bare_payload, traced_payload in zip(bare, traced):
+            assert np.array_equal(bare_payload["pixels"], traced_payload["pixels"])
+
+        spans = ob.tracer.finished()
+        encodes = [s for s in spans if s.name == "codec.encode"]
+        assert {s.attrs.get("codec") for s in encodes} == {"jpeg"}
+        assert len(encodes) == len(phones)  # one fused roundtrip per group
+        rows = {row[0]: row for row in device_rows(spans)}
+        codec_column = 3 + 2  # device, units, total, sensor, isp, codec
+        for profile in phones:
+            assert float(rows[profile.name][codec_column].rstrip("s")) > 0.0
+        counters = ob.metrics.snapshot()["counters"]
+        assert counters["codec.encoded.jpeg"] == len(units)
+        assert counters["codec.bytes_encoded"] > 0
+        assert "codec.bytes_decoded" not in counters
 
 
 class TestCodecIdentityPreserved:

@@ -1,12 +1,15 @@
 """The batch-invariance invariant: fused execution is a no-op, bitwise.
 
-The executor may group units however it likes — by (phone, scene)
+The executor may group units however it likes — by (kind, phone, scene)
 signature, any batch size, any submission order, serial or pooled, cold
 or warm cache — and the payloads must still be byte-for-byte what
-``[execute_unit(u) for u in units]`` produces: a batch of N equals N
-batches of 1. The hypothesis suite drives random unit mixes through every
-combination; the shared-memory regression tests pin that the pooled
-fan-out no longer ships pixel buffers through pickle.
+``[execute_unit(u) for u in units]`` produces, and what N groups of one
+produce: a batch of N equals N batches of 1. ``execute_unit`` is the
+independent per-unit reference (it parses every encoded file back), and
+``tests/runner/test_golden_captures.py`` pins both to golden hashes. The
+hypothesis suite drives random unit mixes through every combination; the
+shared-memory regression tests pin that the pooled fan-out does not ship
+pixel buffers through pickle.
 """
 
 import pickle
@@ -26,6 +29,7 @@ from repro.runner import (
     unit_entropy,
 )
 from repro.runner.shm import GroupTask, SharedArrayRef
+from repro.runner.executor import _group_pending
 from repro.runner.units import execute_unit_group, photograph_output_shape
 
 
@@ -62,7 +66,7 @@ def unit_pool(scenes):
 
 @pytest.fixture(scope="module")
 def reference(unit_pool):
-    """Per-unit legacy payloads, the oracle every fused run must match."""
+    """Per-unit reference payloads, the oracle every fused run must match."""
     return [execute_unit(unit) for unit in unit_pool]
 
 
@@ -124,20 +128,48 @@ class TestBatchInvariance:
             _assert_payloads_equal(warm_p, reference[i])
 
     def test_mixed_kinds_share_a_run(self, unit_pool, scenes, reference):
-        """Non-photograph units run ``execute_unit`` inside a fused run."""
+        """Every unit kind runs through the fused pass inside one run."""
         profile = capture_fleet()[0]
-        raw_unit = CaptureUnit(
-            kind="raw",
-            profile=profile,
-            radiance=scenes[0],
-            entropy=unit_entropy(0, profile.name, "raw_side", 0),
+
+        def capture(kind, repeat, **options):
+            return CaptureUnit(
+                kind=kind,
+                profile=profile,
+                radiance=scenes[0],
+                entropy=unit_entropy(0, profile.name, kind, repeat),
+                options=options,
+            )
+
+        raw_units = [capture("raw", r) for r in range(3)]
+        rvj_units = [capture("raw_vs_jpeg", r, quality=70) for r in range(2)]
+        develop = CaptureUnit(
+            kind="develop",
+            raw=execute_unit(raw_units[0]),
+            options={"isp": "adobe", "codec": "jpeg"},
         )
-        units = [unit_pool[0], raw_unit, unit_pool[1]]
-        expected = [reference[0], execute_unit(raw_unit), reference[1]]
+        units = [unit_pool[0], raw_units[0], rvj_units[0], develop, raw_units[1],
+                 unit_pool[1], rvj_units[1], raw_units[2]]
+        expected = [
+            reference[0] if u is unit_pool[0]
+            else reference[1] if u is unit_pool[1]
+            else execute_unit(u)
+            for u in units
+        ]
+        # photograph x2, raw x3 and raw_vs_jpeg x2 fuse; develop is alone.
+        assert sorted(len(g) for g in _group_pending(units)) == [1, 2, 2, 3]
         for workers in (0, 2):
             payloads = FleetExecutor(workers=workers).run(units)
             for payload, exp in zip(payloads, expected):
                 _assert_payloads_equal(payload, exp)
+
+    def test_groups_of_one_match_batches(self, unit_pool, reference):
+        """N groups of one == one group of N == the per-unit reference."""
+        group = unit_pool[8:16]  # all repeats of (phone 0, scene 1)
+        fused = execute_unit_group(group)
+        for unit, payload, exp in zip(group, fused, reference[8:16]):
+            (single,) = execute_unit_group([unit])
+            _assert_payloads_equal(single, payload)
+            _assert_payloads_equal(payload, exp)
 
 
 class TestGrouping:
@@ -155,14 +187,26 @@ class TestGrouping:
         assert group_signature(a) == group_signature(b)
 
     def test_non_photograph_has_no_signature(self, scenes):
+        """Capture kinds fuse; only ``develop`` runs as a group of one."""
         profile = capture_fleet()[0]
-        unit = CaptureUnit(
+        raw_unit = CaptureUnit(
             kind="raw",
             profile=profile,
             radiance=scenes[0],
             entropy=unit_entropy(0, profile.name, 0),
         )
-        assert group_signature(unit) is None
+        assert group_signature(raw_unit) is not None
+        photo_unit = CaptureUnit(
+            kind="photograph",
+            profile=profile,
+            radiance=scenes[0],
+            entropy=unit_entropy(0, profile.name, 0),
+        )
+        assert group_signature(photo_unit) != group_signature(raw_unit)
+        develop_unit = CaptureUnit(
+            kind="develop", raw=execute_unit(raw_unit), options={"isp": "adobe"}
+        )
+        assert group_signature(develop_unit) is None
 
     def test_memoized_signature_matches_unmemoized(self, unit_pool):
         memo = {}
