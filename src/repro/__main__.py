@@ -525,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="micro/macro benchmarks of the kernel backends "
-        "(entropy coding, DCT, ISP, conv, capture pipeline)",
+        help="micro/macro benchmarks of the codec kernels and pipeline "
+        "stages (entropy coding, DCT, ISP, conv, capture pipeline)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

@@ -1,10 +1,9 @@
-"""Deterministic micro/macro benchmarks for the kernel dispatch layer.
+"""Deterministic micro/macro benchmarks for the codec kernels and the
+capture pipeline.
 
 ``python -m repro bench`` runs every case in :mod:`repro.bench.cases`
-and writes a JSON report (default ``BENCH_kernels.json``). Kernel-
-dispatched cases run under **both** ``repro.kernels`` backends and
-report the fast-vs-reference speedup; backend-independent cases (DCT,
-ISP, conv) run once under the key ``"default"``.
+once (warm-up outside the clock, then ``--repeats`` timed runs) and
+writes a JSON report (default ``BENCH_kernels.json``).
 
 Timing uses ``time.perf_counter`` (min over ``--repeats`` runs — the
 standard way to suppress scheduler noise). The *timed work* is fully
@@ -19,7 +18,6 @@ import json
 import time
 from typing import Dict, List, Optional
 
-from .. import kernels
 from .cases import BenchCase, build_cases
 
 __all__ = ["BenchCase", "build_cases", "run_bench", "format_report", "write_report"]
@@ -54,57 +52,31 @@ def run_bench(
     report: Dict = {"quick": quick, "repeats": repeats, "cases": {}}
     for case in cases:
         fn = case.prepare()
-        entry: Dict = {
+        fn()  # warm caches (LUTs, code arrays) outside the clock
+        seconds = _time_once(fn, repeats)
+        report["cases"][case.name] = {
             "items": case.items,
             "item_unit": case.item_unit,
             "bytes": case.nbytes,
-            "backends": {},
+            "seconds": seconds,
+            "ops_per_s": case.items / seconds if seconds > 0 else None,
+            "mb_per_s": case.nbytes / seconds / 1e6 if seconds > 0 else None,
         }
-        backends = kernels.BACKENDS if case.dispatched else ("default",)
-        for backend in backends:
-            if case.dispatched:
-                with kernels.use_backend(backend):
-                    fn()  # warm caches (LUTs, code arrays) outside the clock
-                    seconds = _time_once(fn, repeats)
-            else:
-                fn()
-                seconds = _time_once(fn, repeats)
-            entry["backends"][backend] = {
-                "seconds": seconds,
-                "ops_per_s": case.items / seconds if seconds > 0 else None,
-                "mb_per_s": (
-                    case.nbytes / seconds / 1e6 if seconds > 0 else None
-                ),
-            }
-        if case.dispatched:
-            ref = entry["backends"]["reference"]["seconds"]
-            fst = entry["backends"]["fast"]["seconds"]
-            entry["speedup_fast_vs_reference"] = ref / fst if fst > 0 else None
-        report["cases"][case.name] = entry
     return report
 
 
 def format_report(report: Dict) -> str:
     """Render the report as an aligned text table."""
-    rows = []
-    for name, entry in report["cases"].items():
-        for backend, stats in entry["backends"].items():
-            rows.append(
-                [
-                    name,
-                    backend,
-                    f"{stats['seconds'] * 1e3:.2f} ms",
-                    f"{stats['ops_per_s']:,.0f} {entry['item_unit']}/s",
-                    f"{stats['mb_per_s']:.1f} MB/s",
-                    (
-                        f"{entry['speedup_fast_vs_reference']:.1f}x"
-                        if backend == "fast"
-                        and entry.get("speedup_fast_vs_reference")
-                        else ""
-                    ),
-                ]
-            )
-    headers = ["case", "backend", "time", "throughput", "bandwidth", "speedup"]
+    rows = [
+        [
+            name,
+            f"{entry['seconds'] * 1e3:.2f} ms",
+            f"{entry['ops_per_s']:,.0f} {entry['item_unit']}/s",
+            f"{entry['mb_per_s']:.1f} MB/s",
+        ]
+        for name, entry in report["cases"].items()
+    ]
+    headers = ["case", "time", "throughput", "bandwidth"]
     widths = [
         max(len(headers[i]), max((len(r[i]) for r in rows), default=0))
         for i in range(len(headers))

@@ -1,9 +1,7 @@
 """Benchmark case definitions.
 
 Each case packages a deterministic input builder (seeded RNG, no wall
-clock) and a zero-argument callable to time. ``dispatched=True`` marks
-cases whose hot path flows through :mod:`repro.kernels` — the runner
-times those once per backend and reports the speedup.
+clock) and a zero-argument callable to time.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ class BenchCase:
     items: int
     item_unit: str
     nbytes: int
-    dispatched: bool = False
 
 
 def _smooth_image(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -64,7 +61,6 @@ def build_cases(quick: bool = False, seed: int = 0) -> List[BenchCase]:
             items=pixels,
             item_unit="px",
             nbytes=pixels * 3,
-            dispatched=True,
         )
     )
 
@@ -83,7 +79,6 @@ def build_cases(quick: bool = False, seed: int = 0) -> List[BenchCase]:
             items=pixels,
             item_unit="px",
             nbytes=pixels * 3,
-            dispatched=True,
         )
     )
 
@@ -92,12 +87,13 @@ def build_cases(quick: bool = False, seed: int = 0) -> List[BenchCase]:
 
     def _scan_inputs():
         from ..codecs.huffman import STD_AC_LUMA, STD_DC_LUMA
-        from ..codecs.jpeg import _plane_to_quantized_blocks, quality_scaled_tables
+        from ..codecs.jpeg import _planes_to_quantized_blocks, quality_scaled_tables
         from .. import kernels
 
         rng = np.random.default_rng(seed)
-        plane = _smooth_image(rng, size)[..., 0].astype(np.float64)
-        blocks = _plane_to_quantized_blocks(plane, quality_scaled_tables(85)[0])
+        planes = _smooth_image(rng, size)[None, ..., 0].astype(np.float64)
+        luma_q = quality_scaled_tables(85)[0]
+        blocks = _planes_to_quantized_blocks(planes, luma_q)[0]
         comp_of_unit, block_of_unit = kernels.scan_layout(
             size // 8, size // 8, ((1, 1),)
         )
@@ -116,7 +112,6 @@ def build_cases(quick: bool = False, seed: int = 0) -> List[BenchCase]:
             items=n_units,
             item_unit="block",
             nbytes=n_units * 64 * 8,
-            dispatched=True,
         )
     )
 
@@ -142,7 +137,6 @@ def build_cases(quick: bool = False, seed: int = 0) -> List[BenchCase]:
             items=n_units,
             item_unit="block",
             nbytes=n_units * 64 * 8,
-            dispatched=True,
         )
     )
 
@@ -159,11 +153,10 @@ def build_cases(quick: bool = False, seed: int = 0) -> List[BenchCase]:
             items=size,
             item_unit="row",
             nbytes=pixels * 3,
-            dispatched=True,
         )
     )
 
-    # -- micro: backend-independent pipeline stages --------------------
+    # -- micro: pipeline stages outside the entropy kernels -------------
     def prep_dct():
         from ..codecs.dct import block_dct, blockify
 
@@ -241,7 +234,6 @@ def build_cases(quick: bool = False, seed: int = 0) -> List[BenchCase]:
             items=pixels,
             item_unit="px",
             nbytes=pixels * 4,
-            dispatched=True,
         )
     )
 

@@ -30,7 +30,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from .. import kernels
 from ..devices.profiles import capture_fleet
 from ..runner.executor import FleetExecutor
 from ..runner.seeds import unit_entropy
@@ -123,7 +122,6 @@ def run_e2e_bench(quick: bool = False, repeats: int = 1, seed: int = 0) -> Dict:
         "quick": quick,
         "seed": seed,
         "repeats": repeats,
-        "backend": kernels.current_backend(),
         "units": len(units),
         "phones": len(capture_fleet()),
         "scenes": scene_count,
@@ -143,8 +141,7 @@ def format_e2e_report(report: Dict) -> str:
     lines = [
         f"e2e capture path ({report['units']} units: {report['phones']} phones "
         f"x {report['scenes']} scenes x {report['repeats_per_scene']} repeats, "
-        f"{report['radiance_hw'][0]}x{report['radiance_hw'][1]} radiance, "
-        f"backend {report['backend']})",
+        f"{report['radiance_hw'][0]}x{report['radiance_hw'][1]} radiance)",
     ]
     for name in ("per_capture", "fused"):
         arm = report[name]

@@ -26,7 +26,7 @@ import numpy as np
 from ..imaging.color import rgb_to_ycbcr, ycbcr_to_rgb
 from ..imaging.image import ImageBuffer
 from .dct import block_dct, block_idct, blockify, unblockify
-from .jpeg import _pad_plane, _subsample_420, _upsample_2x_bilinear
+from .jpeg import _pad_planes, _subsample_420, _upsample_2x_bilinear
 
 # Coefficient serialization and DEFLATE dispatch through repro.kernels.
 from .. import kernels
@@ -80,10 +80,11 @@ def _decode_plane(data: bytes, quant: np.ndarray) -> tuple[np.ndarray, int]:
 def encode_heif(image: ImageBuffer, quality: int = 80) -> bytes:
     """Encode with the HEIF-like codec (4:2:0, 16x16 transform units)."""
     rgb255 = image.to_uint8().astype(np.float64)
-    ycc = rgb_to_ycbcr(rgb255 / 255.0)
-    y_plane = _pad_plane(ycc[..., 0] * 255.0, _BLOCK)
-    cb = _pad_plane(_subsample_420(_pad_plane(ycc[..., 1] * 255.0 + 128.0, 2)), _BLOCK)
-    cr = _pad_plane(_subsample_420(_pad_plane(ycc[..., 2] * 255.0 + 128.0, 2)), _BLOCK)
+    ycc = rgb_to_ycbcr(rgb255 / 255.0)[None]  # a stack of one for the plane ops
+    y_plane = _pad_planes(ycc[..., 0] * 255.0, _BLOCK)[0]
+    cb = _subsample_420(_pad_planes(ycc[..., 1] * 255.0 + 128.0, 2))
+    cr = _subsample_420(_pad_planes(ycc[..., 2] * 255.0 + 128.0, 2))
+    cb, cr = _pad_planes(cb, _BLOCK)[0], _pad_planes(cr, _BLOCK)[0]
 
     luma_q = _quant_matrix(quality, chroma=False)
     chroma_q = _quant_matrix(quality, chroma=True)
@@ -109,8 +110,8 @@ def decode_heif(data: bytes) -> ImageBuffer:
     cb, used2 = _decode_plane(payload[used:], chroma_q)
     cr, _ = _decode_plane(payload[used + used2 :], chroma_q)
 
-    cb = _upsample_2x_bilinear(cb)
-    cr = _upsample_2x_bilinear(cr)
+    cb = _upsample_2x_bilinear(cb[None])[0]
+    cr = _upsample_2x_bilinear(cr[None])[0]
     y_plane = y_plane[:height, :width]
     cb = cb[:height, :width]
     cr = cr[:height, :width]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from .dct import (
     block_dct,
     block_idct,
     block_idct_fixed_point,
-    blockify,
-    unblockify,
     zigzag_order,
 )
 from .huffman import (
@@ -47,10 +45,9 @@ from .huffman import (
     HuffmanTable,
 )
 
-# Entropy coding is dispatched through repro.kernels (reference or fast
-# backend, bit-identical). Imported as the package object and accessed by
-# attribute at call time so the codecs <-> kernels import cycle resolves
-# in either order.
+# Entropy coding runs through repro.kernels. Imported as the package
+# object and accessed by attribute at call time so the codecs <-> kernels
+# import cycle resolves in either order.
 from .. import kernels
 
 __all__ = [
@@ -116,65 +113,14 @@ def quality_scaled_tables(quality: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# Plane <-> quantized blocks
+# Plane stacks <-> quantized blocks
 # ----------------------------------------------------------------------
-def _plane_to_quantized_blocks(plane: np.ndarray, quant: np.ndarray) -> np.ndarray:
-    """Level-shift, DCT, and quantize a padded plane into zig-zag blocks."""
-    blocks = blockify(np.asarray(plane, dtype=np.float64) - 128.0, 8)
-    coeffs = block_dct(blocks)
-    quantized = np.round(coeffs / quant[None]).astype(np.int64)
-    zz = zigzag_order(8)
-    return quantized.reshape(-1, 64)[:, zz]
-
-
-def _quantized_blocks_to_plane(
-    blocks_zz: np.ndarray,
-    quant: np.ndarray,
-    height: int,
-    width: int,
-    idct: str,
-) -> np.ndarray:
-    """Dequantize, inverse-DCT, and reassemble a plane (values 0..255)."""
-    zz = zigzag_order(8)
-    raster = np.empty_like(blocks_zz)
-    raster[:, zz] = blocks_zz
-    coeffs = raster.reshape(-1, 8, 8).astype(np.float64) * quant[None]
-    if idct == "float":
-        spatial = block_idct(coeffs)
-    elif idct == "fixed11":
-        spatial = block_idct_fixed_point(coeffs, fraction_bits=11)
-    elif idct == "fixed8":
-        spatial = block_idct_fixed_point(coeffs, fraction_bits=8)
-    else:
-        raise ValueError(f"unknown IDCT variant {idct!r}")
-    plane = unblockify(spatial, height, width) + 128.0
-    return plane
-
-
-def _pad_plane(plane: np.ndarray, multiple: int) -> np.ndarray:
-    h, w = plane.shape
-    pad_h = (-h) % multiple
-    pad_w = (-w) % multiple
-    if pad_h or pad_w:
-        plane = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
-    return plane
-
-
-def _subsample_420(plane: np.ndarray) -> np.ndarray:
-    """2x2 box-average chroma downsampling (even dims required).
-
-    The explicit sum reproduces ``.mean(axis=(1, 3))`` bit-for-bit
-    (same reduce order, and ``* 0.25`` is exact) at half the cost.
-    """
-    a = plane[0::2, 0::2]
-    b = plane[0::2, 1::2]
-    c = plane[1::2, 0::2]
-    d = plane[1::2, 1::2]
-    return ((a + b) + (c + d)) * 0.25
-
-
-def _planes_to_quantized_blocks_batch(planes: np.ndarray, quant: np.ndarray) -> np.ndarray:
-    """Batched :func:`_plane_to_quantized_blocks` over ``(N, H, W)`` planes.
+# Every plane operation takes an ``(N, H, W)`` stack; a single image is a
+# stack of one. Each step is elementwise or an independent per-8x8-block
+# transform, so the batch size cannot change a bit.
+def _planes_to_quantized_blocks(planes: np.ndarray, quant: np.ndarray) -> np.ndarray:
+    """Level-shift, DCT and quantize ``(N, H, W)`` padded planes into
+    ``(N, n_blocks, 64)`` zig-zag blocks.
 
     Deliberately not ``@tensor_contract``-annotated: the batch axis is
     folded into the block axis before the DCT (each 8x8 block transforms
@@ -195,14 +141,15 @@ def _planes_to_quantized_blocks_batch(planes: np.ndarray, quant: np.ndarray) -> 
     return quantized.reshape(n, -1, 64)[:, :, zz]
 
 
-def _quantized_blocks_to_planes_batch(
+def _quantized_blocks_to_planes(
     blocks_zz: np.ndarray,
     quant: np.ndarray,
     height: int,
     width: int,
     idct: str,
 ) -> np.ndarray:
-    """Batched :func:`_quantized_blocks_to_plane` over ``(N, nb, 64)`` blocks.
+    """Dequantize, inverse-DCT and reassemble ``(N, n_blocks, 64)`` blocks
+    into ``(N, height, width)`` planes (values around 0..255).
 
     Not contract-annotated for the same reason as the encoder-side helper:
     the block axis absorbs the batch axis around the (per-block
@@ -231,7 +178,7 @@ def _quantized_blocks_to_planes_batch(
 
 
 @tensor_contract("(N, ?, ?) float64, _ -> (N, ?, ?) float64")
-def _pad_planes_batch(planes: np.ndarray, multiple: int) -> np.ndarray:
+def _pad_planes(planes: np.ndarray, multiple: int) -> np.ndarray:
     """Edge-pad each plane of an ``(N, H, W)`` stack to a dim multiple."""
     _n, h, w = planes.shape
     pad_h = (-h) % multiple
@@ -242,8 +189,12 @@ def _pad_planes_batch(planes: np.ndarray, multiple: int) -> np.ndarray:
 
 
 @tensor_contract("(N, ?, ?) float64 -> (N, ?, ?) float64")
-def _subsample_420_batch(planes: np.ndarray) -> np.ndarray:
-    """Batched :func:`_subsample_420` over ``(N, H, W)`` chroma planes."""
+def _subsample_420(planes: np.ndarray) -> np.ndarray:
+    """2x2 box-average chroma downsampling (even dims required).
+
+    The explicit sum reproduces ``.mean(axis=(2, 4))`` bit-for-bit
+    (same reduce order, and ``* 0.25`` is exact) at half the cost.
+    """
     a = planes[:, 0::2, 0::2]
     b = planes[:, 0::2, 1::2]
     c = planes[:, 1::2, 0::2]
@@ -251,44 +202,19 @@ def _subsample_420_batch(planes: np.ndarray) -> np.ndarray:
     return ((a + b) + (c + d)) * 0.25
 
 
-def _upsample_2x_nearest(plane: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(plane, 2, axis=0), 2, axis=1)
-
-
-def _upsample_2x_bilinear(plane: np.ndarray) -> np.ndarray:
-    """Triangle-filter ("fancy") chroma upsampling a la libjpeg."""
-    h, w = plane.shape
-    padded = np.pad(plane, 1, mode="edge")
-    out = np.empty((2 * h, 2 * w), dtype=plane.dtype)
-    # Each output sample mixes the nearest chroma sample (weight 3) with the
-    # neighbour on each axis (weight 1) -> weights 9/3/3/1 over 16.
-    c = padded[1:-1, 1:-1]
-    up = padded[:-2, 1:-1]
-    down = padded[2:, 1:-1]
-    left = padded[1:-1, :-2]
-    right = padded[1:-1, 2:]
-    ul = padded[:-2, :-2]
-    ur = padded[:-2, 2:]
-    dl = padded[2:, :-2]
-    dr = padded[2:, 2:]
-    out[0::2, 0::2] = (9 * c + 3 * up + 3 * left + ul) / 16.0
-    out[0::2, 1::2] = (9 * c + 3 * up + 3 * right + ur) / 16.0
-    out[1::2, 0::2] = (9 * c + 3 * down + 3 * left + dl) / 16.0
-    out[1::2, 1::2] = (9 * c + 3 * down + 3 * right + dr) / 16.0
-    return out
-
-
 @tensor_contract("(N, ?, ?) float64 -> (N, ?, ?) float64")
-def _upsample_2x_nearest_batch(planes: np.ndarray) -> np.ndarray:
+def _upsample_2x_nearest(planes: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(planes, 2, axis=1), 2, axis=2)
 
 
 @tensor_contract("(N, ?, ?) float64 -> (N, ?, ?) float64")
-def _upsample_2x_bilinear_batch(planes: np.ndarray) -> np.ndarray:
-    """Batched :func:`_upsample_2x_bilinear` over ``(N, H, W)`` planes."""
+def _upsample_2x_bilinear(planes: np.ndarray) -> np.ndarray:
+    """Triangle-filter ("fancy") chroma upsampling a la libjpeg."""
     n, h, w = planes.shape
     padded = np.pad(planes, ((0, 0), (1, 1), (1, 1)), mode="edge")
     out = np.empty((n, 2 * h, 2 * w), dtype=planes.dtype)
+    # Each output sample mixes the nearest chroma sample (weight 3) with the
+    # neighbour on each axis (weight 1) -> weights 9/3/3/1 over 16.
     c = padded[:, 1:-1, 1:-1]
     up = padded[:, :-2, 1:-1]
     down = padded[:, 2:, 1:-1]
@@ -328,93 +254,34 @@ def _dht_segment(table_class: int, table_id: int, table: HuffmanTable) -> bytes:
 _APP0_JFIF = _segment(0xE0, b"JFIF\x00\x01\x01\x00\x00\x01\x00\x01\x00\x00")
 
 
-# ----------------------------------------------------------------------
-# Public API
-# ----------------------------------------------------------------------
-def encode_jpeg(
-    image: ImageBuffer,
-    quality: int = 85,
-    subsampling: str = "4:2:0",
+def _jfif_header(
+    height: int, width: int, y_sampling: int, luma_q: np.ndarray, chroma_q: np.ndarray
 ) -> bytes:
-    """Encode an :class:`ImageBuffer` as a baseline JFIF byte stream.
-
-    Parameters
-    ----------
-    image:
-        RGB image; values are clipped to [0, 1] then quantized to 8 bits.
-    quality:
-        IJG-convention quality factor in 1..100.
-    subsampling:
-        ``"4:2:0"`` (default, what phone camera pipelines emit) or
-        ``"4:4:4"``.
-    """
-    if subsampling not in ("4:2:0", "4:4:4"):
-        raise ValueError(f"unsupported subsampling {subsampling!r}")
-    luma_q, chroma_q = quality_scaled_tables(quality)
-
-    rgb255 = image.to_uint8().astype(np.float64)
-    ycc = np.asarray(rgb_to_ycbcr(rgb255 / 255.0), dtype=np.float64)
-    y_plane = ycc[..., 0] * 255.0
-    cb_plane = ycc[..., 1] * 255.0 + 128.0
-    cr_plane = ycc[..., 2] * 255.0 + 128.0
-
-    height, width = y_plane.shape
-    if subsampling == "4:2:0":
-        mcu = 16
-        y_pad = _pad_plane(y_plane, mcu)
-        cb_small = _subsample_420(_pad_plane(cb_plane, 2))
-        cr_small = _subsample_420(_pad_plane(cr_plane, 2))
-        cb_pad = _pad_plane(cb_small, 8)
-        cr_pad = _pad_plane(cr_small, 8)
-        h_samp, v_samp = 2, 2
-    else:
-        mcu = 8
-        y_pad = _pad_plane(y_plane, mcu)
-        cb_pad = _pad_plane(cb_plane, 8)
-        cr_pad = _pad_plane(cr_plane, 8)
-        h_samp, v_samp = 1, 1
-
-    y_blocks = _plane_to_quantized_blocks(y_pad, luma_q)
-    cb_blocks = _plane_to_quantized_blocks(cb_pad, chroma_q)
-    cr_blocks = _plane_to_quantized_blocks(cr_pad, chroma_q)
-
-    mcu_rows = y_pad.shape[0] // mcu
-    mcu_cols = y_pad.shape[1] // mcu
-    samplings = ((h_samp, v_samp), (1, 1), (1, 1))
-    comp_of_unit, block_of_unit = kernels.scan_layout(mcu_rows, mcu_cols, samplings)
-    entropy = kernels.encode_jpeg_scan(
-        (y_blocks, cb_blocks, cr_blocks),
-        comp_of_unit,
-        block_of_unit,
-        (STD_DC_LUMA, STD_DC_CHROMA, STD_DC_CHROMA),
-        (STD_AC_LUMA, STD_AC_CHROMA, STD_AC_CHROMA),
-    )
-
+    """Every marker segment from SOI up to the entropy-coded data."""
     sof = struct.pack(
         ">BHHB", 8, height, width, 3
     ) + bytes(
         [
-            1, (h_samp << 4) | v_samp, 0,  # Y
+            1, y_sampling, 0,  # Y
             2, 0x11, 1,  # Cb
             3, 0x11, 1,  # Cr
         ]
     )
     sos = bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0])
-
-    out = bytearray()
-    out += b"\xff\xd8"  # SOI
-    out += _APP0_JFIF
-    out += _dqt_segment(0, luma_q)
-    out += _dqt_segment(1, chroma_q)
-    out += _segment(0xC0, sof)
-    out += _dht_segment(0, 0, STD_DC_LUMA)
-    out += _dht_segment(1, 0, STD_AC_LUMA)
-    out += _dht_segment(0, 1, STD_DC_CHROMA)
-    out += _dht_segment(1, 1, STD_AC_CHROMA)
-    out += _segment(0xDA, sos)
-    out += entropy
-    out += b"\xff\xd9"  # EOI
-    return bytes(out)
+    return b"".join(
+        [
+            b"\xff\xd8",  # SOI
+            _APP0_JFIF,
+            _dqt_segment(0, luma_q),
+            _dqt_segment(1, chroma_q),
+            _segment(0xC0, sof),
+            _dht_segment(0, 0, STD_DC_LUMA),
+            _dht_segment(1, 0, STD_AC_LUMA),
+            _dht_segment(0, 1, STD_DC_CHROMA),
+            _dht_segment(1, 1, STD_AC_CHROMA),
+            _segment(0xDA, sos),
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -439,6 +306,147 @@ class JpegDecodeOptions:
     chroma_upsample: str = "bilinear"
 
 
+# ----------------------------------------------------------------------
+# The one encoder and the one pixel reconstruct
+# ----------------------------------------------------------------------
+def _y_sampling(subsampling: str) -> Tuple[int, int]:
+    """Luma ``(h, v)`` sampling factors of a subsampling mode (chroma is 1x1)."""
+    if subsampling == "4:2:0":
+        return 2, 2
+    if subsampling == "4:4:4":
+        return 1, 1
+    raise ValueError(f"unsupported subsampling {subsampling!r}")
+
+
+def _validated(options: Optional[JpegDecodeOptions]) -> JpegDecodeOptions:
+    """``options`` (default: :class:`JpegDecodeOptions()`), checked."""
+    options = options or JpegDecodeOptions()
+    if options.rounding not in ("round", "truncate"):
+        raise ValueError(f"unknown rounding mode {options.rounding!r}")
+    if options.chroma_upsample not in ("bilinear", "nearest"):
+        raise ValueError(f"unknown upsampling {options.chroma_upsample!r}")
+    return options
+
+
+def _encode_batch(images: Sequence[ImageBuffer], quality: int, subsampling: str):
+    """Encode a batch of same-shape images.
+
+    Returns ``(datas, blocks, quants, plane_shapes)``: one JFIF byte
+    stream per image, plus each component's ``(N, n_blocks, 64)``
+    quantized zig-zag blocks, its quantization table and its padded plane
+    dims — what :func:`_reconstruct` starts from. The whole batch moves
+    through the color/subsample/DCT front end as ``(N, H, W)`` stacks;
+    only the entropy coder runs per image, because each file's bit
+    stream is its own.
+    """
+    h_samp, v_samp = _y_sampling(subsampling)
+    luma_q, chroma_q = quality_scaled_tables(quality)
+
+    rgb255 = np.stack([img.to_uint8() for img in images]).astype(np.float64)
+    ycc = np.asarray(rgb_to_ycbcr(rgb255 / 255.0), dtype=np.float64)
+    y_planes = ycc[..., 0] * 255.0
+    cb_planes = ycc[..., 1] * 255.0 + 128.0
+    cr_planes = ycc[..., 2] * 255.0 + 128.0
+
+    height, width = y_planes.shape[1], y_planes.shape[2]
+    mcu = 8 * h_samp
+    if h_samp == 2:
+        cb_planes = _subsample_420(_pad_planes(cb_planes, 2))
+        cr_planes = _subsample_420(_pad_planes(cr_planes, 2))
+    padded = (
+        _pad_planes(y_planes, mcu),
+        _pad_planes(cb_planes, 8),
+        _pad_planes(cr_planes, 8),
+    )
+    quants = (luma_q, chroma_q, chroma_q)
+    blocks = tuple(
+        _planes_to_quantized_blocks(planes, quant)
+        for planes, quant in zip(padded, quants)
+    )
+
+    mcu_rows = padded[0].shape[1] // mcu
+    mcu_cols = padded[0].shape[2] // mcu
+    samplings = ((h_samp, v_samp), (1, 1), (1, 1))
+    comp_of_unit, block_of_unit = kernels.scan_layout(mcu_rows, mcu_cols, samplings)
+    header = _jfif_header(height, width, (h_samp << 4) | v_samp, luma_q, chroma_q)
+    datas = []
+    for i in range(len(images)):
+        entropy = kernels.encode_jpeg_scan(
+            tuple(b[i] for b in blocks),
+            comp_of_unit,
+            block_of_unit,
+            (STD_DC_LUMA, STD_DC_CHROMA, STD_DC_CHROMA),
+            (STD_AC_LUMA, STD_AC_CHROMA, STD_AC_CHROMA),
+        )
+        datas.append(header + entropy + b"\xff\xd9")  # EOI
+    return datas, blocks, quants, [p.shape[1:] for p in padded]
+
+
+def _reconstruct(
+    blocks: Sequence[np.ndarray],
+    quants: Sequence[np.ndarray],
+    plane_shapes: Sequence[Tuple[int, int]],
+    upsample_chroma: bool,
+    height: int,
+    width: int,
+    options: JpegDecodeOptions,
+) -> np.ndarray:
+    """Quantized Y/Cb/Cr blocks -> ``(N, height, width, 3)`` uint8 pixels.
+
+    Dequantize -> IDCT -> (optional 2x chroma upsample) -> crop -> color
+    conversion -> clip and round, as the decoder ``options`` say.
+    """
+    y_rec, cb_rec, cr_rec = (
+        _quantized_blocks_to_planes(b, quant, h, w, options.idct)
+        for b, quant, (h, w) in zip(blocks, quants, plane_shapes)
+    )
+    if upsample_chroma:
+        upsample = (
+            _upsample_2x_bilinear
+            if options.chroma_upsample == "bilinear"
+            else _upsample_2x_nearest
+        )
+        cb_rec = upsample(cb_rec)
+        cr_rec = upsample(cr_rec)
+
+    y_rec = y_rec[:, :height, :width]
+    cb_rec = cb_rec[:, :height, :width]
+    cr_rec = cr_rec[:, :height, :width]
+
+    ycc_rec = np.stack(
+        [y_rec / 255.0, (cb_rec - 128.0) / 255.0, (cr_rec - 128.0) / 255.0],
+        axis=-1,
+    )
+    rgb = ycbcr_to_rgb(ycc_rec) * 255.0
+    rgb = np.clip(rgb, 0.0, 255.0)
+    if options.rounding == "round":
+        return np.floor(rgb + 0.5).astype(np.uint8)
+    return rgb.astype(np.uint8)  # truncation
+
+
+# ----------------------------------------------------------------------
+# Public API
+# ----------------------------------------------------------------------
+def encode_jpeg(
+    image: ImageBuffer,
+    quality: int = 85,
+    subsampling: str = "4:2:0",
+) -> bytes:
+    """Encode an :class:`ImageBuffer` as a baseline JFIF byte stream.
+
+    Parameters
+    ----------
+    image:
+        RGB image; values are clipped to [0, 1] then quantized to 8 bits.
+    quality:
+        IJG-convention quality factor in 1..100.
+    subsampling:
+        ``"4:2:0"`` (default, what phone camera pipelines emit) or
+        ``"4:4:4"``.
+    """
+    return _encode_batch([image], quality, subsampling)[0][0]
+
+
 #: The Annex K tables every encoder here writes. A DHT segment equal to
 #: one of them decodes with the module instance, so its lazily built
 #: 65536-entry ``peek_table`` is built once per process, not per decode.
@@ -459,13 +467,10 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
 
     The decoder is a real marker-stream parser: it reads DQT/DHT tables and
     frame geometry from the file rather than assuming the encoder's
-    defaults.
+    defaults, Huffman-decodes the scan, and rebuilds pixels through the
+    same reconstruct body as :func:`jpeg_roundtrip_batch`.
     """
-    options = options or JpegDecodeOptions()
-    if options.rounding not in ("round", "truncate"):
-        raise ValueError(f"unknown rounding mode {options.rounding!r}")
-    if options.chroma_upsample not in ("bilinear", "nearest"):
-        raise ValueError(f"unknown upsampling {options.chroma_upsample!r}")
+    options = _validated(options)
 
     if data[:2] != b"\xff\xd8":
         raise ValueError("not a JPEG stream (missing SOI)")
@@ -545,79 +550,51 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
     reader = BitReader(data[entropy_start:end], unstuff_ff=True)
 
     height, width, comps = frame
-    h_max = max(c[1] for c in comps)
-    v_max = max(c[2] for c in comps)
-    mcu_w, mcu_h = 8 * h_max, 8 * v_max
+    samplings = tuple((h_s, v_s) for _cid, h_s, v_s, _tq in comps)
+    if samplings[1:] != ((1, 1), (1, 1)) or samplings[0] not in ((1, 1), (2, 2)):
+        raise ValueError(f"unsupported sampling factors {samplings}")
+    mcu_w, mcu_h = 8 * samplings[0][0], 8 * samplings[0][1]
     mcu_cols = -(-width // mcu_w)
     mcu_rows = -(-height // mcu_h)
 
-    comp_info = {}
+    scan_tables = {cid: (dc, ac) for cid, dc, ac in scan_components}
+    quants, dc_tables, ac_tables, plane_shapes = [], [], [], []
     for cid, h_s, v_s, tq in comps:
-        dc_id, ac_id = next(
-            (dc, ac) for scid, dc, ac in scan_components if scid == cid
-        )
-        blocks_w = mcu_cols * h_s
-        blocks_h = mcu_rows * v_s
-        comp_info[cid] = {
-            "h": h_s,
-            "v": v_s,
-            "quant": quant_tables[tq],
-            "dc_table": huff_tables[(0, dc_id)],
-            "ac_table": huff_tables[(1, ac_id)],
-            "n_blocks": blocks_h * blocks_w,
-            "blocks_w": blocks_w,
-        }
+        if cid not in scan_tables:
+            raise ValueError(f"scan omits frame component {cid}")
+        if tq not in quant_tables:
+            raise ValueError(f"component {cid} references undefined DQT table {tq}")
+        quants.append(quant_tables[tq])
+        for table_class, table_id in enumerate(scan_tables[cid]):
+            if (table_class, table_id) not in huff_tables:
+                kind = "AC" if table_class else "DC"
+                raise ValueError(
+                    f"component {cid} references undefined {kind} DHT table {table_id}"
+                )
+        dc_id, ac_id = scan_tables[cid]
+        dc_tables.append(huff_tables[(0, dc_id)])
+        ac_tables.append(huff_tables[(1, ac_id)])
+        plane_shapes.append((8 * mcu_rows * v_s, 8 * mcu_cols * h_s))
 
-    order = [cid for cid, _h, _v, _tq in comps]
-    samplings = tuple((h_s, v_s) for _cid, h_s, v_s, _tq in comps)
     comp_of_unit, block_of_unit = kernels.scan_layout(mcu_rows, mcu_cols, samplings)
     decoded = kernels.decode_jpeg_scan(
         reader,
         comp_of_unit,
         block_of_unit,
-        [comp_info[cid]["dc_table"] for cid in order],
-        [comp_info[cid]["ac_table"] for cid in order],
-        [comp_info[cid]["n_blocks"] for cid in order],
+        dc_tables,
+        ac_tables,
+        [(h // 8) * (w // 8) for h, w in plane_shapes],
     )
-    for ci, cid in enumerate(order):
-        comp_info[cid]["blocks"] = decoded[ci]
-
-    planes = {}
-    for cid, info in comp_info.items():
-        plane_h = (info["blocks"].shape[0] // info["blocks_w"]) * 8
-        plane_w = info["blocks_w"] * 8
-        planes[cid] = _quantized_blocks_to_plane(
-            info["blocks"], info["quant"], plane_h, plane_w, options.idct
-        )
-
-    y_plane = planes[1]
-    cb_plane = planes[2]
-    cr_plane = planes[3]
-    y_info = comp_info[1]
-    if y_info["h"] == 2 and y_info["v"] == 2:
-        upsample = (
-            _upsample_2x_bilinear
-            if options.chroma_upsample == "bilinear"
-            else _upsample_2x_nearest
-        )
-        cb_plane = upsample(cb_plane)
-        cr_plane = upsample(cr_plane)
-
-    y_plane = y_plane[:height, :width]
-    cb_plane = cb_plane[:height, :width]
-    cr_plane = cr_plane[:height, :width]
-
-    ycc = np.stack(
-        [y_plane / 255.0, (cb_plane - 128.0) / 255.0, (cr_plane - 128.0) / 255.0],
-        axis=-1,
+    rgb8 = _reconstruct(
+        [blocks[None] for blocks in decoded],
+        quants,
+        plane_shapes,
+        samplings[0] == (2, 2),
+        height,
+        width,
+        options,
     )
-    rgb = ycbcr_to_rgb(ycc) * 255.0
-    rgb = np.clip(rgb, 0.0, 255.0)
-    if options.rounding == "round":
-        rgb8 = np.floor(rgb + 0.5).astype(np.uint8)
-    else:
-        rgb8 = rgb.astype(np.uint8)  # truncation
-    return ImageBuffer.from_uint8(rgb8)
+    return ImageBuffer.from_uint8(rgb8[0])
 
 
 def jpeg_roundtrip_batch(
@@ -631,141 +608,31 @@ def jpeg_roundtrip_batch(
     Returns ``[(data, decoded), ...]`` where item ``i`` is bit-identical
     to ``data = encode_jpeg(images[i], quality, subsampling)`` followed by
     ``decoded = decode_jpeg(data, options)`` — without re-parsing the
-    bytes just produced. Two fusions make this fast:
-
-    * the whole batch moves through the color/subsample/DCT front end as
-      ``(N, H, W)`` plane stacks (every step is either elementwise or an
-      independent per-block transform, so batching cannot change a bit);
-      only the entropy coder runs per item, because each file's bit
-      stream is its own;
-    * the decode side starts from the encoder's own quantized zig-zag
-      blocks. Entropy coding is lossless (``decode_scan(encode_scan(b))
-      == b`` exactly — the kernels equivalence suite pins it) and the
-      decoder's SOF-derived plane geometry and parsed DQT tables equal
-      the encoder's by construction, so dequantize -> IDCT -> upsample ->
-      color conversion over the same blocks reproduces ``decode_jpeg``'s
-      output exactly while skipping the marker parse and the per-symbol
-      Huffman walk.
+    bytes just produced. ``encode_jpeg`` is this batch's encoder at N=1.
+    The decode side starts from the encoder's own quantized zig-zag
+    blocks: entropy coding is lossless (``decode_scan(encode_scan(b)) ==
+    b`` exactly — the kernels equivalence suite pins it) and the
+    decoder's SOF-derived plane geometry and parsed DQT tables equal the
+    encoder's by construction, so :func:`decode_jpeg`'s own reconstruct
+    body over the same blocks reproduces its output exactly while
+    skipping the marker parse and the per-symbol Huffman walk.
     """
-    options = options or JpegDecodeOptions()
-    if options.rounding not in ("round", "truncate"):
-        raise ValueError(f"unknown rounding mode {options.rounding!r}")
-    if options.chroma_upsample not in ("bilinear", "nearest"):
-        raise ValueError(f"unknown upsampling {options.chroma_upsample!r}")
-    if subsampling not in ("4:2:0", "4:4:4"):
-        raise ValueError(f"unsupported subsampling {subsampling!r}")
+    options = _validated(options)
+    upsample_chroma = _y_sampling(subsampling) == (2, 2)
     images = list(images)
     if not images:
         return []
     if len({img.shape for img in images}) != 1:
-        # Mixed geometry: no stack to fuse over; fall back per item.
-        out = []
-        for img in images:
-            data = encode_jpeg(img, quality=quality, subsampling=subsampling)
-            out.append((data, decode_jpeg(data, options)))
-        return out
-
-    luma_q, chroma_q = quality_scaled_tables(quality)
-
-    rgb255 = np.stack([img.to_uint8() for img in images]).astype(np.float64)
-    ycc = np.asarray(rgb_to_ycbcr(rgb255 / 255.0), dtype=np.float64)
-    y_planes = ycc[..., 0] * 255.0
-    cb_planes = ycc[..., 1] * 255.0 + 128.0
-    cr_planes = ycc[..., 2] * 255.0 + 128.0
-
-    n = len(images)
-    height, width = y_planes.shape[1], y_planes.shape[2]
-    if subsampling == "4:2:0":
-        mcu = 16
-        y_pad = _pad_planes_batch(y_planes, mcu)
-        cb_small = _subsample_420_batch(_pad_planes_batch(cb_planes, 2))
-        cr_small = _subsample_420_batch(_pad_planes_batch(cr_planes, 2))
-        cb_pad = _pad_planes_batch(cb_small, 8)
-        cr_pad = _pad_planes_batch(cr_small, 8)
-        h_samp, v_samp = 2, 2
-    else:
-        mcu = 8
-        y_pad = _pad_planes_batch(y_planes, mcu)
-        cb_pad = _pad_planes_batch(cb_planes, 8)
-        cr_pad = _pad_planes_batch(cr_planes, 8)
-        h_samp, v_samp = 1, 1
-
-    y_blocks = _planes_to_quantized_blocks_batch(y_pad, luma_q)
-    cb_blocks = _planes_to_quantized_blocks_batch(cb_pad, chroma_q)
-    cr_blocks = _planes_to_quantized_blocks_batch(cr_pad, chroma_q)
-
-    mcu_rows = y_pad.shape[1] // mcu
-    mcu_cols = y_pad.shape[2] // mcu
-    samplings = ((h_samp, v_samp), (1, 1), (1, 1))
-    comp_of_unit, block_of_unit = kernels.scan_layout(mcu_rows, mcu_cols, samplings)
-
-    sof = struct.pack(
-        ">BHHB", 8, height, width, 3
-    ) + bytes(
-        [
-            1, (h_samp << 4) | v_samp, 0,  # Y
-            2, 0x11, 1,  # Cb
-            3, 0x11, 1,  # Cr
+        # Mixed geometry: no stack to fuse over; one batch per item.
+        return [
+            item
+            for img in images
+            for item in jpeg_roundtrip_batch([img], quality, subsampling, options)
         ]
-    )
-    sos = bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0])
-    header = bytearray()
-    header += b"\xff\xd8"  # SOI
-    header += _APP0_JFIF
-    header += _dqt_segment(0, luma_q)
-    header += _dqt_segment(1, chroma_q)
-    header += _segment(0xC0, sof)
-    header += _dht_segment(0, 0, STD_DC_LUMA)
-    header += _dht_segment(1, 0, STD_AC_LUMA)
-    header += _dht_segment(0, 1, STD_DC_CHROMA)
-    header += _dht_segment(1, 1, STD_AC_CHROMA)
-    header += _segment(0xDA, sos)
-    header = bytes(header)
 
-    datas: List[bytes] = []
-    for i in range(n):
-        entropy = kernels.encode_jpeg_scan(
-            (y_blocks[i], cb_blocks[i], cr_blocks[i]),
-            comp_of_unit,
-            block_of_unit,
-            (STD_DC_LUMA, STD_DC_CHROMA, STD_DC_CHROMA),
-            (STD_AC_LUMA, STD_AC_CHROMA, STD_AC_CHROMA),
-        )
-        datas.append(header + entropy + b"\xff\xd9")
-
-    # Reconstruct from the encoder's own quantized blocks: the decoder's
-    # SOF-derived padded dims equal the encoder's padded dims, and its
-    # parsed DQT tables roundtrip exactly (values <= 255).
-    y_rec = _quantized_blocks_to_planes_batch(
-        y_blocks, luma_q, y_pad.shape[1], y_pad.shape[2], options.idct
+    datas, blocks, quants, plane_shapes = _encode_batch(images, quality, subsampling)
+    height, width = images[0].shape[:2]
+    rgb8 = _reconstruct(
+        blocks, quants, plane_shapes, upsample_chroma, height, width, options
     )
-    cb_rec = _quantized_blocks_to_planes_batch(
-        cb_blocks, chroma_q, cb_pad.shape[1], cb_pad.shape[2], options.idct
-    )
-    cr_rec = _quantized_blocks_to_planes_batch(
-        cr_blocks, chroma_q, cr_pad.shape[1], cr_pad.shape[2], options.idct
-    )
-    if subsampling == "4:2:0":
-        upsample = (
-            _upsample_2x_bilinear_batch
-            if options.chroma_upsample == "bilinear"
-            else _upsample_2x_nearest_batch
-        )
-        cb_rec = upsample(cb_rec)
-        cr_rec = upsample(cr_rec)
-
-    y_rec = y_rec[:, :height, :width]
-    cb_rec = cb_rec[:, :height, :width]
-    cr_rec = cr_rec[:, :height, :width]
-
-    ycc_rec = np.stack(
-        [y_rec / 255.0, (cb_rec - 128.0) / 255.0, (cr_rec - 128.0) / 255.0],
-        axis=-1,
-    )
-    rgb = ycbcr_to_rgb(ycc_rec) * 255.0
-    rgb = np.clip(rgb, 0.0, 255.0)
-    if options.rounding == "round":
-        rgb8 = np.floor(rgb + 0.5).astype(np.uint8)
-    else:
-        rgb8 = rgb.astype(np.uint8)  # truncation
-    return [(datas[i], ImageBuffer.from_uint8(rgb8[i])) for i in range(n)]
+    return [(data, ImageBuffer.from_uint8(pixels)) for data, pixels in zip(datas, rgb8)]

@@ -20,9 +20,9 @@ import numpy as np
 
 from ..imaging.image import ImageBuffer
 
-# Filtering and DEFLATE dispatch through repro.kernels (reference or fast
-# backend, byte-identical). Imported as the package object so the
-# codecs <-> kernels import cycle resolves in either order.
+# Filtering and DEFLATE run through repro.kernels. Imported as the
+# package object so the codecs <-> kernels import cycle resolves in
+# either order.
 from .. import kernels
 
 __all__ = ["encode_png", "decode_png", "PNG_SIGNATURE"]

@@ -27,7 +27,7 @@ import numpy as np
 from ..imaging.color import rgb_to_ycbcr, ycbcr_to_rgb
 from ..imaging.image import ImageBuffer
 from .dct import block_dct, block_idct
-from .jpeg import _pad_plane, _subsample_420, _upsample_2x_bilinear
+from .jpeg import _pad_planes, _subsample_420, _upsample_2x_bilinear
 
 # Coefficient serialization and DEFLATE dispatch through repro.kernels.
 from .. import kernels
@@ -134,10 +134,10 @@ def _decode_plane(
 def encode_webp(image: ImageBuffer, quality: int = 75) -> bytes:
     """Encode with the WebP-like predictive codec (4:2:0, 8x8 transform)."""
     rgb255 = image.to_uint8().astype(np.float64)
-    ycc = rgb_to_ycbcr(rgb255 / 255.0)
-    y_plane = _pad_plane(ycc[..., 0] * 255.0, 16)
-    cb = _pad_plane(_subsample_420(_pad_plane(ycc[..., 1] * 255.0 + 128.0, 2)), 8)
-    cr = _pad_plane(_subsample_420(_pad_plane(ycc[..., 2] * 255.0 + 128.0, 2)), 8)
+    ycc = rgb_to_ycbcr(rgb255 / 255.0)[None]  # a stack of one for the plane ops
+    y_plane = _pad_planes(ycc[..., 0] * 255.0, 16)[0]
+    cb = _pad_planes(_subsample_420(_pad_planes(ycc[..., 1] * 255.0 + 128.0, 2)), 8)[0]
+    cr = _pad_planes(_subsample_420(_pad_planes(ycc[..., 2] * 255.0 + 128.0, 2)), 8)[0]
 
     y_step = _quality_to_step(quality, chroma=False)
     c_step = _quality_to_step(quality, chroma=True)
@@ -173,8 +173,8 @@ def decode_webp(data: bytes) -> ImageBuffer:
         planes.append(_decode_plane(modes, coeffs, ph, pw, step))
 
     y_plane, cb, cr = planes
-    cb = _upsample_2x_bilinear(cb)
-    cr = _upsample_2x_bilinear(cr)
+    cb = _upsample_2x_bilinear(cb[None])[0]
+    cr = _upsample_2x_bilinear(cr[None])[0]
     y_plane = y_plane[:height, :width]
     cb = cb[:height, :width]
     cr = cr[:height, :width]

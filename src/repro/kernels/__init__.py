@@ -1,139 +1,44 @@
-"""Backend-dispatched entropy-coding kernels for the codec hot path.
+"""Entropy-coding kernels for the codec hot path.
 
 Every byte a codec emits used to flow symbol-by-symbol through pure
 Python (``HuffmanTable.encode_symbol`` + per-bit ``BitWriter`` calls).
-This package makes that hot loop swappable between two backends that are
-**bit-identical by contract**:
+The entry points here run :mod:`repro.kernels.fast` instead: whole-plane
+NumPy vectorization — symbol streams (DC diffs, zig-zag run-lengths,
+ZRL/EOB insertion, magnitude categories) extracted with array ops over
+the ``(n_blocks, 64)`` coefficient matrix, Huffman codes concatenated
+via cumulative-sum bit offsets and packed to bytes in one pass, and
+LUT-accelerated Huffman decoding through a word-buffered
+:class:`~repro.codecs.bitio.BitReader`.
 
-* ``reference`` — the original scalar code paths, moved verbatim into
-  :mod:`repro.kernels.reference`. Slow, obviously correct, and the
-  ground truth the fast backend is tested against.
-* ``fast`` — :mod:`repro.kernels.fast`, whole-plane NumPy vectorization:
-  symbol streams (DC diffs, zig-zag run-lengths, ZRL/EOB insertion,
-  magnitude categories) extracted with array ops over the
-  ``(n_blocks, 64)`` coefficient matrix, Huffman codes concatenated via
-  cumulative-sum bit offsets and packed to bytes in one pass, and
-  LUT-accelerated Huffman decoding through a word-buffered
-  :class:`~repro.codecs.bitio.BitReader`.
-
-Backend selection (first match wins):
-
-1. an explicit ``backend=`` argument on a kernel entry point,
-2. :func:`set_backend` / :func:`use_backend` (process-local API),
-3. the ``REPRO_KERNELS`` environment variable,
-4. the default, ``fast``.
-
-Because the two backends produce identical bytes and arrays (enforced by
-``tests/kernels/`` and the CI ``bench-smoke`` job), backend selection is
-output-neutral: it may differ between parent and worker processes, across
-machines, or mid-run without perturbing a single result bit. Only speed
-changes. ``python -m repro bench`` quantifies the difference.
+The original scalar loops live on as the test oracle in
+``tests/kernels/reference.py``; ``tests/kernels/`` proves every entry
+point bit-identical to it, and ``tests/data/golden_codecs.json`` pins
+the bytes. Each entry point is also the codecs' one observability choke
+point: a ``kernels.*`` span and byte/symbol counters per call.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..lint.contracts import tensor_contract
-from . import fast, reference
+from . import fast
 from .layout import scan_layout
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "current_backend",
     "decode_jpeg_scan",
     "encode_jpeg_scan",
     "entropy_deflate",
     "entropy_inflate",
     "pack_coefficients",
     "png_filter_scanlines",
-    "resolve_backend",
     "scan_layout",
-    "set_backend",
     "unpack_coefficients",
-    "use_backend",
 ]
-
-#: Recognized backend names, in "slow but canonical" -> "fast" order.
-BACKENDS: Tuple[str, ...] = ("reference", "fast")
-
-#: Used when neither an explicit argument, :func:`set_backend`, nor the
-#: ``REPRO_KERNELS`` environment variable chooses one.
-DEFAULT_BACKEND = "fast"
-
-
-class _Selection:
-    """Holder for the process-local explicit backend override.
-
-    Deliberately an attribute on an object rather than a rebindable
-    module global: backend choice is output-neutral (both backends are
-    bit-identical), so even if a worker process never sees the parent's
-    override the results cannot diverge — but the PROC001 `global` ban
-    stays intact for the cases where module state *would* matter.
-    """
-
-    __slots__ = ("override",)
-
-    def __init__(self) -> None:
-        self.override: Optional[str] = None
-
-
-_SELECTION = _Selection()
-
-
-def _validate(name: str) -> str:
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernels backend {name!r}; expected one of {BACKENDS}"
-        )
-    return name
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The backend names :func:`resolve_backend` accepts."""
-    return BACKENDS
-
-
-def resolve_backend(explicit: Optional[str] = None) -> str:
-    """The backend an entry point will use, honoring the precedence
-    explicit argument > :func:`set_backend` > ``REPRO_KERNELS`` > default.
-    """
-    name = (
-        explicit
-        or _SELECTION.override
-        or os.environ.get("REPRO_KERNELS")
-        or DEFAULT_BACKEND
-    )
-    return _validate(name)
-
-
-def current_backend() -> str:
-    """The backend used when no explicit ``backend=`` is passed."""
-    return resolve_backend()
-
-
-def set_backend(name: Optional[str]) -> None:
-    """Set (or with ``None``, clear) the process-local backend override."""
-    _SELECTION.override = None if name is None else _validate(name)
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Temporarily select a backend for the duration of a ``with`` block."""
-    previous = _SELECTION.override
-    _SELECTION.override = _validate(name)
-    try:
-        yield name
-    finally:
-        _SELECTION.override = previous
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +50,6 @@ def encode_jpeg_scan(
     block_of_unit: np.ndarray,
     dc_tables: Sequence,
     ac_tables: Sequence,
-    backend: Optional[str] = None,
 ) -> bytes:
     """Entropy-code a whole interleaved scan; returns the finished
     entropy-coded segment (flushed with 1-bits, 0xFF-stuffed).
@@ -156,11 +60,10 @@ def encode_jpeg_scan(
     ``ac_tables`` hold one :class:`~repro.codecs.huffman.HuffmanTable`
     per component.
     """
-    name = resolve_backend(backend)
-    impl = fast.encode_scan if name == "fast" else reference.encode_scan
-    with obs.span("kernels.encode_jpeg_scan", backend=name):
-        data = impl(blocks, comp_of_unit, block_of_unit, dc_tables, ac_tables)
-    obs.count(f"kernels.backend.{name}")
+    with obs.span("kernels.encode_jpeg_scan"):
+        data = fast.encode_scan(
+            blocks, comp_of_unit, block_of_unit, dc_tables, ac_tables
+        )
     obs.count("kernels.jpeg.units_encoded", len(comp_of_unit))
     obs.count("kernels.jpeg.bytes_encoded", len(data))
     return data
@@ -173,18 +76,16 @@ def decode_jpeg_scan(
     dc_tables: Sequence,
     ac_tables: Sequence,
     n_blocks: Sequence[int],
-    backend: Optional[str] = None,
 ) -> List[np.ndarray]:
     """Decode a whole interleaved scan from ``reader``.
 
     Returns one ``(n_blocks[c], 64)`` zig-zag-ordered int64 coefficient
-    matrix per component, bit-identical across backends.
+    matrix per component.
     """
-    name = resolve_backend(backend)
-    impl = fast.decode_scan if name == "fast" else reference.decode_scan
-    with obs.span("kernels.decode_jpeg_scan", backend=name):
-        out = impl(reader, comp_of_unit, block_of_unit, dc_tables, ac_tables, n_blocks)
-    obs.count(f"kernels.backend.{name}")
+    with obs.span("kernels.decode_jpeg_scan"):
+        out = fast.decode_scan(
+            reader, comp_of_unit, block_of_unit, dc_tables, ac_tables, n_blocks
+        )
     obs.count("kernels.jpeg.units_decoded", len(comp_of_unit))
     return out
 
@@ -193,18 +94,14 @@ def decode_jpeg_scan(
 # PNG filtering
 # ----------------------------------------------------------------------
 @tensor_contract("(H, C) intN, _ -> _")
-def png_filter_scanlines(raw: np.ndarray, backend: Optional[str] = None) -> bytes:
+def png_filter_scanlines(raw: np.ndarray) -> bytes:
     """Adaptive PNG filter search over the ``(H, W*3)`` scanline matrix.
 
-    Both backends evaluate all five filters per row and pick the
-    minimum-sum-of-absolute-differences winner; ``fast`` evaluates every
-    row for every filter in whole-image array ops.
+    All five filters are evaluated for every row in whole-image array
+    ops; each row keeps the minimum-sum-of-absolute-differences winner.
     """
-    name = resolve_backend(backend)
-    impl = fast.png_filter_scanlines if name == "fast" else reference.png_filter_scanlines
-    with obs.span("kernels.png_filter", backend=name):
-        data = impl(raw)
-    obs.count(f"kernels.backend.{name}")
+    with obs.span("kernels.png_filter"):
+        data = fast.png_filter_scanlines(raw)
     obs.count("kernels.png.bytes_filtered", raw.size)
     return data
 
@@ -214,40 +111,34 @@ def png_filter_scanlines(raw: np.ndarray, backend: Optional[str] = None) -> byte
 # ----------------------------------------------------------------------
 # The stand-in webp/heif codecs and PNG entropy-code through zlib, which
 # is already C-speed; these entry points exist so every codec's entropy
-# stage flows through the same dispatch/observability choke point. Both
-# backends are byte-identical by construction (it is the same zlib call).
-@tensor_contract("* intN, _ -> _")
-def pack_coefficients(values: np.ndarray, backend: Optional[str] = None) -> bytes:
+# stage flows through the same observability choke point (the per-layer
+# benchmark times each one by name).
+@tensor_contract("* intN -> _")
+def pack_coefficients(values: np.ndarray) -> bytes:
     """Serialize a quantized-coefficient array as little-endian int16."""
-    obs.count(f"kernels.backend.{resolve_backend(backend)}")
     obs.count("kernels.coeff.symbols_packed", int(np.asarray(values).size))
     return np.asarray(values).astype("<i2").tobytes()
 
 
-@tensor_contract("_, _ -> (S,) intN")
-def unpack_coefficients(data: bytes, backend: Optional[str] = None) -> np.ndarray:
+@tensor_contract("_ -> (S,) intN")
+def unpack_coefficients(data: bytes) -> np.ndarray:
     """Inverse of :func:`pack_coefficients` (read-only view)."""
-    obs.count(f"kernels.backend.{resolve_backend(backend)}")
     obs.count("kernels.coeff.symbols_unpacked", len(data) // 2)
     return np.frombuffer(data, dtype="<i2")
 
 
-def entropy_deflate(payload: bytes, level: int, backend: Optional[str] = None) -> bytes:
+def entropy_deflate(payload: bytes, level: int) -> bytes:
     """DEFLATE ``payload`` (the zlib-based codecs' entropy coder)."""
-    name = resolve_backend(backend)
-    with obs.span("kernels.deflate", backend=name):
+    with obs.span("kernels.deflate"):
         data = zlib.compress(payload, level)
-    obs.count(f"kernels.backend.{name}")
     obs.count("kernels.deflate.bytes_in", len(payload))
     obs.count("kernels.deflate.bytes_out", len(data))
     return data
 
 
-def entropy_inflate(data: bytes, backend: Optional[str] = None) -> bytes:
+def entropy_inflate(data: bytes) -> bytes:
     """Inverse of :func:`entropy_deflate`."""
-    name = resolve_backend(backend)
-    with obs.span("kernels.inflate", backend=name):
+    with obs.span("kernels.inflate"):
         payload = zlib.decompress(data)
-    obs.count(f"kernels.backend.{name}")
     obs.count("kernels.inflate.bytes_out", len(payload))
     return payload

@@ -1,4 +1,4 @@
-"""The ``fast`` backend: whole-scan vectorized entropy coding.
+"""Whole-scan vectorized entropy coding: the bodies behind :mod:`repro.kernels`.
 
 Encoding never touches a per-coefficient Python loop. The scan is
 flattened to one ``(n_units, 64)`` coefficient matrix; DC differences,
@@ -13,9 +13,9 @@ gates where the next one starts) but replaces the bit-at-a-time tree
 walk with a canonical 16-bit peek table — one lookup per symbol against
 a word-buffered :class:`~repro.codecs.bitio.BitReader`.
 
-Every function here is bit-identical to :mod:`repro.kernels.reference`;
-``tests/kernels/`` enforces that property over random and degenerate
-inputs.
+Every function here is bit-identical to the scalar oracle kept in
+``tests/kernels/reference.py``; ``tests/kernels/`` enforces that property
+over random and degenerate inputs.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""MCU scan-order geometry shared by both kernel backends.
+"""MCU scan-order geometry shared by the JPEG entropy kernels and codec.
 
 JPEG interleaves components inside each MCU: for every MCU (row-major),
 each component contributes ``h * v`` blocks (``dy`` outer, ``dx`` inner).

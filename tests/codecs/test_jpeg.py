@@ -82,6 +82,38 @@ class TestMarkerStream:
         with pytest.raises(ValueError):
             decode_jpeg(bytes(data))
 
+    def test_decode_rejects_unsupported_sampling(self):
+        data = encode_jpeg(_smooth_image())
+        y_420 = bytes([1, 0x22, 0, 2, 0x11, 1])  # SOF: Y samples 2x2
+        assert data.count(y_420) == 1
+        with pytest.raises(ValueError, match="unsupported sampling"):
+            decode_jpeg(data.replace(y_420, bytes([1, 0x21, 0, 2, 0x11, 1])))
+
+    def test_decode_rejects_scan_missing_a_frame_component(self):
+        data = encode_jpeg(_smooth_image())
+        sos = bytes([0xFF, 0xDA, 0, 12, 3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0])
+        assert data.count(sos) == 1
+        # The scan codes only Y and Cb; the frame still declares Cr (id 3).
+        short = bytes([0xFF, 0xDA, 0, 10, 2, 1, 0x00, 2, 0x11, 0, 63, 0])
+        with pytest.raises(ValueError, match="component 3"):
+            decode_jpeg(data.replace(sos, short))
+
+    @pytest.mark.parametrize(
+        "segment, patched, match",
+        [
+            # SOF: Cr quantizes with DQT table 2, which the file never defines.
+            (bytes([3, 0x11, 1, 0xFF, 0xC4]), bytes([3, 0x11, 2, 0xFF, 0xC4]), "DQT table 2"),
+            # SOS: Cr's AC selector points at DHT table 2, never defined.
+            (bytes([3, 0x11, 0, 63, 0]), bytes([3, 0x12, 0, 63, 0]), "AC DHT table 2"),
+        ],
+        ids=["dqt", "dht"],
+    )
+    def test_decode_rejects_undefined_table(self, segment, patched, match):
+        data = encode_jpeg(_smooth_image())
+        assert data.count(segment) == 1
+        with pytest.raises(ValueError, match=match):
+            decode_jpeg(data.replace(segment, patched))
+
 
 def _spy_scan_tables(monkeypatch):
     """Record the ``(dc_tables, ac_tables)`` each scan decode receives."""

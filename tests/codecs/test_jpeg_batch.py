@@ -4,8 +4,9 @@
 reconstructs each item's decoded pixels from the encoder's own quantized
 blocks — skipping the marker parse and entropy decode entirely. Both the
 file bytes and the decoded buffers must equal the serial
-``encode_jpeg`` + ``decode_jpeg`` pair, for every backend, geometry,
-subsampling mode, and decode option the serial path supports.
+``encode_jpeg`` + ``decode_jpeg`` pair — also when that pair entropy-codes
+through the scalar oracle in ``tests/kernels/reference.py`` — for every
+geometry, subsampling mode, and decode option the serial path supports.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.codecs.jpeg import (
     jpeg_roundtrip_batch,
 )
 from repro.imaging.image import ImageBuffer
+from tests.kernels import reference
 
 
 def _images(shapes, seed=0):
@@ -33,17 +35,21 @@ def _images(shapes, seed=0):
     return out
 
 
-@pytest.mark.parametrize("backend", kernels.BACKENDS)
+@pytest.mark.parametrize("scan_coder", ["fast", "reference"])
 @pytest.mark.parametrize("subsampling", ["4:2:0", "4:4:4"])
-def test_matches_serial_roundtrip(backend, subsampling):
+def test_matches_serial_roundtrip(monkeypatch, scan_coder, subsampling):
+    """``scan_coder="reference"`` runs the serial pair's Huffman encode and
+    decode through the scalar oracle instead of ``repro.kernels``."""
     images = _images([(48, 48), (48, 48), (48, 48)])
-    with kernels.use_backend(backend):
-        fused = jpeg_roundtrip_batch(images, quality=85, subsampling=subsampling)
-        for image, (data, decoded) in zip(images, fused):
-            serial_data = encode_jpeg(image, quality=85, subsampling=subsampling)
-            assert data == serial_data
-            serial_decoded = decode_jpeg(serial_data)
-            assert decoded.pixels.tobytes() == serial_decoded.pixels.tobytes()
+    fused = jpeg_roundtrip_batch(images, quality=85, subsampling=subsampling)
+    if scan_coder == "reference":
+        monkeypatch.setattr(kernels, "encode_jpeg_scan", reference.encode_scan)
+        monkeypatch.setattr(kernels, "decode_jpeg_scan", reference.decode_scan)
+    for image, (data, decoded) in zip(images, fused):
+        serial_data = encode_jpeg(image, quality=85, subsampling=subsampling)
+        assert data == serial_data
+        serial_decoded = decode_jpeg(serial_data)
+        assert decoded.pixels.tobytes() == serial_decoded.pixels.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -1,19 +1,22 @@
-"""The ``reference`` backend: the original scalar entropy-coding paths.
+"""The scalar oracle for :mod:`repro.kernels`.
 
-These are the per-symbol/per-row loops that used to live inline in
-``codecs/jpeg.py`` and ``codecs/png.py``, moved here unchanged so the
-codecs dispatch through :mod:`repro.kernels` and the fast backend has a
-canonical implementation to be bit-identical against.
+These are the per-symbol/per-row entropy-coding loops that once lived
+inline in ``codecs/jpeg.py`` and ``codecs/png.py``. Slow and obviously
+correct, they are what the vectorized kernels are proven bit-identical
+against (``test_equivalence.py``, ``test_golden.py``,
+``tests/codecs/test_jpeg_batch.py``, ``tests/kernels/test_bench.py``).
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..codecs.bitio import BitReader, BitWriter
-from ..codecs.huffman import HuffmanTable
+from repro.codecs.bitio import BitReader, BitWriter
+from repro.codecs.huffman import HuffmanTable
 
 __all__ = [
     "bit_size",
@@ -21,8 +24,12 @@ __all__ = [
     "decode_scan",
     "encode_block",
     "encode_scan",
+    "entropy_deflate",
+    "entropy_inflate",
+    "pack_coefficients",
     "paeth_predictor",
     "png_filter_scanlines",
+    "unpack_coefficients",
 ]
 
 
@@ -198,3 +205,24 @@ def png_filter_scanlines(raw: np.ndarray) -> bytes:
         out += candidates[best].tobytes()
         prev = row
     return bytes(out)
+
+
+# ----------------------------------------------------------------------
+# Coefficient serialization + DEFLATE (per value / the plain zlib call)
+# ----------------------------------------------------------------------
+def pack_coefficients(values: np.ndarray) -> bytes:
+    """Per-value little-endian int16 serialization."""
+    return b"".join(struct.pack("<h", int(v)) for v in np.ravel(values))
+
+
+def unpack_coefficients(data: bytes) -> List[int]:
+    """Inverse of :func:`pack_coefficients`."""
+    return [value for (value,) in struct.iter_unpack("<h", data)]
+
+
+def entropy_deflate(payload: bytes, level: int) -> bytes:
+    return zlib.compress(payload, level)
+
+
+def entropy_inflate(data: bytes) -> bytes:
+    return zlib.decompress(data)

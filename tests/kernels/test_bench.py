@@ -18,18 +18,13 @@ def test_run_bench_quick_subset(tmp_path):
     assert report["quick"] is True
     assert sorted(report["cases"]) == ["dct", "entropy_encode"]
 
-    entropy = report["cases"]["entropy_encode"]
-    assert set(entropy["backends"]) == {"reference", "fast"}
-    for stats in entropy["backends"].values():
-        assert stats["seconds"] > 0
-        assert stats["ops_per_s"] > 0
-    assert entropy["speedup_fast_vs_reference"] > 0
-
-    dct = report["cases"]["dct"]
-    assert list(dct["backends"]) == ["default"]  # not dispatched
+    for entry in report["cases"].values():  # every case is timed once
+        assert entry["seconds"] > 0
+        assert entry["ops_per_s"] > 0
+        assert entry["mb_per_s"] > 0
 
     text = format_report(report)
-    assert "entropy_encode" in text and "speedup" in text
+    assert "entropy_encode" in text and "throughput" in text
 
     out = tmp_path / "bench.json"
     write_report(report, str(out))

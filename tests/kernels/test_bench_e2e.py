@@ -17,7 +17,6 @@ def test_quick_e2e_report_shape(tmp_path):
         assert report[arm]["seconds"] > 0
         assert report[arm]["captures_per_s"] > 0
     assert report["speedup_fused_vs_per_capture"] > 0
-    assert report["backend"] in ("fast", "reference")
 
     text = format_e2e_report(report)
     assert "fused" in text and "per_capture" in text

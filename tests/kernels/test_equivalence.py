@@ -1,16 +1,17 @@
-"""Cross-backend equivalence: ``fast`` must match ``reference`` bit-for-bit.
+"""Oracle equivalence: every :mod:`repro.kernels` entry point must match
+the scalar oracle in ``tests/kernels/reference.py`` bit-for-bit.
 
-Property-style seeded trials (same idiom as tests/codecs) drive both
-backends over random coefficient matrices, adversarial sparsity patterns
-(ZRL chains, all-zero blocks, a nonzero in the final slot), random
-Huffman tables, and every public kernel entry point. Any divergence —
-one byte, one coefficient — is a bug in the fast backend by definition.
+Property-style seeded trials (same idiom as tests/codecs) drive the
+kernels and the oracle over random coefficient matrices, adversarial
+sparsity patterns (ZRL chains, all-zero blocks, a nonzero in the final
+slot), random Huffman tables, and all seven entry points. Any divergence
+— one byte, one coefficient — is a bug in the kernels by definition.
 """
 
 import numpy as np
 import pytest
 
-from repro import kernels
+from repro import kernels, obs
 from repro.codecs.bitio import BitReader
 from repro.codecs.huffman import (
     STD_AC_CHROMA,
@@ -19,6 +20,7 @@ from repro.codecs.huffman import (
     STD_DC_LUMA,
     HuffmanTable,
 )
+from tests.kernels import reference
 
 TRIALS = 20
 
@@ -38,30 +40,21 @@ def _random_blocks(rng, n_blocks, density=0.2, amplitude=1023):
 
 
 def _roundtrip_both(blocks_per_comp, comp, block, dc_tables, ac_tables):
-    """Encode+decode under both backends; assert byte/array identity."""
-    encoded = {}
-    decoded = {}
-    for name in kernels.available_backends():
-        with kernels.use_backend(name):
-            encoded[name] = kernels.encode_jpeg_scan(
-                blocks_per_comp, comp, block, dc_tables, ac_tables
-            )
-            reader = BitReader(encoded[name], unstuff_ff=True)
-            decoded[name] = kernels.decode_jpeg_scan(
-                reader,
-                comp,
-                block,
-                dc_tables,
-                ac_tables,
-                [b.shape[0] for b in blocks_per_comp],
-            )
-    assert encoded["fast"] == encoded["reference"]
-    for got_fast, got_ref, original in zip(
-        decoded["fast"], decoded["reference"], blocks_per_comp
-    ):
-        np.testing.assert_array_equal(got_fast, got_ref)
-        np.testing.assert_array_equal(got_fast, original)
-    return encoded["reference"]
+    """Encode+decode with the kernels and the oracle; assert identity."""
+    n_blocks = [b.shape[0] for b in blocks_per_comp]
+    encoded = kernels.encode_jpeg_scan(blocks_per_comp, comp, block, dc_tables, ac_tables)
+    expected = reference.encode_scan(blocks_per_comp, comp, block, dc_tables, ac_tables)
+    assert encoded == expected
+    decoded = kernels.decode_jpeg_scan(
+        BitReader(encoded, unstuff_ff=True), comp, block, dc_tables, ac_tables, n_blocks
+    )
+    oracle = reference.decode_scan(
+        BitReader(encoded, unstuff_ff=True), comp, block, dc_tables, ac_tables, n_blocks
+    )
+    for got, want, original in zip(decoded, oracle, blocks_per_comp):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, original)
+    return encoded
 
 
 @pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 0.9])
@@ -124,7 +117,7 @@ def test_dc_prediction_chain_crosses_sign():
 
 
 def test_random_huffman_tables():
-    """Backends agree under arbitrary canonical tables, not just Annex K."""
+    """Kernels and oracle agree under arbitrary canonical tables, not just Annex K."""
     rng = np.random.default_rng(11)
     dc_freqs = {s: int(rng.integers(1, 100)) for s in range(12)}
     ac_symbols = {0x00, 0xF0} | {
@@ -140,70 +133,67 @@ def test_random_huffman_tables():
 
 
 def test_missing_symbol_raises_keyerror_on_both_backends():
-    # A DC-only table cannot encode AC symbols; both backends must refuse
-    # with the same exception class.
+    # A DC-only table cannot encode AC symbols; the kernels and the oracle
+    # must refuse with the same exception class.
     tiny = HuffmanTable.from_frequencies({0: 1, 1: 1})
     blocks = np.zeros((1, 64), dtype=np.int64)
     blocks[0, 1] = 5  # needs AC symbol 0x01
     comp, block = kernels.scan_layout(1, 1, ((1, 1),))
-    for name in kernels.available_backends():
-        with kernels.use_backend(name):
-            with pytest.raises(KeyError):
-                kernels.encode_jpeg_scan(
-                    [blocks], comp, block, (STD_DC_LUMA,), (tiny,)
-                )
+    for encode in (kernels.encode_jpeg_scan, reference.encode_scan):
+        with pytest.raises(KeyError):
+            encode([blocks], comp, block, (STD_DC_LUMA,), (tiny,))
 
 
 def test_truncated_stream_raises_on_both_backends():
     blocks = _random_blocks(np.random.default_rng(3), 6, density=0.5)
     comp, block = kernels.scan_layout(6, 1, ((1, 1),))
     data = _roundtrip_both([blocks], comp, block, (STD_DC_LUMA,), (STD_AC_LUMA,))
-    for name in kernels.available_backends():
-        with kernels.use_backend(name):
-            reader = BitReader(data[: len(data) // 2], unstuff_ff=True)
-            with pytest.raises((EOFError, ValueError)):
-                kernels.decode_jpeg_scan(
-                    reader, comp, block, (STD_DC_LUMA,), (STD_AC_LUMA,), [6]
-                )
+    for decode in (kernels.decode_jpeg_scan, reference.decode_scan):
+        reader = BitReader(data[: len(data) // 2], unstuff_ff=True)
+        with pytest.raises((EOFError, ValueError)):
+            decode(reader, comp, block, (STD_DC_LUMA,), (STD_AC_LUMA,), [6])
 
 
 def test_png_filter_equivalence():
     rng = np.random.default_rng(5)
     for shape in ((1, 3), (7, 21), (32, 96), (64, 192)):
         raw = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        with kernels.use_backend("reference"):
-            ref = kernels.png_filter_scanlines(raw)
-        with kernels.use_backend("fast"):
-            fast = kernels.png_filter_scanlines(raw)
-        assert ref == fast
+        assert kernels.png_filter_scanlines(raw) == reference.png_filter_scanlines(raw)
 
 
 def test_png_filter_gradient_prefers_nontrivial_filters():
-    # Smooth ramps make Sub/Paeth win; both backends must pick the same
+    # Smooth ramps make Sub/Paeth win; the kernels must pick the oracle's
     # filter id per row (it is part of the byte stream).
     ramp = np.add.outer(np.arange(16), np.arange(48)).astype(np.uint8)
-    with kernels.use_backend("reference"):
-        ref = kernels.png_filter_scanlines(ramp)
-    with kernels.use_backend("fast"):
-        fast = kernels.png_filter_scanlines(ramp)
-    assert ref == fast
+    ref = reference.png_filter_scanlines(ramp)
+    assert kernels.png_filter_scanlines(ramp) == ref
     assert any(line[0] != 0 for line in np.frombuffer(ref, np.uint8).reshape(16, -1))
 
 
 def test_coefficient_pack_roundtrip():
     rng = np.random.default_rng(9)
     values = rng.integers(-(2**15), 2**15, size=257, dtype=np.int64)
-    for name in kernels.available_backends():
-        data = kernels.pack_coefficients(values, backend=name)
-        out = kernels.unpack_coefficients(data, backend=name)
-        np.testing.assert_array_equal(out, values)
+    data = kernels.pack_coefficients(values)
+    assert data == reference.pack_coefficients(values)
+    out = kernels.unpack_coefficients(data)
+    np.testing.assert_array_equal(out, reference.unpack_coefficients(data))
+    np.testing.assert_array_equal(out, values)
 
 
 def test_deflate_roundtrip_identical_across_backends():
     payload = bytes(range(256)) * 17
-    outs = {
-        name: kernels.entropy_deflate(payload, 6, backend=name)
-        for name in kernels.available_backends()
-    }
-    assert outs["fast"] == outs["reference"]
-    assert kernels.entropy_inflate(outs["fast"]) == payload
+    data = kernels.entropy_deflate(payload, 6)
+    assert data == reference.entropy_deflate(payload, 6)
+    assert kernels.entropy_inflate(data) == reference.entropy_inflate(data) == payload
+
+
+def test_entry_points_emit_counters():
+    blocks = np.zeros((4, 64), dtype=np.int64)
+    comp, block = kernels.scan_layout(2, 2, ((1, 1),))
+    with obs.observed() as ob:
+        kernels.encode_jpeg_scan([blocks], comp, block, (STD_DC_LUMA,), (STD_AC_LUMA,))
+        kernels.entropy_deflate(b"abc", 6)
+    metrics = ob.metrics
+    assert metrics.counter_value("kernels.jpeg.units_encoded") == 4
+    assert metrics.counter_value("kernels.jpeg.bytes_encoded") > 0
+    assert metrics.counter_value("kernels.deflate.bytes_in") == 3

@@ -1,4 +1,4 @@
-"""Golden byte-hash regression for every codec, under both backends.
+"""Golden byte-hash regression for every codec, checked against the oracle.
 
 A fixed seeded image is encoded with each codec; the SHA-256 of the
 byte stream is pinned in ``tests/data/golden_codecs.json``. The same file
@@ -33,6 +33,7 @@ from repro.devices.os_sim import DECODER_FAMILIES
 from repro.codecs.png import encode_png
 from repro.codecs.webp import encode_webp
 from repro.imaging.image import ImageBuffer
+from tests.kernels import reference
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_codecs.json"
 
@@ -102,13 +103,20 @@ def _decoded_digests() -> dict:
     }
 
 
-def test_backends_agree_per_codec():
-    with kernels.use_backend("reference"):
-        ref = _encodings()
-    with kernels.use_backend("fast"):
-        fast = _encodings()
+def test_backends_agree_per_codec(monkeypatch):
+    """Every codec's bytes and the pinned decodes are the same when the
+    kernels' entropy stage is swapped for the scalar oracle."""
+    fast = _encodings()
+    fast_decoded = _decoded_digests()
+    monkeypatch.setattr(kernels, "encode_jpeg_scan", reference.encode_scan)
+    monkeypatch.setattr(kernels, "decode_jpeg_scan", reference.decode_scan)
+    monkeypatch.setattr(kernels, "png_filter_scanlines", reference.png_filter_scanlines)
+    monkeypatch.setattr(kernels, "pack_coefficients", reference.pack_coefficients)
+    monkeypatch.setattr(kernels, "entropy_deflate", reference.entropy_deflate)
+    ref = _encodings()
     for name in ref:
-        assert ref[name] == fast[name], f"{name}: backends diverge"
+        assert ref[name] == fast[name], f"{name}: kernels diverge from the oracle"
+    assert _decoded_digests() == fast_decoded
 
 
 def test_golden_codec_hashes(regen_golden):
