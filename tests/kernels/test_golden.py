@@ -29,9 +29,9 @@ from repro.codecs.jpeg import (
     encode_jpeg,
     jpeg_roundtrip_batch,
 )
-from repro.devices.os_sim import DECODER_FAMILIES
 from repro.codecs.png import encode_png
 from repro.codecs.webp import encode_webp
+from repro.devices.os_sim import DECODER_FAMILIES
 from repro.imaging.image import ImageBuffer
 from tests.kernels import reference
 
