@@ -565,15 +565,14 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
         if tq not in quant_tables:
             raise ValueError(f"component {cid} references undefined DQT table {tq}")
         quants.append(quant_tables[tq])
-        for table_class, table_id in enumerate(scan_tables[cid]):
+        kinds = (("DC", dc_tables), ("AC", ac_tables))
+        for table_class, (kind, tables) in enumerate(kinds):
+            table_id = scan_tables[cid][table_class]
             if (table_class, table_id) not in huff_tables:
-                kind = "AC" if table_class else "DC"
                 raise ValueError(
                     f"component {cid} references undefined {kind} DHT table {table_id}"
                 )
-        dc_id, ac_id = scan_tables[cid]
-        dc_tables.append(huff_tables[(0, dc_id)])
-        ac_tables.append(huff_tables[(1, ac_id)])
+            tables.append(huff_tables[(table_class, table_id)])
         plane_shapes.append((8 * mcu_rows * v_s, 8 * mcu_cols * h_s))
 
     comp_of_unit, block_of_unit = kernels.scan_layout(mcu_rows, mcu_cols, samplings)
