@@ -162,6 +162,31 @@ class TestBatchInvariance:
             for payload, exp in zip(payloads, expected):
                 _assert_payloads_equal(payload, exp)
 
+    def test_every_capture_profile_in_groups_of_four(self, scenes):
+        """Every capture_fleet() phone x 2 scenes x 4 repeats: fused == per-unit.
+
+        The unit pool above covers phones 0 and 4 only, and the golden
+        captures run in groups of one; this pins the fused pass for every
+        capture profile at a group size above one.
+        """
+        units = [
+            CaptureUnit(
+                kind="photograph",
+                profile=profile,
+                radiance=radiance,
+                entropy=unit_entropy(0, profile.name, "fleet", scene_id, repeat),
+            )
+            for profile in capture_fleet()
+            for scene_id, radiance in enumerate(scenes)
+            for repeat in range(4)
+        ]
+        assert sorted(len(g) for g in _group_pending(units)) == [4] * 10
+        expected = [execute_unit(unit) for unit in units]
+        payloads = FleetExecutor(workers=0).run(units)
+        assert len(payloads) == len(expected)
+        for payload, exp in zip(payloads, expected):
+            _assert_payloads_equal(payload, exp)
+
     def test_groups_of_one_match_batches(self, unit_pool, reference):
         """N groups of one == one group of N == the per-unit reference."""
         group = unit_pool[8:16]  # all repeats of (phone 0, scene 1)
