@@ -101,6 +101,8 @@ def decode_heif(data: bytes) -> ImageBuffer:
     """Decode a stream produced by :func:`encode_heif`."""
     if data[:4] != MAGIC:
         raise ValueError("not an RPHF (heif-like) stream")
+    if len(data) < 9:
+        raise ValueError("truncated RPHF header")
     width, height, quality = struct.unpack("<HHB", data[4:9])
     payload = kernels.entropy_inflate(data[9:])
 

@@ -104,7 +104,11 @@ def decode_png(data: bytes, verify_crc: bool = True) -> ImageBuffer:
     width = height = None
     idat = bytearray()
     while pos < len(data):
+        if pos + 12 > len(data):
+            raise ValueError("truncated PNG chunk header")
         length = struct.unpack(">I", data[pos : pos + 4])[0]
+        if pos + 12 + length > len(data):
+            raise ValueError("truncated PNG chunk")
         tag = data[pos + 4 : pos + 8]
         payload = data[pos + 8 : pos + 8 + length]
         crc = struct.unpack(">I", data[pos + 8 + length : pos + 12 + length])[0]
@@ -112,6 +116,8 @@ def decode_png(data: bytes, verify_crc: bool = True) -> ImageBuffer:
             raise ValueError(f"CRC mismatch in {tag!r} chunk")
         pos += 12 + length
         if tag == b"IHDR":
+            if length != 13:
+                raise ValueError("IHDR chunk must be 13 bytes")
             width, height, depth, ctype, comp, filt, inter = struct.unpack(
                 ">IIBBBBB", payload
             )

@@ -155,6 +155,8 @@ def decode_webp(data: bytes) -> ImageBuffer:
     """Decode a stream produced by :func:`encode_webp`."""
     if data[:4] != MAGIC:
         raise ValueError("not an RPWB (webp-like) stream")
+    if len(data) < 9:
+        raise ValueError("truncated RPWB header")
     width, height, quality = struct.unpack("<HHB", data[4:9])
     payload = kernels.entropy_inflate(data[9:])
 

@@ -137,8 +137,15 @@ def entropy_deflate(payload: bytes, level: int) -> bytes:
 
 
 def entropy_inflate(data: bytes) -> bytes:
-    """Inverse of :func:`entropy_deflate`."""
+    """Inverse of :func:`entropy_deflate`.
+
+    A truncated or corrupt stream raises ``ValueError``, the error every
+    codec decoder raises for malformed input.
+    """
     with obs.span("kernels.inflate"):
-        payload = zlib.decompress(data)
+        try:
+            payload = zlib.decompress(data)
+        except zlib.error as exc:
+            raise ValueError(f"corrupt DEFLATE stream: {exc}") from exc
     obs.count("kernels.inflate.bytes_out", len(payload))
     return payload

@@ -109,6 +109,77 @@ class TestContainer:
         assert np.array_equal(out.to_uint8(), buf.to_uint8())
 
 
+def _smooth_png():
+    from scipy import ndimage
+
+    rng = np.random.default_rng(0)
+    img = ndimage.gaussian_filter(rng.random((24, 24, 3)), (3, 3, 0))
+    img = (img - img.min()) / (img.max() - img.min())
+    return encode_png(ImageBuffer(img.astype(np.float32)))
+
+
+def _idat_span(data):
+    """``(start, end)`` of the IDAT chunk's payload inside ``data``."""
+    start = data.find(b"IDAT") + 4
+    (length,) = struct.unpack(">I", data[start - 8 : start - 4])
+    return start, start + length
+
+
+class TestMalformed:
+    """Truncated or corrupt streams raise ``ValueError``, never a
+    ``struct.error`` or ``zlib.error`` from inside the decoder."""
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda data: 10,  # inside the IHDR length field
+            lambda data: 20,  # inside the IHDR payload
+            lambda data: len(data) // 2,  # inside the IDAT payload
+            lambda data: len(data) - 13,  # inside the IDAT CRC
+            lambda data: len(data) - 1,  # inside the IEND CRC
+        ],
+        ids=["ihdr-length", "ihdr-payload", "idat-payload", "idat-crc", "iend-crc"],
+    )
+    def test_truncated_stream(self, cut):
+        data = _smooth_png()
+        with pytest.raises(ValueError):
+            decode_png(data[: cut(data)])
+
+    def test_truncated_deflate_in_valid_chunk(self):
+        """A short zlib stream inside a chunk whose length and CRC agree."""
+        data = _smooth_png()
+        start, end = _idat_span(data)
+        body = data[start : (start + end) // 2]
+        crc = zlib.crc32(b"IDAT" + body) & 0xFFFFFFFF
+        rebuilt = (
+            data[: start - 8]
+            + struct.pack(">I", len(body))
+            + b"IDAT"
+            + body
+            + struct.pack(">I", crc)
+            + data[end + 4 :]
+        )
+        with pytest.raises(ValueError):
+            decode_png(rebuilt)
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            lambda start, end: 9,  # IHDR length field (no CRC check)
+            lambda start, end: start,  # zlib header
+            lambda start, end: (start + end) // 2,  # deflate body
+            lambda start, end: end - 2,  # adler-32 trailer
+        ],
+        ids=["ihdr-length", "zlib-header", "deflate-body", "adler32"],
+    )
+    def test_bit_flip(self, where):
+        data = bytearray(_smooth_png())
+        start, end = _idat_span(data)
+        data[where(start, end)] ^= 0x10
+        with pytest.raises(ValueError):
+            decode_png(bytes(data), verify_crc=False)
+
+
 class TestLosslessness:
     """PNG's exactness is what makes §7's zero-PNG-instability hold."""
 

@@ -63,6 +63,46 @@ class TestCommonCodecBehaviour:
         assert np.abs(out.pixels - 0.6).max() < 0.05
 
 
+@pytest.mark.parametrize(
+    "encode,decode",
+    [(encode_webp, decode_webp), (encode_heif, decode_heif)],
+    ids=["webp", "heif"],
+)
+class TestMalformed:
+    """Truncated or corrupt streams raise ``ValueError``, never a
+    ``struct.error`` or ``zlib.error`` from inside the decoder."""
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda data: 6,  # inside the width/height/quality header
+            lambda data: 9,  # header only, no deflate stream
+            lambda data: len(data) // 2,  # inside the deflate body
+            lambda data: len(data) - 1,  # inside the adler-32 trailer
+        ],
+        ids=["header", "no-payload", "deflate-body", "adler32"],
+    )
+    def test_truncated_stream(self, encode, decode, cut):
+        data = encode(_smooth_image(seed=8, size=24))
+        with pytest.raises(ValueError):
+            decode(data[: cut(data)])
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            lambda data: 9,  # zlib header
+            lambda data: len(data) // 2,  # deflate body
+            lambda data: len(data) - 2,  # adler-32 trailer
+        ],
+        ids=["zlib-header", "deflate-body", "adler32"],
+    )
+    def test_bit_flip(self, encode, decode, where):
+        data = bytearray(encode(_smooth_image(seed=8, size=24)))
+        data[where(data)] ^= 0x10
+        with pytest.raises(ValueError):
+            decode(bytes(data))
+
+
 class TestFormatDistinctness:
     """Cross-format divergence is the mechanism behind Table 3."""
 
