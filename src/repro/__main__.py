@@ -26,9 +26,11 @@ metrics snapshot; ``report`` renders those files as per-stage and
 per-phone timing plus cache-efficiency tables. Observation is also
 output-neutral: it times and counts, it never touches results.
 
-Each command trains/loads the shared base model (cached after the first
-run), executes the experiment deterministically, and prints the same
-report the corresponding benchmark does.
+Each experiment command trains/loads the shared base model (cached after
+the first run), executes the experiment deterministically, and prints
+the same report the corresponding ``benchmarks/`` script does. ``lint``
+runs the determinism and invariant checker over ``src/repro``.
+Performance numbers come from ``perfbench/run.py``, not from this CLI.
 """
 
 from __future__ import annotations
@@ -524,59 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser(
-        "bench",
-        help="micro/macro benchmarks of the codec kernels and pipeline "
-        "stages (entropy coding, DCT, ISP, conv, capture pipeline)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink inputs for a CI smoke run (128x128 instead of 512x512)",
-    )
-    p.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing runs per case; the minimum is reported",
-    )
-    p.add_argument(
-        "--case",
-        action="append",
-        default=None,
-        dest="cases",
-        help="run only this case (repeatable); default is the full suite",
-    )
-    p.add_argument(
-        "--serve",
-        action="store_true",
-        help="run the serving macro benchmark (sustained captures/sec + "
-        "p50/p95/p99 latency) instead of the kernel cases",
-    )
-    p.add_argument(
-        "--lint",
-        action="store_true",
-        help="run the lint macro benchmark (whole-program analysis wall "
-        "time, cold vs warm summary cache) instead of the kernel cases",
-    )
-    p.add_argument(
-        "--e2e",
-        action="store_true",
-        help="run the end-to-end capture-path macro benchmark (fused "
-        "vs per-capture fleet throughput, with a byte-identity "
-        "check) instead of the kernel cases",
-    )
-    p.add_argument(
-        "--out",
-        type=str,
-        default=None,
-        help="write the JSON report here (default BENCH_kernels.json, "
-        "BENCH_serve.json with --serve, BENCH_lint.json with --lint, "
-        "or BENCH_e2e.json with --e2e)",
-    )
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser(
         "report",
         help="render a recorded trace/metrics pair as timing and "
         "cache-efficiency tables",
@@ -756,55 +705,6 @@ def _cmd_lint(args) -> None:
     code = lint_run(args)
     if code:
         raise SystemExit(code)
-
-
-def _cmd_bench(args) -> None:
-    from .bench import format_report, run_bench, write_report
-
-    if args.serve:
-        from .bench.serve_case import format_serve_report, run_serve_bench
-
-        report = run_serve_bench(quick=args.quick, seed=args.seed)
-        out = args.out or "BENCH_serve.json"
-        print(format_serve_report(report))
-        write_report(report, out)
-        print(f"report written to {out}")
-        return
-    if args.lint:
-        from .bench.lint_case import format_lint_report, run_lint_bench
-
-        report = run_lint_bench(quick=args.quick)
-        out = args.out or "BENCH_lint.json"
-        print(format_lint_report(report))
-        write_report(report, out)
-        print(f"report written to {out}")
-        return
-    if args.e2e:
-        from .bench.e2e import format_e2e_report, run_e2e_bench
-
-        report = run_e2e_bench(
-            quick=args.quick, repeats=args.repeats, seed=args.seed
-        )
-        out = args.out or "BENCH_e2e.json"
-        print(format_e2e_report(report))
-        write_report(report, out)
-        print(f"report written to {out}")
-        if not report["identity_ok"]:
-            raise SystemExit(
-                "repro bench: fused payloads diverged from per-capture "
-                "payloads — batch-invariance violation"
-            )
-        return
-    try:
-        report = run_bench(
-            quick=args.quick, repeats=args.repeats, only=args.cases, seed=args.seed
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro bench: {exc}") from exc
-    out = args.out or "BENCH_kernels.json"
-    print(format_report(report))
-    write_report(report, out)
-    print(f"report written to {out}")
 
 
 def _cmd_report(args) -> None:

@@ -125,18 +125,17 @@ class NoWallClock(Rule):
     name = "DET002"
     summary = (
         "no wall-clock/entropy (time.*, uuid, builtin hash()) in result "
-        "paths outside obs/, bench/, serve/, loadgen/, lint/"
+        "paths outside obs/, serve/, loadgen/, lint/"
     )
 
     #: Observability is side-band by contract — timing belongs there.
-    #: bench/ is the same kind of side-band: it measures durations and
-    #: never feeds them into experiment results. serve/ and loadgen/
+    #: serve/ and loadgen/
     #: measure latency and pace request arrivals — wall-clock there
     #: steers *scheduling* and *reported timings* only; every capture
     #: payload still flows through the pure execute_unit path, which is
     #: what the drained-service == serial-runner test pins down. lint/
     #: times its own analysis for ``--stats``; it never touches results.
-    exempt_prefixes = ("obs/", "bench/", "serve/", "loadgen/", "lint/")
+    exempt_prefixes = ("obs/", "serve/", "loadgen/", "lint/")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.rel.startswith(self.exempt_prefixes):

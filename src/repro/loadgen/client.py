@@ -7,8 +7,8 @@ open-loop schedule (:mod:`repro.loadgen.generator`), collect every
 ``result`` line, and optionally ``drain`` the server at the end.
 
 :func:`drive_inproc` drives an :class:`~repro.serve.service.IngestService`
-directly — same schedule, no sockets — for benchmarks and tests where
-the wire would only add noise.
+directly — same schedule, no sockets, no pacing — for tests where the
+wire would only add noise.
 
 Both return a report with per-status counts and client-observed
 p50/p95/p99 latency (:func:`~repro.serve.service.latency_summary`).
@@ -148,27 +148,20 @@ async def run_loadgen(
 
 
 async def drive_inproc(
-    service: IngestService,
-    schedule: List[ScheduledRequest],
-    paced: bool = True,
+    service: IngestService, schedule: List[ScheduledRequest]
 ) -> Dict:
     """Drive an in-process service with a prebuilt schedule.
 
-    ``paced=True`` honours each request's planned time (open loop);
-    ``paced=False`` submits as fast as possible — the overload mode the
-    shedding tests and the saturation benchmark use. The service must
-    already be started; the caller drains it afterwards. The report maps
-    ``request_id -> CaptureResponse`` under ``"responses"`` alongside
-    the summary counts.
+    Every request is submitted at once, in schedule order, ignoring its
+    planned time: the overload mode the serving tests use. The service
+    must already be started; the caller drains it afterwards. The report
+    maps ``request_id -> CaptureResponse`` under ``"responses"``
+    alongside the summary counts.
     """
     loop = asyncio.get_running_loop()
     futures = []
     start = loop.time()
     for planned in schedule:
-        if paced:
-            delay = start + planned.at_s - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
         futures.append(
             service.submit(
                 CaptureRequest(

@@ -8,8 +8,7 @@ and uniform device/scene/repeat coordinates, both from
 ``(seed, rate, count, devices, scenes, repeats)`` therefore issue the
 byte-identical request sequence — which is what lets a drained service
 run be replayed against :meth:`IngestService.serial_reference` and
-compared bit for bit, and what makes ``BENCH_serve.json`` numbers
-comparable across PRs.
+compared bit for bit.
 
 Open-loop means offered load never adapts to service latency: requests
 fire on schedule whether or not earlier ones have been answered. That is

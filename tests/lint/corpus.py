@@ -312,7 +312,7 @@ CASES = [
             rng = derive_rng(master, unit_id)
             return rng.random(3)
     """, False),
-    Case("SEED001", "closure-param-ok", "bench/cases.py", """
+    Case("SEED001", "closure-param-ok", "scenes/build.py", """
         import numpy as np
         def build(seed):
             def prep():

@@ -19,7 +19,7 @@ def drive(config, schedule):
     async def scenario():
         service = IngestService(config)
         await service.start()
-        report = await drive_inproc(service, schedule, paced=False)
+        report = await drive_inproc(service, schedule)
         await service.drain()
         return service, report
 

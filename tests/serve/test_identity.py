@@ -22,7 +22,7 @@ def drive(config, schedule):
     async def scenario():
         service = IngestService(config)
         await service.start()
-        report = await drive_inproc(service, schedule, paced=False)
+        report = await drive_inproc(service, schedule)
         await service.drain()
         return service, report
 
@@ -106,7 +106,7 @@ class TestFusedServingCounters:
 
         async def scenario():
             await service.start()
-            report = await drive_inproc(service, schedule, paced=False)
+            report = await drive_inproc(service, schedule)
             accounting = await service.drain()
             return report, accounting
 

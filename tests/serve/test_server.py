@@ -150,8 +150,3 @@ class TestParser:
         assert args.count == 100
         assert args.drain
         assert args.connect_timeout == 5.0
-
-    def test_bench_serve_flag(self):
-        args = build_parser().parse_args(["bench", "--serve", "--quick"])
-        assert args.serve
-        assert args.out is None
