@@ -129,12 +129,12 @@ class NoWallClock(Rule):
     )
 
     #: Observability is side-band by contract — timing belongs there.
-    #: serve/ and loadgen/
-    #: measure latency and pace request arrivals — wall-clock there
-    #: steers *scheduling* and *reported timings* only; every capture
-    #: payload still flows through the pure execute_unit path, which is
-    #: what the drained-service == serial-runner test pins down. lint/
-    #: times its own analysis for ``--stats``; it never touches results.
+    #: serve/ and loadgen/ measure latency and pace request arrivals —
+    #: wall-clock there steers *scheduling* and *reported timings* only;
+    #: every capture payload still flows through the pure execute_unit
+    #: path, which is what the drained-service == serial-runner test pins
+    #: down. lint/ times its own analysis for ``--stats``; it never
+    #: touches results.
     exempt_prefixes = ("obs/", "serve/", "loadgen/", "lint/")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
