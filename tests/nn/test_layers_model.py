@@ -16,6 +16,17 @@ from repro.nn.layers import (
 from repro.nn.model import InvertedResidual, Model, micro_mobilenet
 
 
+def _assert_rows_batch_independent(fn, x):
+    """Row i of ``fn(x)`` depends on ``x[i]`` alone: it matches the batch
+    of one and follows its input when the batch is reversed. BLAS
+    blocking differs with the batch size, so the match is close, not
+    bitwise (~2e-7 at float32); coupling rows through the batch moves
+    them by orders of magnitude more."""
+    full = fn(x)
+    for i in range(len(x)):
+        np.testing.assert_allclose(full[i], fn(x[i : i + 1])[0], rtol=0, atol=1e-5)
+    np.testing.assert_allclose(fn(x[::-1]), full[::-1], rtol=0, atol=1e-5)
+
 class TestBatchNorm:
     def test_training_normalizes_batch(self):
         rng = np.random.default_rng(0)
@@ -117,6 +128,11 @@ class TestModel:
         p = tiny_model.predict_proba(x, batch_size=2)
         assert p.shape == (5, 8)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-5)
+        _assert_rows_batch_independent(tiny_model.predict_proba, x)
+
+    def test_embed_rows_batch_independent(self, tiny_model):
+        x = np.random.default_rng(3).normal(size=(9, 3, 32, 32)).astype(np.float32)
+        _assert_rows_batch_independent(tiny_model.embed, x)
 
     def test_embed_matches_forward(self, tiny_model):
         x = np.random.default_rng(2).normal(size=(3, 3, 32, 32)).astype(np.float32)
