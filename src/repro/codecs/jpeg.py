@@ -576,14 +576,17 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
         plane_shapes.append((8 * mcu_rows * v_s, 8 * mcu_cols * h_s))
 
     comp_of_unit, block_of_unit = kernels.scan_layout(mcu_rows, mcu_cols, samplings)
-    decoded = kernels.decode_jpeg_scan(
-        reader,
-        comp_of_unit,
-        block_of_unit,
-        dc_tables,
-        ac_tables,
-        [(h // 8) * (w // 8) for h, w in plane_shapes],
-    )
+    try:
+        decoded = kernels.decode_jpeg_scan(
+            reader,
+            comp_of_unit,
+            block_of_unit,
+            dc_tables,
+            ac_tables,
+            [(h // 8) * (w // 8) for h, w in plane_shapes],
+        )
+    except EOFError as exc:
+        raise ValueError(f"truncated or corrupt JPEG scan: {exc}") from exc
     rgb8 = _reconstruct(
         [blocks[None] for blocks in decoded],
         quants,

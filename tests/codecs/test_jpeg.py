@@ -19,6 +19,7 @@ from repro.codecs.jpeg import (
     encode_jpeg,
     quality_scaled_tables,
 )
+from repro.codecs.registry import decode_any
 from repro.imaging import ImageBuffer
 from repro.imaging.metrics import psnr
 
@@ -114,6 +115,31 @@ class TestMarkerStream:
         with pytest.raises(ValueError, match=match):
             decode_jpeg(data.replace(segment, patched))
 
+
+def _scan_span(data):
+    """``(start, end)`` of the entropy-coded scan: after SOS, before EOI."""
+    sos = data.find(b"\xff\xda")
+    start = sos + 2 + int.from_bytes(data[sos + 2 : sos + 4], "big")
+    assert data[-2:] == b"\xff\xd9"
+    return start, len(data) - 2
+
+
+class TestTruncatedScan:
+    """A scan cut short raises ``ValueError``, never the bit reader's
+    ``EOFError``, whether or not the file still ends in EOI."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 0.75, 0.99])
+    @pytest.mark.parametrize("eoi", [True, False], ids=["eoi", "no-eoi"])
+    def test_truncated_scan(self, fraction, eoi):
+        data = encode_jpeg(_smooth_image(size=32), quality=90)
+        start, end = _scan_span(data)
+        cut = data[: start + int(fraction * (end - start))]
+        if eoi:
+            cut += b"\xff\xd9"
+        with pytest.raises(ValueError):
+            decode_jpeg(cut)
+        with pytest.raises(ValueError):
+            decode_any(cut)
 
 def _spy_scan_tables(monkeypatch):
     """Record the ``(dc_tables, ac_tables)`` each scan decode receives."""
