@@ -29,7 +29,6 @@ import numpy as np
 
 from ..imaging.color import rgb_to_ycbcr, ycbcr_to_rgb
 from ..imaging.image import ImageBuffer
-from ..lint.contracts import tensor_contract
 from .bitio import BitReader
 from .dct import (
     block_dct,
@@ -122,11 +121,9 @@ def _planes_to_quantized_blocks(planes: np.ndarray, quant: np.ndarray) -> np.nda
     """Level-shift, DCT and quantize ``(N, H, W)`` padded planes into
     ``(N, n_blocks, 64)`` zig-zag blocks.
 
-    Deliberately not ``@tensor_contract``-annotated: the batch axis is
-    folded into the block axis before the DCT (each 8x8 block transforms
-    independently, so any leading-dim grouping is bit-identical — the
-    property the codec batch tests pin), which SHAPE001's conservative
-    reshape rule cannot prove.
+    The batch axis is folded into the block axis before the DCT. Each
+    8x8 block transforms independently, so any leading-dim grouping is
+    bit-identical; the codec batch tests pin this.
     """
     n, h, w = planes.shape
     shifted = np.asarray(planes, dtype=np.float64) - 128.0
@@ -151,9 +148,8 @@ def _quantized_blocks_to_planes(
     """Dequantize, inverse-DCT and reassemble ``(N, n_blocks, 64)`` blocks
     into ``(N, height, width)`` planes (values around 0..255).
 
-    Not contract-annotated for the same reason as the encoder-side helper:
-    the block axis absorbs the batch axis around the (per-block
-    independent) IDCT.
+    As in the encoder-side helper, the block axis absorbs the batch axis
+    around the per-block independent IDCT.
     """
     n = blocks_zz.shape[0]
     zz = zigzag_order(8)
@@ -177,7 +173,6 @@ def _quantized_blocks_to_planes(
     return planes + 128.0
 
 
-@tensor_contract("(N, ?, ?) float64, _ -> (N, ?, ?) float64")
 def _pad_planes(planes: np.ndarray, multiple: int) -> np.ndarray:
     """Edge-pad each plane of an ``(N, H, W)`` stack to a dim multiple."""
     _n, h, w = planes.shape
@@ -188,7 +183,6 @@ def _pad_planes(planes: np.ndarray, multiple: int) -> np.ndarray:
     return planes
 
 
-@tensor_contract("(N, ?, ?) float64 -> (N, ?, ?) float64")
 def _subsample_420(planes: np.ndarray) -> np.ndarray:
     """2x2 box-average chroma downsampling (even dims required).
 
@@ -202,12 +196,10 @@ def _subsample_420(planes: np.ndarray) -> np.ndarray:
     return ((a + b) + (c + d)) * 0.25
 
 
-@tensor_contract("(N, ?, ?) float64 -> (N, ?, ?) float64")
 def _upsample_2x_nearest(planes: np.ndarray) -> np.ndarray:
     return np.repeat(np.repeat(planes, 2, axis=1), 2, axis=2)
 
 
-@tensor_contract("(N, ?, ?) float64 -> (N, ?, ?) float64")
 def _upsample_2x_bilinear(planes: np.ndarray) -> np.ndarray:
     """Triangle-filter ("fancy") chroma upsampling a la libjpeg."""
     n, h, w = planes.shape

@@ -12,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..lint.contracts import tensor_contract
 
 __all__ = [
     "rgb_to_ycbcr",
@@ -104,7 +103,6 @@ def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
     return rgb.astype(np.float32)
 
 
-@tensor_contract("* float32, _ -> * float32")
 def apply_color_matrix(rgb: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Apply a 3x3 color-correction matrix to ``(..., 3)`` pixels."""
     matrix = np.asarray(matrix, dtype=np.float32)
@@ -113,7 +111,6 @@ def apply_color_matrix(rgb: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.asarray(rgb, dtype=np.float32) @ matrix.T
 
 
-@tensor_contract("* float32 -> * float32")
 def srgb_encode(linear: np.ndarray) -> np.ndarray:
     """Linear light -> sRGB-encoded, the standard piecewise curve."""
     linear = np.clip(np.asarray(linear, dtype=np.float32), 0.0, 1.0)
@@ -122,7 +119,6 @@ def srgb_encode(linear: np.ndarray) -> np.ndarray:
     return np.where(linear <= 0.0031308, low, high).astype(np.float32)
 
 
-@tensor_contract("* float32 -> * float32")
 def srgb_decode(encoded: np.ndarray) -> np.ndarray:
     """sRGB-encoded -> linear light, inverse of :func:`srgb_encode`."""
     encoded = np.clip(np.asarray(encoded, dtype=np.float32), 0.0, 1.0)
@@ -131,7 +127,6 @@ def srgb_decode(encoded: np.ndarray) -> np.ndarray:
     return np.where(encoded <= 0.04045, low, high).astype(np.float32)
 
 
-@tensor_contract("* float32 -> (3,) float32")
 def gray_world_gains(rgb: np.ndarray) -> np.ndarray:
     """Estimate white-balance gains with the gray-world assumption.
 
@@ -159,7 +154,6 @@ def gray_world_gains_batch(rgb: np.ndarray) -> np.ndarray:
     return np.stack([gray_world_gains(item) for item in rgb])
 
 
-@tensor_contract("(N, ?, ?, ?) float32, (N, 3) float32 -> (N, ?, ?, ?) float32")
 def apply_wb_gains_batch(rgb: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Per-item white-balance gains over an ``(N, H, W, 3)`` stack."""
     gains = np.asarray(gains, dtype=np.float32)

@@ -25,7 +25,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..lint.contracts import tensor_contract
 
 __all__ = ["ImageBuffer", "RawImage", "BAYER_PATTERNS"]
 
@@ -40,7 +39,6 @@ BAYER_PATTERNS = {
 }
 
 
-@tensor_contract("* any -> * float32")
 def _as_float32(array: np.ndarray) -> np.ndarray:
     array = np.asarray(array)
     if array.dtype != np.float32:
@@ -107,7 +105,6 @@ class ImageBuffer:
     def shape(self) -> Tuple[int, int, int]:
         return tuple(self.pixels.shape)  # type: ignore[return-value]
 
-    @tensor_contract("-> (H, W, 3) intN")
     def to_uint8(self) -> np.ndarray:
         """Quantize to 8-bit with round-half-away rounding, clipping first."""
         clipped = np.clip(self.pixels, 0.0, 1.0)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from ..lint.contracts import tensor_contract
 
 __all__ = [
     "bilinear_resize",
@@ -27,7 +26,6 @@ __all__ = [
 ]
 
 
-@tensor_contract("* float32, _, _ -> * float32")
 def bilinear_resize(image: np.ndarray, height: int, width: int) -> np.ndarray:
     """Resize an ``(H, W)`` or ``(H, W, C)`` image with bilinear sampling.
 
@@ -69,7 +67,6 @@ def bilinear_resize(image: np.ndarray, height: int, width: int) -> np.ndarray:
     return (top * (1 - wy_b) + bot * wy_b).astype(np.float32)
 
 
-@tensor_contract("(N, ?, ?, ?) float32, _, _ -> (N, ?, ?, ?) float32")
 def bilinear_resize_batch(images: np.ndarray, height: int, width: int) -> np.ndarray:
     """Batched :func:`bilinear_resize` over an ``(N, H, W, C)`` stack.
 
@@ -135,7 +132,6 @@ def pad_to_multiple(image: np.ndarray, multiple: int, mode: str = "edge") -> np.
     return np.pad(image, pads, mode=mode)
 
 
-@tensor_contract("_, _ -> (K,) float32")
 def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:
     """A normalized 1-D Gaussian kernel."""
     if sigma <= 0:
@@ -147,7 +143,6 @@ def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:
     return (kernel / kernel.sum()).astype(np.float32)
 
 
-@tensor_contract("* float32, _ -> * float32")
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur on an ``(H, W)`` or ``(H, W, C)`` image."""
     if sigma <= 0:
@@ -160,7 +155,6 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     return out.astype(np.float32)
 
 
-@tensor_contract("(N, ?, ?, ?) float32, _ -> (N, ?, ?, ?) float32")
 def gaussian_blur_batch(images: np.ndarray, sigma: float) -> np.ndarray:
     """Batched :func:`gaussian_blur` over an ``(N, H, W, C)`` stack.
 
@@ -177,7 +171,6 @@ def gaussian_blur_batch(images: np.ndarray, sigma: float) -> np.ndarray:
     return out.astype(np.float32)
 
 
-@tensor_contract("(N, ?, ?) float32, _ -> (N, ?, ?) float32")
 def gaussian_blur_planes_batch(planes: np.ndarray, sigma: float) -> np.ndarray:
     """Batched :func:`gaussian_blur` over an ``(N, H, W)`` plane stack."""
     if sigma <= 0:
@@ -200,7 +193,6 @@ def box_blur(image: np.ndarray, size: int) -> np.ndarray:
     return out.astype(np.float32)
 
 
-@tensor_contract("(N, ?, ?, ?) float32, _, _ -> (N, ?, ?, ?) float32")
 def unsharp_mask_batch(images: np.ndarray, sigma: float, amount: float) -> np.ndarray:
     """Classic unsharp masking over an ``(N, H, W, C)`` stack:
     ``img + amount * (img - blur(img))``."""

@@ -35,7 +35,6 @@ from ..imaging.ops import (
     gaussian_blur_planes_batch,
     unsharp_mask_batch,
 )
-from ..lint.contracts import tensor_contract
 
 __all__ = [
     "BatchISPState",
@@ -92,7 +91,6 @@ class ISPStage:
         return type(self).__name__
 
 
-@tensor_contract("(N, ?, ?) float32, _, _ -> (N, ?, ?) float32")
 def _black_level_batch(
     mosaic: np.ndarray, black_level: np.ndarray, span: np.ndarray
 ) -> np.ndarray:
@@ -133,7 +131,6 @@ def _channel_maps(raws: List[RawImage], height: int, width: int) -> np.ndarray:
     )
 
 
-@tensor_contract("(N, ?, ?) float32, _ -> (N, ?, ?, ?) float32")
 def _bilinear_demosaic_batch(mosaic: np.ndarray, channel_map: np.ndarray) -> np.ndarray:
     """Normalized-convolution bilinear demosaic over ``(N, H, W)`` mosaics.
 
@@ -189,7 +186,6 @@ _MALVAR_RB_AT_OPPOSITE = np.array(
 ) / 8.0
 
 
-@tensor_contract("(N, ?, ?) float32, _ -> (N, ?, ?, ?) float32")
 def _malvar_demosaic_batch(mosaic: np.ndarray, channel_map: np.ndarray) -> np.ndarray:
     """Malvar-He-Cutler gradient-corrected linear demosaic, ``(N, H, W)``.
 

@@ -25,7 +25,6 @@ from typing import List, Sequence
 import numpy as np
 
 from .. import obs
-from ..lint.contracts import tensor_contract
 from . import fast
 from .layout import scan_layout
 
@@ -93,7 +92,6 @@ def decode_jpeg_scan(
 # ----------------------------------------------------------------------
 # PNG filtering
 # ----------------------------------------------------------------------
-@tensor_contract("(H, C) intN, _ -> _")
 def png_filter_scanlines(raw: np.ndarray) -> bytes:
     """Adaptive PNG filter search over the ``(H, W*3)`` scanline matrix.
 
@@ -113,14 +111,12 @@ def png_filter_scanlines(raw: np.ndarray) -> bytes:
 # is already C-speed; these entry points exist so every codec's entropy
 # stage flows through the same observability choke point (the per-layer
 # benchmark times each one by name).
-@tensor_contract("* intN -> _")
 def pack_coefficients(values: np.ndarray) -> bytes:
     """Serialize a quantized-coefficient array as little-endian int16."""
     obs.count("kernels.coeff.symbols_packed", int(np.asarray(values).size))
     return np.asarray(values).astype("<i2").tobytes()
 
 
-@tensor_contract("_ -> (S,) intN")
 def unpack_coefficients(data: bytes) -> np.ndarray:
     """Inverse of :func:`pack_coefficients` (read-only view)."""
     obs.count("kernels.coeff.symbols_unpacked", len(data) // 2)

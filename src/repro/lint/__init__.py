@@ -22,14 +22,6 @@ Zero dependencies beyond the stdlib ``ast`` module. The pieces:
   the serving path);
 * :mod:`~repro.lint.rules_effects` — PUR002 (obs stays a write-only
   sink on pixel/byte paths, checked across module boundaries);
-* :mod:`~repro.lint.lattice` / :mod:`~repro.lint.dataflow` — abstract
-  interpreter over ndarray values (dtype chain x shape lattice), feeding
-  tensor facts into the cached function summaries;
-* :mod:`~repro.lint.contracts` — the zero-cost ``@tensor_contract``
-  decorator stages declare dtype/shape signatures with;
-* :mod:`~repro.lint.rules_numeric` — NUM001 (implicit float32->float64
-  promotion), NUM002 (order-sensitive axis-free reductions), SHAPE001
-  (leading-batch-axis safety + contract conformance);
 * :mod:`~repro.lint.engine` — shared-AST-cache file walker with inline
   ``# lint: disable=RULE`` suppressions;
 * :mod:`~repro.lint.baseline` — committed grandfather list so the CI
@@ -56,7 +48,6 @@ from .baseline import (
 )
 from .callgraph import Program, SummaryCache, build_program
 from .context import ModuleContext
-from .contracts import tensor_contract
 from .engine import LintEngine, LintReport, lint_paths
 from .findings import Finding, Severity
 from .registry import ProgramRule, Rule, all_rules, get_rules, register
@@ -81,7 +72,6 @@ __all__ = [
     "parse_baseline",
     "register",
     "split_unknown_rules",
-    "tensor_contract",
     "to_sarif",
     "write_baseline",
 ]

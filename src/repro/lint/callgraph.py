@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .context import ModuleContext, dotted_name
-from .dataflow import TensorEvent, TensorInfo, analyze_function, analyze_module
 from .rules_determinism import _WALL_CLOCK
 
 __all__ = [
@@ -56,7 +55,8 @@ __all__ = [
 #: cache files are discarded wholesale rather than misread.
 #: v2: per-function tensor dataflow info + per-module import aliases
 #: (exact link-time resolution replaced the suffix index).
-SUMMARY_VERSION = "repro-lint-summary-v2"
+#: v3: per-function tensor dataflow facts dropped with the numeric rules.
+SUMMARY_VERSION = "repro-lint-summary-v3"
 
 #: Canonical names that construct an RNG from a seed expression.
 _RNG_CONSTRUCTORS = frozenset(
@@ -195,7 +195,6 @@ class FunctionSummary:
     lock_awaits: Tuple[Fact, ...]
     bare_tasks: Tuple[Fact, ...]
     blocking: Tuple[Fact, ...]
-    tensor: TensorInfo = TensorInfo()
 
     @property
     def key(self) -> str:
@@ -292,7 +291,6 @@ class _ModuleExtractor:
 
     def run(self) -> Tuple[Tuple[FunctionSummary, ...], Tuple[ClassInfo, ...]]:
         tree = self.ctx.tree
-        self.flow = analyze_module(self.ctx)
         for node in ast.walk(tree):
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
                 self.stmt_calls.add(id(node.value))
@@ -543,11 +541,6 @@ class _ModuleExtractor:
             self._visit(stmt, facts, params, local_types, local_exprs,
                         qual=qual, cls=cls, shielded=False)
         anchor = node if node is not None else (body[0] if body else None)
-        if node is not None:
-            tensor = analyze_function(node, self.ctx, self.flow)
-        else:
-            # Module-level dataflow events anchor on "<module>".
-            tensor = TensorInfo(events=self.flow.module_events)
         self.functions.append(
             FunctionSummary(
                 qual=qual,
@@ -564,7 +557,6 @@ class _ModuleExtractor:
                 lock_awaits=tuple(facts.lock_awaits),
                 bare_tasks=tuple(facts.bare_tasks),
                 blocking=tuple(facts.blocking),
-                tensor=tensor,
             )
         )
 
@@ -984,7 +976,6 @@ def _summary_to_dict(summary: ModuleSummary) -> Dict:
                 "lock_awaits": [_fact_to_list(x) for x in f.lock_awaits],
                 "bare_tasks": [_fact_to_list(x) for x in f.bare_tasks],
                 "blocking": [_fact_to_list(x) for x in f.blocking],
-                "tensor": _tensor_to_dict(f.tensor),
             }
             for f in summary.functions
         ],
@@ -998,29 +989,6 @@ def _summary_to_dict(summary: ModuleSummary) -> Dict:
         ],
         "aliases": [list(pair) for pair in summary.aliases],
     }
-
-
-def _tensor_to_dict(info: TensorInfo) -> Dict:
-    return {
-        "contract": info.contract,
-        "params": list(info.params),
-        "returns": info.returns,
-        "returns_call": info.returns_call,
-        "events": [[e.kind, e.line, e.col, e.detail] for e in info.events],
-    }
-
-
-def _tensor_from_dict(data: Dict) -> TensorInfo:
-    return TensorInfo(
-        contract=data.get("contract"),
-        params=tuple(data.get("params", ())),
-        returns=data.get("returns", "top:*"),
-        returns_call=data.get("returns_call"),
-        events=tuple(
-            TensorEvent(e[0], int(e[1]), int(e[2]), str(e[3]))
-            for e in data.get("events", ())
-        ),
-    )
 
 
 def _fact_to_list(fact: Fact) -> List:
@@ -1051,7 +1019,6 @@ def _summary_from_dict(data: Dict) -> ModuleSummary:
             lock_awaits=tuple(_fact_from_list(x) for x in f["lock_awaits"]),
             bare_tasks=tuple(_fact_from_list(x) for x in f["bare_tasks"]),
             blocking=tuple(_fact_from_list(x) for x in f["blocking"]),
-            tensor=_tensor_from_dict(f["tensor"]),
         )
         for f in data["functions"]
     )

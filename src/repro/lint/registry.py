@@ -96,7 +96,6 @@ def all_rules() -> Tuple[Rule, ...]:
         rules_async,
         rules_determinism,
         rules_effects,
-        rules_numeric,
         rules_purity,
         rules_seed,
     )

@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..lint.contracts import tensor_contract
 from .functional import softmax
 from .layers import (
     BatchNorm2D,
@@ -144,7 +143,6 @@ class Model:
         return grad
 
     # ------------------------------------------------------------------
-    @tensor_contract("(N, ?, ?, ?) float32, _ -> (N, ?) float32")
     def predict_proba(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Class probabilities in inference mode, mini-batched."""
         outputs = []
@@ -153,7 +151,6 @@ class Model:
             outputs.append(softmax(logits))
         return np.concatenate(outputs, axis=0)
 
-    @tensor_contract("(N, ?, ?, ?) float32, _ -> (N, ?) float32")
     def embed(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Embeddings in inference mode."""
         outputs = []

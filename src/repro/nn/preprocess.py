@@ -17,7 +17,6 @@ import numpy as np
 
 from ..imaging.image import ImageBuffer
 from ..imaging.ops import bilinear_resize
-from ..lint.contracts import tensor_contract
 
 __all__ = ["MODEL_INPUT_SIZE", "to_model_input"]
 
@@ -25,7 +24,6 @@ __all__ = ["MODEL_INPUT_SIZE", "to_model_input"]
 MODEL_INPUT_SIZE = 32
 
 
-@tensor_contract("_, _ -> (N, 3, S, S) float32")
 def to_model_input(
     images: Sequence[ImageBuffer] | ImageBuffer,
     size: int = MODEL_INPUT_SIZE,

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..lint.contracts import tensor_contract
 
 __all__ = ["SensorNoiseModel"]
 
@@ -61,13 +60,11 @@ class SensorNoiseModel:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    @tensor_contract("_, _ -> (H, W) float32")
     def prnu_map(self, height: int, width: int) -> np.ndarray:
         """The sensor's fixed per-pixel gain field (deterministic)."""
         rng = np.random.default_rng(self.seed)
         return (1.0 + rng.normal(0.0, self.prnu, (height, width))).astype(np.float32)
 
-    @tensor_contract("(H, W) float32, _ -> (H, W) float32")
     def apply(self, signal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Add all noise components to a linear [0, 1] mosaic signal.
 
@@ -78,7 +75,6 @@ class SensorNoiseModel:
         (noisy,) = self.apply_batch(signal, [rng])
         return noisy
 
-    @tensor_contract("(H, W) float32, _ -> (N, ?, ?) float32")
     def apply_batch(
         self, signal: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..imaging.ops import affine_warp, gaussian_blur
-from ..lint.contracts import tensor_contract
 
 __all__ = ["LensModel"]
 
@@ -50,7 +49,6 @@ class LensModel:
         if self.blur_sigma < 0:
             raise ValueError("blur_sigma must be non-negative")
 
-    @tensor_contract("_, _ -> (H, W) float32")
     def _vignette_field(self, height: int, width: int) -> np.ndarray:
         ys = np.linspace(-1.0, 1.0, height, dtype=np.float32)
         xs = np.linspace(-1.0, 1.0, width, dtype=np.float32)
@@ -58,7 +56,6 @@ class LensModel:
         r2 = (yy**2 + xx**2) / 2.0  # 1.0 at the corners
         return 1.0 - np.float32(self.vignetting) * r2**2
 
-    @tensor_contract("(H, W, 3) float32 -> (H, W, 3) float32")
     def apply(self, image: np.ndarray) -> np.ndarray:
         """Apply blur, chromatic aberration, then vignetting."""
         out = np.asarray(image, dtype=np.float32)

@@ -443,120 +443,6 @@ CASES = [
             x = obs.count("n")
             return x
     """, False),
-    # ------------------------------------------------------------ NUM001
-    Case("NUM001", "float64-scalar-promotes", "runner/gain.py", """
-        import numpy as np
-        def apply_gain(n):
-            a = np.zeros((4, 4), dtype=np.float32)
-            return a * np.float64(2.0)
-    """, True),
-    Case("NUM001", "default-float64-array-promotes", "fleet/mix.py", """
-        import numpy as np
-        def mix():
-            a = np.zeros((4, 4), dtype=np.float32)
-            offsets = np.array([0.5, 0.25])
-            return a[:, :2] + offsets
-    """, True),
-    Case("NUM001", "rng-draw-promotes", "serve/jitter.py", """
-        import numpy as np
-        def jitter(rng):
-            a = np.zeros((8,), dtype=np.float32)
-            return a + rng.normal(0.0, 1.0, size=8)
-    """, True),
-    Case("NUM001", "weak-python-float-ok", "runner/gain.py", """
-        import numpy as np
-        def apply_gain():
-            a = np.zeros((4, 4), dtype=np.float32)
-            return a * 0.5 + 1.0
-    """, False),
-    Case("NUM001", "explicit-astype-ok", "runner/gain.py", """
-        import numpy as np
-        def apply_gain():
-            a = np.zeros((4, 4), dtype=np.float32)
-            b = np.linspace(0.0, 1.0, 4).astype(np.float32)
-            return a * b
-    """, False),
-    Case("NUM001", "unreachable-module-ok", "imaging/dead.py", """
-        import numpy as np
-        def helper():
-            a = np.zeros((4, 4), dtype=np.float32)
-            return a * np.float64(2.0)
-    """, False),
-    # ------------------------------------------------------------ NUM002
-    Case("NUM002", "axis-free-sum", "fleet/agg.py", """
-        import numpy as np
-        def total():
-            img = np.zeros((8, 8), dtype=np.float32)
-            return img.sum()
-    """, True),
-    Case("NUM002", "axis-free-np-mean", "runner/metrics.py", """
-        import numpy as np
-        def level():
-            img = np.ones((4, 4, 3), dtype=np.float32)
-            return np.mean(img)
-    """, True),
-    Case("NUM002", "explicit-axis-ok", "fleet/agg.py", """
-        import numpy as np
-        def per_channel():
-            img = np.zeros((8, 8, 3), dtype=np.float32)
-            return img.sum(axis=0).sum(axis=0)
-    """, False),
-    Case("NUM002", "rank1-sum-ok", "runner/metrics.py", """
-        import numpy as np
-        def norm():
-            kernel = np.ones((5,), dtype=np.float32)
-            return kernel.sum()
-    """, False),
-    Case("NUM002", "unreachable-module-ok", "nn/dead.py", """
-        import numpy as np
-        def helper():
-            img = np.zeros((8, 8), dtype=np.float32)
-            return img.sum()
-    """, False),
-    # ----------------------------------------------------------- SHAPE001
-    Case("SHAPE001", "batch-axis-reduce", "isp/stagebad.py", """
-        import numpy as np
-        from repro.lint.contracts import tensor_contract
-
-        @tensor_contract("(N, H, W) float32 -> _")
-        def collapse(batch):
-            return batch.mean(axis=0)
-    """, True),
-    Case("SHAPE001", "batch-axis-mask", "kernels/maskbad.py", """
-        from repro.lint.contracts import tensor_contract
-
-        @tensor_contract("(N, C) float32 -> _")
-        def keep_positive(batch):
-            return batch[batch[:, 0] > 0]
-    """, True),
-    Case("SHAPE001", "batch-axis-reshape", "isp/flatbad.py", """
-        from repro.lint.contracts import tensor_contract
-
-        @tensor_contract("(N, H, W) float32 -> _")
-        def flatten(batch):
-            return batch.reshape(-1)
-    """, True),
-    Case("SHAPE001", "stale-contract", "imaging/stale.py", """
-        from repro.lint.contracts import tensor_contract
-
-        @tensor_contract("(H, W) float32 -> (H, W) float64")
-        def identity(x):
-            return x
-    """, True),
-    Case("SHAPE001", "batch-elementwise-ok", "isp/stageok.py", """
-        from repro.lint.contracts import tensor_contract
-
-        @tensor_contract("(N, H, W) float32 -> (N, H, W) float32")
-        def scale(batch):
-            return batch * 2.0
-    """, False),
-    Case("SHAPE001", "batch-preserving-reshape-ok", "kernels/packok.py", """
-        from repro.lint.contracts import tensor_contract
-
-        @tensor_contract("(N, H, W) float32 -> (N, ?) float32")
-        def as_rows(batch):
-            return batch.reshape(batch.shape[0], -1)
-    """, False),
 ]
 
 

@@ -234,35 +234,3 @@ def test_resolution_chases_package_reexports():
     })
     edges = program.callees("repro.serve.svc.Service.lookup")
     assert [t for _s, t in edges] == ["repro.runner.cache.Store.get"]
-
-
-def test_cold_and_warm_summaries_agree_on_tensor_facts(tmp_path):
-    """The v2 cache round-trips the tensor fields bit-for-bit: contract,
-    inferred return, forwarded-call marker, and every event."""
-    sources = {
-        "isp/stage.py": """
-            import numpy as np
-            from repro.lint.contracts import tensor_contract
-
-            @tensor_contract("(H, W) float32, _ -> (H, W) float32")
-            def gain(mosaic, k):
-                scale = np.float64(2.0)
-                return (mosaic * scale).astype(np.float32)
-        """,
-        "isp/wrap.py": """
-            from repro.isp.stage import gain
-            def call(mosaic):
-                return gain(mosaic, 2)
-        """,
-    }
-    cold = make_program(sources, SummaryCache(tmp_path))
-    warm = make_program(sources, SummaryCache(tmp_path))
-    assert cold.stats["cache_misses"] == 2 and warm.stats["cache_hits"] == 2
-    for key in ("repro.isp.stage.gain", "repro.isp.wrap.call"):
-        assert warm.functions[key].tensor == cold.functions[key].tensor
-    tensor = warm.functions["repro.isp.stage.gain"].tensor
-    assert tensor.contract == "(H, W) float32, _ -> (H, W) float32"
-    assert [e.kind for e in tensor.events] == ["promotion"]
-    assert warm.functions["repro.isp.wrap.call"].tensor.returns_call == (
-        "repro.isp.stage.gain"
-    )

@@ -100,35 +100,3 @@ def test_unmutated_copy_lints_clean(tree):
     rendered = "\n".join(f.render() for f in report.findings)
     assert not report.findings, rendered
 
-
-def test_float64_promotion_in_a_demosaic_trips_num001(tree):
-    """A default-float64 scalar slipped into the Malvar demosaic widens
-    the whole plane; NUM001 pins the promotion site and walks the chain
-    from the capture roots down to it."""
-    _inject(
-        tree, "isp/stages.py", "_malvar_demosaic_batch",
-        "mosaic = mosaic * np.float64(1.0)",
-    )
-    report = _lint(tree, "NUM001")
-    assert [f.rule for f in report.findings] == ["NUM001"]
-    finding = report.findings[0]
-    assert finding.rel == "isp/stages.py"
-    assert "float32" in finding.message and "float64" in finding.message
-    assert "reachable from the capture path" in finding.message
-    assert "isp/stages.py:_malvar_demosaic_batch" in finding.message
-
-
-def test_batch_axis_reduction_under_contract_trips_shape001(tree):
-    """Batch-normalizing across the declared batch axis inside a
-    contracted entry point is exactly the cross-item coupling SHAPE001
-    exists to forbid: one caller's image changes another's prediction."""
-    _inject(
-        tree, "nn/model.py", "Model.predict_proba",
-        "x = x - x.mean(axis=0)",
-    )
-    report = _lint(tree, "SHAPE001")
-    assert [f.rule for f in report.findings] == ["SHAPE001"]
-    finding = report.findings[0]
-    assert finding.rel == "nn/model.py"
-    assert "batch" in finding.message.lower()
-    assert "(N, ?, ?, ?) float32" in finding.message

@@ -79,27 +79,6 @@ def test_one_seeded_violation_per_rule_fails(tmp_path):
             "codecs/x.py",
             "from repro import obs\ndef f():\n    return obs.active()\n",
         ),
-        "NUM001": (
-            "runner/x.py",
-            "import numpy as np\n"
-            "def f():\n"
-            "    a = np.zeros((4, 4), dtype=np.float32)\n"
-            "    return a * np.float64(2.0)\n",
-        ),
-        "NUM002": (
-            "fleet/x.py",
-            "import numpy as np\n"
-            "def f():\n"
-            "    img = np.zeros((8, 8), dtype=np.float32)\n"
-            "    return img.sum()\n",
-        ),
-        "SHAPE001": (
-            "isp/x.py",
-            "from repro.lint.contracts import tensor_contract\n"
-            "@tensor_contract('(N, H, W) float32 -> _')\n"
-            "def f(batch):\n"
-            "    return batch.mean(axis=0)\n",
-        ),
     }
     assert set(seeded) == {rule.name for rule in all_rules()}
     for rule, (rel, code) in sorted(seeded.items()):
