@@ -12,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-
 __all__ = [
     "rgb_to_ycbcr",
     "ycbcr_to_rgb",

@@ -25,7 +25,6 @@ from typing import Tuple
 
 import numpy as np
 
-
 __all__ = ["ImageBuffer", "RawImage", "BAYER_PATTERNS"]
 
 #: Supported color-filter-array layouts, mapping pattern name to the 2x2 cell

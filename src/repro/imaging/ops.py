@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-
 __all__ = [
     "bilinear_resize",
     "bilinear_resize_batch",

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-
 __all__ = ["SensorNoiseModel"]
 
 

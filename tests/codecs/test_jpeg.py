@@ -141,6 +141,7 @@ class TestTruncatedScan:
         with pytest.raises(ValueError):
             decode_any(cut)
 
+
 def _spy_scan_tables(monkeypatch):
     """Record the ``(dc_tables, ac_tables)`` each scan decode receives."""
     seen = []

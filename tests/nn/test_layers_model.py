@@ -27,6 +27,7 @@ def _assert_rows_batch_independent(fn, x):
         np.testing.assert_allclose(full[i], fn(x[i : i + 1])[0], rtol=0, atol=1e-5)
     np.testing.assert_allclose(fn(x[::-1]), full[::-1], rtol=0, atol=1e-5)
 
+
 class TestBatchNorm:
     def test_training_normalizes_batch(self):
         rng = np.random.default_rng(0)
