@@ -253,7 +253,6 @@ def _cmd_serve(args) -> None:
         seed=args.seed,
         queue_capacity=args.queue_capacity,
         batch_max=args.batch_max,
-        batch_window_s=args.batch_window,
         request_timeout_s=args.request_timeout,
         workers=args.workers,
         window_s=args.window,
@@ -580,13 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         dest="batch_max",
         help="max requests coalesced into one executor batch",
-    )
-    p.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.05,
-        dest="batch_window",
-        help="seconds a batch waits to fill before executing anyway",
     )
     p.add_argument(
         "--request-timeout",

@@ -577,7 +577,7 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
             ac_tables,
             [(h // 8) * (w // 8) for h, w in plane_shapes],
         )
-    except EOFError as exc:
+    except (EOFError, OverflowError) as exc:
         raise ValueError(f"truncated or corrupt JPEG scan: {exc}") from exc
     rgb8 = _reconstruct(
         [blocks[None] for blocks in decoded],

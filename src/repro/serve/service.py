@@ -15,12 +15,13 @@ displayed scene *s*, repeat *r* — and flow through four stages:
    admitted increments ``serve.accepted`` and is *guaranteed a terminal
    response* — completed, timed out, or errored — which is the
    accounting invariant :meth:`accounting` checks.
-2. **Batching** — a single batcher task collects up to
-   ``batch_max`` requests per ``batch_window_s`` and coalesces
-   duplicates: requests with equal ``(device, scene, repeat)``
-   coordinates map to one :class:`~repro.runner.units.CaptureUnit`
-   (equal coordinates ⇒ equal unit ⇒ equal cache key), executed once
-   and fanned back to every requester (``serve.coalesced``). Requests
+2. **Batching** — a single, work-conserving batcher task takes every
+   request already queued (up to ``batch_max``) the moment the previous
+   batch finishes, never waiting for more, and coalesces duplicates:
+   requests with equal ``(device, scene, repeat)`` coordinates map to
+   one :class:`~repro.runner.units.CaptureUnit` (equal coordinates ⇒
+   equal unit ⇒ equal cache key), executed once and fanned back to
+   every requester (``serve.coalesced``). Requests
    whose ``request_timeout_s`` deadline passed while queued are answered
    ``timeout`` instead of executed.
 3. **Execution** — the batch's unique units run through the same
@@ -144,10 +145,11 @@ class ServeConfig:
     queue_capacity:
         Bound on queued (admitted, not yet batched) requests. Admission
         beyond it sheds, never blocks.
-    batch_max, batch_window_s:
-        Coalescing knobs: a batch closes at ``batch_max`` requests or
-        ``batch_window_s`` seconds after its first request, whichever
-        comes first.
+    batch_max:
+        Most requests one batch takes. The batcher never waits for a
+        batch to fill: it takes whatever is queued when the previous
+        batch finishes, so a lone request runs at once and a backlog
+        runs in batches of up to ``batch_max``.
     request_timeout_s:
         Queue-time budget. A request older than this when its batch is
         assembled is answered ``timeout`` instead of executed.
@@ -169,7 +171,6 @@ class ServeConfig:
     seed: int = 0
     queue_capacity: int = 256
     batch_max: int = 64
-    batch_window_s: float = 0.05
     request_timeout_s: float = 30.0
     workers: int = 0
     window_s: float = 5.0
@@ -184,8 +185,6 @@ class ServeConfig:
             raise ValueError("queue_capacity must be >= 1")
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         if self.request_timeout_s < 0:
             raise ValueError("request_timeout_s must be >= 0")
         if self.window_s < 0:
@@ -591,24 +590,15 @@ class IngestService:
     # Batching + execution
     # ------------------------------------------------------------------
     async def _batch_loop(self) -> None:
+        # Work-conserving: a batch is the first request plus whatever
+        # queued behind it, closed as soon as the queue is empty. Batches
+        # run one at a time, so requests arriving during one batch's
+        # execution form the next.
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
-            deadline = loop.time() + self.config.batch_window_s
-            while len(batch) < self.config.batch_max:
-                if self._queue.qsize() > 0:
-                    batch.append(self._queue.get_nowait())
-                    continue
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self.config.batch_max and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             try:
                 await self._process(batch)
             finally:

@@ -142,6 +142,21 @@ class TestTruncatedScan:
             decode_any(cut)
 
 
+class TestBitFlippedScan:
+    """Single-bit flips that once drove a decoded coefficient past int64
+    and leaked ``OverflowError`` from the coefficient store."""
+
+    @pytest.mark.parametrize("offset, bit", [(416, 7), (417, 6)])
+    def test_bit_flip_raises_value_error(self, offset, bit):
+        image = ImageBuffer(
+            np.random.default_rng(0).random((32, 32, 3)).astype(np.float32)
+        )
+        data = bytearray(encode_jpeg(image, quality=90))
+        data[offset] ^= 1 << bit
+        with pytest.raises(ValueError):
+            decode_jpeg(bytes(data))
+
+
 def _spy_scan_tables(monkeypatch):
     """Record the ``(dc_tables, ac_tables)`` each scan decode receives."""
     seen = []

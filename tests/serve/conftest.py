@@ -18,7 +18,6 @@ def make_config(**overrides) -> ServeConfig:
         seed=0,
         queue_capacity=64,
         batch_max=8,
-        batch_window_s=0.01,
         request_timeout_s=30.0,
         workers=0,
         window_s=0.0,

@@ -26,7 +26,7 @@ def drive(config, schedule):
         await service.drain()
         return service, report
 
-    return asyncio.run(scenario())
+    return asyncio.run(asyncio.wait_for(scenario(), timeout=120))
 
 
 def fields(report):

@@ -108,7 +108,6 @@ class TestParser:
                 "--scenes", "8",
                 "--queue-capacity", "512",
                 "--batch-max", "32",
-                "--batch-window", "0.1",
                 "--request-timeout", "10",
                 "--window", "2",
                 "--model", "untrained",

@@ -7,6 +7,7 @@ answers or accounts for every accepted request, and the streaming
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -24,7 +25,7 @@ from .conftest import make_config
 
 
 def run(coro):
-    return asyncio.run(coro)
+    return asyncio.run(asyncio.wait_for(coro, timeout=120))
 
 
 class TestAdmission:
@@ -89,13 +90,13 @@ class TestAdmission:
 class TestDrain:
     def test_drain_answers_every_accepted_request(self):
         async def scenario():
-            service = IngestService(make_config(batch_window_s=0.5, batch_max=100))
+            service = IngestService(make_config(batch_max=100))
             await service.start()
             futures = [
                 service.submit(CaptureRequest(i, device=i % 4, scene=i % 2))
                 for i in range(10)
             ]
-            # Drain immediately — the batch window hasn't elapsed, so
+            # Drain immediately — the batcher hasn't run yet, so
             # everything is still queued; drain must flush it anyway.
             accounting = await service.drain()
             responses = await asyncio.gather(*futures)
@@ -143,7 +144,7 @@ class TestDrain:
 class TestCoalescing:
     def test_duplicate_coordinates_coalesce_to_one_execution(self):
         async def scenario():
-            service = IngestService(make_config(batch_max=16, batch_window_s=0.1))
+            service = IngestService(make_config(batch_max=16))
             await service.start()
             futures = [
                 service.submit(CaptureRequest(i, device=1, scene=1)) for i in range(6)
@@ -159,6 +160,94 @@ class TestCoalescing:
         counters = service.stats()["counters"]
         assert counters["serve.coalesced"] == 5.0
         assert counters["serve.completed"] == 6.0
+
+
+class TestWorkConservation:
+    def test_lone_request_dispatches_without_waiting(self):
+        async def scenario():
+            service = IngestService(make_config())
+            await service.start()
+            await asyncio.sleep(0)  # the batcher parks on the empty queue
+            future = service.submit(CaptureRequest(0, 0, 0))
+            for _ in range(3):
+                await asyncio.sleep(0)
+            batches = service.stats()["counters"].get("serve.batches", 0)
+            response = await future
+            await service.drain()
+            return batches, response
+
+        batches, response = run(scenario())
+        assert batches == 1
+        assert response.status == "ok"
+
+    def test_backlog_forms_the_next_batch_and_still_coalesces(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            service = IngestService(make_config())
+            entered = loop.create_future()
+            release = threading.Event()
+            sizes = []
+            execute = service._execute
+
+            def gated(units):
+                sizes.append(len(units))
+                if len(sizes) == 1:
+                    loop.call_soon_threadsafe(entered.set_result, None)
+                    release.wait()
+                return execute(units)
+
+            service._execute = gated
+            await service.start()
+            try:
+                first = service.submit(CaptureRequest(0, device=0, scene=0))
+                await entered
+                backlog = [
+                    service.submit(CaptureRequest(1, device=1, scene=0)),
+                    service.submit(CaptureRequest(2, device=1, scene=0)),
+                    service.submit(CaptureRequest(3, device=2, scene=1)),
+                ]
+            finally:
+                release.set()
+            responses = await asyncio.gather(first, *backlog)
+            await service.drain()
+            return service, sizes, responses
+
+        service, sizes, responses = run(scenario())
+        assert all(r.status == "ok" for r in responses)
+        assert sizes == [1, 2]
+        assert service.stats()["counters"]["serve.coalesced"] == 1.0
+
+
+class TestExecutorFailure:
+    def test_failed_batch_answers_error_and_batcher_survives(self, monkeypatch):
+        execute = IngestService._execute
+        calls = []
+
+        def failing_once(self, units):
+            calls.append(len(units))
+            if len(calls) == 1:
+                raise RuntimeError("executor thread died")
+            return execute(self, units)
+
+        monkeypatch.setattr(IngestService, "_execute", failing_once)
+
+        async def scenario():
+            service = IngestService(make_config())
+            await service.start()
+            failed = await asyncio.gather(*[
+                service.submit(CaptureRequest(i, device=i, scene=0)) for i in range(3)
+            ])
+            errors = service.stats()["counters"]["serve.errors"]
+            later = await service.submit(CaptureRequest(3, device=0, scene=1))
+            accounting = await service.drain()
+            return failed, errors, later, accounting
+
+        failed, errors, later, accounting = run(scenario())
+        assert [r.status for r in failed] == ["error"] * 3
+        assert all("RuntimeError" in r.detail for r in failed)
+        assert errors == len(failed)
+        assert later.status == "ok"
+        assert accounting["balanced"]
 
 
 class TestWindowedMetrics:
@@ -237,7 +326,6 @@ class TestConfigValidation:
             {"scenes": 0},
             {"queue_capacity": 0},
             {"batch_max": 0},
-            {"batch_window_s": -1.0},
             {"request_timeout_s": -1.0},
             {"window_s": -1.0},
             {"model": "resnet"},
