@@ -1,28 +1,31 @@
-"""Seed derivation unit tests plus a source-level audit.
+"""Seed derivation unit tests plus a runtime global-RNG guard.
 
-The audit half enforces the project's RNG discipline statically: no
-module under ``src/repro`` may touch numpy's *global* random state
-(``np.random.seed`` / ``np.random.rand`` / ``RandomState`` etc.).
-Everything must flow through explicit ``default_rng`` generators or the
-runner's per-unit entropy derivation — the property the parallel
-executor's bit-identity guarantee rests on.
-
-Since the ``repro.lint`` subsystem landed, the audit delegates to its
-DET001 rule engine (AST-based, alias-aware, suppression-capable) rather
-than duplicating the check as a regex — the rule is the single source
-of truth and this test pins the repo to it.
+The guard half pins the project's RNG discipline at runtime: no capture
+payload may depend on numpy's or the stdlib's *global* random state
+(``np.random.seed`` / ``np.random.rand`` / ``RandomState`` /
+``random.random`` / ``os.urandom``). Every stream must come from the
+runner's per-unit entropy derivation, the property the parallel
+executor's bit-identity guarantee rests on. Reseeding the global
+generators between two runs of every unit kind, serial and pooled,
+must leave every payload digest unchanged.
 """
 
-from pathlib import Path
+import hashlib
+import random
 
 import numpy as np
 import pytest
 
-from repro.lint import lint_paths
-from repro.runner import derive_rng, unit_entropy
+from repro.devices import capture_fleet
+from repro.isp.profiles import available_isps
+from repro.runner import (
+    CaptureUnit,
+    FleetExecutor,
+    derive_rng,
+    execute_unit,
+    unit_entropy,
+)
 from repro.runner.seeds import seed_component
-
-SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 # ----------------------------------------------------------------------
@@ -68,28 +71,75 @@ class TestSeedDerivation:
         assert np.array_equal(via_helper, via_tuple)
 
 
+
+
 # ----------------------------------------------------------------------
-# source audit: no global RNG state anywhere in src/repro, enforced by
-# the DET001 lint rule (the one place the RNG invariant is defined)
+# runtime guard: global RNG state never reaches a payload
 # ----------------------------------------------------------------------
-def test_audit_finds_the_tree():
-    report = lint_paths([SRC_ROOT], rules=("DET001",))
-    assert report.files > 20, f"audit looked in the wrong place: {SRC_ROOT}"
+CAPTURE_KINDS = ("photograph", "raw", "raw_vs_jpeg")
 
 
-def test_no_global_rng_via_det001():
-    report = lint_paths([SRC_ROOT], rules=("DET001",))
-    offenders = [f.render() for f in report.findings]
-    assert not offenders, (
-        "global RNG state is banned (lint rule DET001):\n" + "\n".join(offenders)
+@pytest.fixture
+def restore_global_rngs():
+    """Put numpy's and the stdlib's global RNG state back afterwards."""
+    np_state, py_state = np.random.get_state(), random.getstate()
+    yield
+    np.random.set_state(np_state)
+    random.setstate(py_state)
+
+
+def _digest(payload) -> str:
+    h = hashlib.sha256()
+    for name in sorted(payload):
+        value = np.asarray(payload[name])
+        h.update(name.encode())
+        h.update(str(value.dtype).encode())
+        h.update(repr(value.shape).encode())
+        h.update(value.tobytes())
+    return h.hexdigest()
+
+
+def _guard_units(radiance):
+    """One fused group (two repeats) of every capture kind per
+    ``capture_fleet()`` phone, plus a ``develop`` unit."""
+    units = [
+        CaptureUnit(
+            kind=kind,
+            profile=profile,
+            radiance=radiance,
+            entropy=unit_entropy(0, "rng-guard", kind, profile.name, repeat),
+        )
+        for profile in capture_fleet()
+        for kind in CAPTURE_KINDS
+        for repeat in range(2)
+    ]
+    raw = execute_unit(next(u for u in units if u.kind == "raw"))
+    units.append(
+        CaptureUnit(
+            kind="develop",
+            raw=raw,
+            options={"isp": available_isps()[0], "codec": "jpeg"},
+        )
     )
-    # The delegation is to the real rule, not a stub: DET001 must still
-    # fire on a canary source the old regex would have caught.
-    from repro.lint.context import ModuleContext
-    from repro.lint.rules_determinism import NoGlobalRng
+    return units
 
-    canary = ModuleContext.parse(
-        "canary.py", "lab/canary.py",
-        "import numpy as np\nnp.random.seed(0)\n",
-    )
-    assert list(NoGlobalRng().check(canary)), "DET001 lost its teeth"
+
+def test_global_rng_state_never_reaches_payloads(
+    small_radiance, restore_global_rngs
+):
+    runs = {}
+    for seed in (1, 2):
+        for workers in (0, 2):
+            np.random.seed(seed)
+            random.seed(seed)
+            payloads = FleetExecutor(workers=workers).run(
+                _guard_units(small_radiance)
+            )
+            runs[(seed, workers)] = [_digest(p) for p in payloads]
+    reference = runs[(1, 0)]
+    assert len(reference) == 3 * 2 * len(capture_fleet()) + 1
+    for key, digests in sorted(runs.items()):
+        drifted = [i for i, (a, b) in enumerate(zip(digests, reference)) if a != b]
+        assert not drifted, (
+            f"payloads {drifted} changed with global RNG seed/workers {key}"
+        )
