@@ -1,11 +1,14 @@
-"""Serialized results and rendered reports are PYTHONHASHSEED-stable.
+"""Serialized results, rendered reports and cache keys are PYTHONHASHSEED-stable.
 
-The DET003 fixes sort dict iteration at every site feeding serialization
-or report ordering; this regression test proves the property end to end
+Every site feeding serialization or report ordering sorts its dict
+iteration; this regression test proves the property end to end
 by re-running the same serialization in subprocesses with different hash
 seeds. The payload dicts are deliberately built by iterating a *set* of
 string keys, so insertion order genuinely varies across seeds — only the
-sorted iteration sites keep the output bytes identical.
+sorted iteration sites keep the output bytes identical. The same holds for
+capture-cache keys, which name on-disk entries shared across processes: a
+key built from ``hash()`` of a string or from dict insertion order would
+change with the hash seed.
 """
 
 import subprocess
@@ -15,9 +18,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 _SCRIPT = """
+import numpy as np
+
 from repro.core.records import ExperimentResult, PredictionRecord
 from repro.core.report import format_series
 from repro.core.serialize import result_to_json
+from repro.devices import capture_fleet
+from repro.runner.units import CaptureUnit, unit_cache_key
 
 # Set iteration order depends on PYTHONHASHSEED; the dicts below are
 # assembled in that varying order on purpose.
@@ -36,6 +43,14 @@ record = PredictionRecord(
 )
 print(result_to_json(ExperimentResult([record], name="hashseed")))
 print(format_series({k: len(k) / 10.0 for k in keys}))
+unit = CaptureUnit(
+    kind="photograph",
+    profile=capture_fleet()[0],
+    radiance=np.zeros((4, 4, 3), dtype=np.float32),
+    entropy=(0, 1),
+    options={k: len(k) for k in keys},
+)
+print("cache_key", unit_cache_key(unit))
 """
 
 
@@ -57,7 +72,7 @@ def _run(hashseed: str) -> str:
 
 def test_output_identical_across_hash_seeds():
     outputs = {_run(seed) for seed in ("0", "1", "42")}
-    assert len(outputs) == 1, "serialized output depends on PYTHONHASHSEED"
+    assert len(outputs) == 1, "output or cache key depends on PYTHONHASHSEED"
     out = outputs.pop()
     # Sanity: sorted metadata keys actually appear in sorted order.
     assert out.index('"alpha"') < out.index('"beta"') < out.index('"zeta"')
