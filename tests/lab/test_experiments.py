@@ -145,3 +145,16 @@ class TestRepeatShot:
         assert 0.0 <= out.diff.divergent_fraction <= 1.0
         assert out.diff.threshold == 0.05
         assert isinstance(out.diverged, bool)
+
+    def test_demo_is_a_function_of_its_seed(self, tiny_model):
+        runs = [
+            repeat_shot_demo(model=tiny_model, seed=0, max_scenes=2)
+            for _ in range(2)
+        ]
+        first, again = runs
+        assert (first.first_confidence, first.second_confidence) == (
+            again.first_confidence,
+            again.second_confidence,
+        )
+        assert first.diff.mean_abs_diff == again.diff.mean_abs_diff
+        assert np.array_equal(first.diff.mask, again.diff.mask)
