@@ -1,5 +1,10 @@
 """Tests for the screen simulation and dataset builder."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,6 +89,25 @@ class TestBuildDataset:
         b = build_dataset(per_class=2, seed=9)
         assert [i.object_id for i in a] == [i.object_id for i in b]
         assert a[0].scene.render(16, 16) == b[0].scene.render(16, 16)
+
+    def test_identical_in_a_fresh_interpreter(self):
+        """The dataset depends on its arguments alone, never on process
+        state such as the pid or the hash seed."""
+        script = (
+            "from repro.scenes.dataset import build_dataset\n"
+            "ds = build_dataset(per_class=2, seed=9)\n"
+            "print(repr([(i.object_id, i.label, i.scene) for i in ds]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        fresh = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        ds = build_dataset(per_class=2, seed=9)
+        assert fresh.strip() == repr([(i.object_id, i.label, i.scene) for i in ds])
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
