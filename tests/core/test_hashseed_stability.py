@@ -6,9 +6,9 @@ by re-running the same serialization in subprocesses with different hash
 seeds. The payload dicts are deliberately built by iterating a *set* of
 string keys, so insertion order genuinely varies across seeds — only the
 sorted iteration sites keep the output bytes identical. The same holds for
-capture-cache keys, which name on-disk entries shared across processes: a
-key built from ``hash()`` of a string or from dict insertion order would
-change with the hash seed.
+the per-device rows of ``repro report`` and for capture-cache keys, which
+name on-disk entries shared across processes: a key built from ``hash()``
+of a string or from dict insertion order would change with the hash seed.
 """
 
 import subprocess
@@ -24,6 +24,8 @@ from repro.core.records import ExperimentResult, PredictionRecord
 from repro.core.report import format_series
 from repro.core.serialize import result_to_json
 from repro.devices import capture_fleet
+from repro.obs.report import device_rows
+from repro.obs.trace import Span
 from repro.runner.units import CaptureUnit, unit_cache_key
 
 # Set iteration order depends on PYTHONHASHSEED; the dicts below are
@@ -51,6 +53,11 @@ unit = CaptureUnit(
     options={k: len(k) for k in keys},
 )
 print("cache_key", unit_cache_key(unit))
+spans = [
+    Span(i, None, "unit.execute", 0.0, 0.5, {"device": k})
+    for i, k in enumerate(keys)
+]
+print(device_rows(spans))
 """
 
 
