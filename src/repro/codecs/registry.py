@@ -53,7 +53,7 @@ class Codec:
 # Populated only by the register_codec calls at the bottom of this module
 # (import time), so every process — parent or spawned worker — sees the
 # identical read-only mapping.
-_REGISTRY: Dict[str, Codec] = {}  # lint: disable=PROC001
+_REGISTRY: Dict[str, Codec] = {}
 
 
 def count_encoded(codec_name: str, data: bytes) -> None:

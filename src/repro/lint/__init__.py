@@ -1,23 +1,23 @@
-"""Static analysis enforcing the repo's determinism & purity invariants.
+"""Static analysis for the invariants no runtime test can see.
 
 The reproduction's methodology only holds if instability comes from the
 *modeled* perturbation sources — sensor noise, ISP parameterization,
 codecs, OS decoders — never from hidden nondeterminism in our own code.
-PR 1 and PR 2 stated those invariants (identity-derived seeds,
-bit-identical serial vs. parallel runs, side-band-only observability)
-and spot-checked them with a handful of tests; this package enforces
-them mechanically, repo-wide, on every file, in CI.
+The runtime suites pin that: capture and codec golden hashes,
+batch/worker/cache invariance, the global-RNG guard, serve identity and
+the ``PYTHONHASHSEED`` sweep fail on any defect that moves an output
+bit. This package keeps the rules for what those suites cannot observe:
+a blocking call or a lock held across ``await`` on the serving event
+loop, a fire-and-forget task, an in-place write into a pure layer's
+argument, and an observability hook whose value is read back.
 
 Zero dependencies beyond the stdlib ``ast`` module. The pieces:
 
 * :mod:`~repro.lint.registry` — rule registry with per-rule severity;
-* :mod:`~repro.lint.rules_determinism` — DET001 (global RNG), DET002
-  (wall clock / entropy), DET003 (hash-ordered iteration);
 * :mod:`~repro.lint.rules_purity` — MUT001 (parameter mutation), OBS001
-  (obs hook discipline), PROC001 (module-level mutable state);
+  (obs hook discipline);
 * :mod:`~repro.lint.callgraph` — project-wide call graph with
   hash-cached per-function summaries, backing the whole-program rules;
-* :mod:`~repro.lint.rules_seed` — SEED001 (seed-provenance taint);
 * :mod:`~repro.lint.rules_async` — ASY001-ASY003 (event-loop safety for
   the serving path);
 * :mod:`~repro.lint.rules_effects` — PUR002 (obs stays a write-only
@@ -33,7 +33,7 @@ Programmatic use::
 
     from repro.lint import lint_paths
 
-    report = lint_paths(["src/repro"], rules=("DET001",))
+    report = lint_paths(["src/repro"], rules=("ASY001",))
     assert not report.findings, report.findings[0].render()
 """
 

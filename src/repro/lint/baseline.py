@@ -9,7 +9,7 @@ edit — so a baseline survives unrelated refactors.
 Format, one entry per line::
 
     # why this is grandfathered
-    core/legacy.py:DET003:2  # pre-dates the sorted-iteration invariant
+    imaging/legacy.py:MUT001:2  # pre-dates the no-parameter-mutation invariant
 
 ``python -m repro lint --write-baseline`` regenerates the file from the
 current findings (without justifications — add those by hand).

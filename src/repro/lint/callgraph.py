@@ -1,24 +1,22 @@
 """Project-wide call graph, per-function summaries, and the summary cache.
 
-The whole-program rules (SEED001, ASY001-003, PUR002) need to see
-*across* module boundaries: an RNG born in ``nn/`` flows through
-``runner/`` into ``codecs/``, and a blocking call three frames below an
-``async def`` stalls the event loop without any single-file rule firing.
-This module builds that view in two stages:
+The whole-program rules (ASY001-003, PUR002) need to see *across*
+module boundaries: a blocking call three frames below an ``async def``
+stalls the event loop, and an obs value read back two modules below a
+codec steers pixels, without any single-file rule firing. This module
+builds that view in two stages:
 
 1. **Summaries** — :func:`summarize_module` reduces one parsed module to
    a :class:`ModuleSummary`: per-function call sites (with ``await`` /
-   executor-shim flags), RNG construction sites classified by seed
-   provenance, obs value-uses, locks held across ``await``, bare
-   ``create_task`` statements, and direct blocking primitives. A
+   executor-shim flags), obs value-uses, locks held across ``await``,
+   bare ``create_task`` statements, and direct blocking primitives. A
    summary depends only on its own module's source, so it is cached by
    content hash (:class:`SummaryCache`) and survives across runs.
 2. **Linking** — :class:`Program` indexes every summary, resolves call
    targets (import aliases, ``self.`` methods, annotated attributes and
-   locals, base classes), and answers the reachability questions the
-   rules ask: "does this async function transitively block?", "is this
-   RNG birth reachable from a capture entry point, and via which
-   chain?".
+   locals, base classes), exposes the resolved edges
+   (:meth:`Program.callees`), and answers "does this async function
+   transitively block, and via which chain?".
 
 Resolution is deliberately conservative: an edge only exists when the
 target is unambiguous, so the passes report high-confidence findings
@@ -30,16 +28,14 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .context import ModuleContext, dotted_name
-from .rules_determinism import _WALL_CLOCK
 
 __all__ = [
     "CallSite",
-    "RngBirth",
     "Fact",
     "FunctionSummary",
     "ClassInfo",
@@ -56,22 +52,9 @@ __all__ = [
 #: v2: per-function tensor dataflow info + per-module import aliases
 #: (exact link-time resolution replaced the suffix index).
 #: v3: per-function tensor dataflow facts dropped with the numeric rules.
-SUMMARY_VERSION = "repro-lint-summary-v3"
-
-#: Canonical names that construct an RNG from a seed expression.
-_RNG_CONSTRUCTORS = frozenset(
-    {
-        "numpy.random.default_rng",
-        "numpy.random.Generator",
-        "numpy.random.RandomState",
-        "random.Random",
-    }
-)
-
-#: The blessed derivation family in runner/seeds.py (matched by the
-#: final segment: the same function is legitimately reachable under
-#: its defining name and under package re-export names).
-_DERIVE_FAMILY = frozenset({"derive_rng", "unit_entropy", "seed_component"})
+#: v4: RNG births, parameter names and RNG parameters dropped with the
+#: seed-provenance rule (SEED001).
+SUMMARY_VERSION = "repro-lint-summary-v4"
 
 #: Calls that block the calling thread (and therefore the event loop).
 _BLOCKING_CALLS = frozenset(
@@ -158,16 +141,6 @@ class CallSite:
 
 
 @dataclass(frozen=True)
-class RngBirth:
-    """One RNG constructor call, classified by seed provenance."""
-
-    line: int
-    col: int
-    kind: str  #: literal | wallclock | untracked | tracked | derived | bare-derive
-    detail: str
-
-
-@dataclass(frozen=True)
 class Fact:
     """A located single fact (obs use, lock-across-await, bare task...)."""
 
@@ -187,10 +160,7 @@ class FunctionSummary:
     line: int
     col: int
     is_async: bool
-    params: Tuple[str, ...]
-    rng_params: Tuple[str, ...]
     calls: Tuple[CallSite, ...]
-    births: Tuple[RngBirth, ...]
     obs_uses: Tuple[Fact, ...]
     lock_awaits: Tuple[Fact, ...]
     bare_tasks: Tuple[Fact, ...]
@@ -237,17 +207,6 @@ class ModuleSummary:
 # ----------------------------------------------------------------------
 # Extraction
 # ----------------------------------------------------------------------
-def _param_names(args: ast.arguments) -> Tuple[str, ...]:
-    names = [
-        a.arg
-        for a in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    ]
-    for extra in (args.vararg, args.kwarg):
-        if extra is not None:
-            names.append(extra.arg)
-    return tuple(names)
-
-
 def _annotation_text(node: Optional[ast.AST]) -> str:
     if node is None:
         return ""
@@ -257,16 +216,6 @@ def _annotation_text(node: Optional[ast.AST]) -> str:
         return ast.unparse(node)
     except Exception:  # pragma: no cover - malformed annotation
         return ""
-
-
-def _rng_param_names(args: ast.arguments) -> Tuple[str, ...]:
-    """Parameters that carry an RNG (by name or annotation)."""
-    out = []
-    for a in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-        text = _annotation_text(a.annotation)
-        if a.arg == "rng" or "Generator" in text or text.endswith("random.Random"):
-            out.append(a.arg)
-    return tuple(out)
 
 
 class _ModuleExtractor:
@@ -312,7 +261,7 @@ class _ModuleExtractor:
                 self.top_defs[stmt.name] = "class"
         self._collect_quals(tree, prefix="")
         # Module-level statements form a synthetic "<module>" function so
-        # import-time RNG births and calls participate in the graph.
+        # import-time calls participate in the graph.
         self._extract_function(
             node=None, qual="<module>", body=tree.body, is_async=False,
             args=None, cls=None,
@@ -333,14 +282,7 @@ class _ModuleExtractor:
                 self._collect_quals(child, prefix=prefix)
 
     # -- definition walk -----------------------------------------------
-    def _walk_defs(
-        self,
-        body,
-        prefix: str,
-        cls: Optional[ast.ClassDef],
-        enclosing_params: Tuple[str, ...] = (),
-        enclosing_exprs: Optional[Dict[str, ast.AST]] = None,
-    ) -> None:
+    def _walk_defs(self, body, prefix: str, cls: Optional[ast.ClassDef]) -> None:
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{prefix}{stmt.name}"
@@ -351,33 +293,12 @@ class _ModuleExtractor:
                     is_async=isinstance(stmt, ast.AsyncFunctionDef),
                     args=stmt.args,
                     cls=cls,
-                    enclosing_params=enclosing_params,
-                    enclosing_exprs=enclosing_exprs,
                 )
-                # Nested defs close over this function's params/locals:
-                # params stay "tracked" provenance, assigned locals carry
-                # their expressions so a closed-over literal stays literal.
-                exprs = dict(enclosing_exprs or {})
-                for inner in self._shallow_walk(stmt.body):
-                    if isinstance(inner, ast.Assign):
-                        for target in inner.targets:
-                            if isinstance(target, ast.Name):
-                                exprs.setdefault(target.id, inner.value)
-                self._walk_defs(
-                    stmt.body,
-                    prefix=f"{qual}.",
-                    cls=cls,
-                    enclosing_params=enclosing_params + _param_names(stmt.args),
-                    enclosing_exprs=exprs,
-                )
+                self._walk_defs(stmt.body, prefix=f"{qual}.", cls=cls)
             elif isinstance(stmt, ast.ClassDef):
                 self._extract_class(stmt, prefix)
                 self._walk_defs(
-                    stmt.body,
-                    prefix=f"{prefix}{stmt.name}.",
-                    cls=stmt,
-                    enclosing_params=enclosing_params,
-                    enclosing_exprs=enclosing_exprs,
+                    stmt.body, prefix=f"{prefix}{stmt.name}.", cls=stmt
                 )
 
     def _extract_class(self, node: ast.ClassDef, prefix: str) -> None:
@@ -504,42 +425,33 @@ class _ModuleExtractor:
         return f"{resolved}.{tail}" if tail else resolved
 
     # -- per-function extraction ---------------------------------------
-    def _extract_function(self, node, qual, body, is_async, args, cls,
-                          enclosing_params=(), enclosing_exprs=None) -> None:
-        own_params = _param_names(args) if args is not None else ()
-        params = own_params + tuple(enclosing_params)
-        rng_params = _rng_param_names(args) if args is not None else ()
+    def _extract_function(self, node, qual, body, is_async, args, cls) -> None:
         local_types: Dict[str, str] = {}
-        local_exprs: Dict[str, ast.AST] = {}
         if args is not None:
             for a in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
                 canon = self._canon_type(_annotation_text(a.annotation))
                 if canon:
                     local_types[a.arg] = canon
-        # Pre-pass: local assignments for type binding and seed tracking.
+        # Pre-pass: local assignments and loops for type binding.
         for stmt in self._shallow_walk(body):
             if isinstance(stmt, (ast.For, ast.AsyncFor)):
                 self._bind_loop_element(stmt, cls, local_types)
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name):
-                    local_exprs.setdefault(target.id, stmt.value)
-                    if isinstance(stmt.value, ast.Call):
-                        canon = self._constructor_type(stmt.value)
-                        if canon:
-                            local_types.setdefault(target.id, canon)
-        # Closed-over names resolve only where this function's own
-        # params/locals don't shadow them.
-        for name, expr in (enclosing_exprs or {}).items():
-            if name not in own_params:
-                local_exprs.setdefault(name, expr)
+            if (
+                isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and isinstance(stmt.value, ast.Call)
+            ):
+                canon = self._constructor_type(stmt.value)
+                if canon:
+                    local_types.setdefault(stmt.targets[0].id, canon)
 
         facts = _FunctionFacts()
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            self._visit(stmt, facts, params, local_types, local_exprs,
-                        qual=qual, cls=cls, shielded=False)
+            self._visit(stmt, facts, local_types, qual=qual, cls=cls,
+                        shielded=False)
         anchor = node if node is not None else (body[0] if body else None)
         self.functions.append(
             FunctionSummary(
@@ -549,10 +461,7 @@ class _ModuleExtractor:
                 line=getattr(anchor, "lineno", 1),
                 col=getattr(anchor, "col_offset", 0) + 1,
                 is_async=is_async,
-                params=params,
-                rng_params=rng_params,
                 calls=tuple(facts.calls),
-                births=tuple(facts.births),
                 obs_uses=tuple(facts.obs_uses),
                 lock_awaits=tuple(facts.lock_awaits),
                 bare_tasks=tuple(facts.bare_tasks),
@@ -603,8 +512,7 @@ class _ModuleExtractor:
             yield node
             stack.extend(ast.iter_child_nodes(node))
 
-    def _visit(self, node, facts, params, local_types, local_exprs,
-               qual, cls, shielded) -> None:
+    def _visit(self, node, facts, local_types, qual, cls, shielded) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return
         awaited_call = None
@@ -621,22 +529,22 @@ class _ModuleExtractor:
             self._check_lock_across_await(node, facts)
         if isinstance(node, ast.Call):
             self._record_call(
-                node, facts, params, local_types, local_exprs,
+                node, facts, local_types,
                 qual=qual, cls=cls, shielded=shielded, awaited=False,
             )
             return  # _record_call recursed into children itself
         for child in ast.iter_child_nodes(node):
             if child is awaited_call:
                 self._record_call(
-                    child, facts, params, local_types, local_exprs,
+                    child, facts, local_types,
                     qual=qual, cls=cls, shielded=shielded, awaited=True,
                 )
             else:
-                self._visit(child, facts, params, local_types, local_exprs,
+                self._visit(child, facts, local_types,
                             qual=qual, cls=cls, shielded=shielded)
 
-    def _record_call(self, call, facts, params, local_types, local_exprs,
-                     qual, cls, shielded, awaited) -> None:
+    def _record_call(self, call, facts, local_types, qual, cls, shielded,
+                     awaited) -> None:
         raw = self._call_display(call)
         target = self._call_target(call, qual, cls, local_types)
         canon = self.ctx.resolve(call.func)
@@ -654,47 +562,13 @@ class _ModuleExtractor:
                     shielded=shielded,
                 )
             )
-        self._record_birth(call, canon, facts, params, local_exprs)
         self._record_blocking(call, canon, attr_name, facts, shielded)
         self._record_obs_use(call, facts)
 
         child_shield = shielded or shim
         for child in ast.iter_child_nodes(call):
-            self._visit(child, facts, params, local_types, local_exprs,
+            self._visit(child, facts, local_types,
                         qual=qual, cls=cls, shielded=child_shield)
-
-    def _record_birth(self, call, canon, facts, params, local_exprs) -> None:
-        last = (canon or "").rsplit(".", 1)[-1]
-        if last in _DERIVE_FAMILY:
-            if last == "derive_rng" and len(call.args) + len(call.keywords) < 2:
-                facts.births.append(
-                    RngBirth(
-                        call.lineno,
-                        call.col_offset + 1,
-                        "bare-derive",
-                        "derive_rng() without identity parts yields the "
-                        "same stream everywhere",
-                    )
-                )
-            return
-        if canon not in _RNG_CONSTRUCTORS:
-            return
-        seed = call.args[0] if call.args else None
-        if seed is None:
-            for kw in call.keywords:
-                if kw.arg == "seed":
-                    seed = kw.value
-        if seed is None:
-            return  # unseeded constructors are DET001's finding
-        kind = _classify_seed(seed, params, local_exprs, self.ctx)
-        facts.births.append(
-            RngBirth(
-                call.lineno,
-                call.col_offset + 1,
-                kind,
-                f"{canon}({_expr_text(seed)})",
-            )
-        )
 
     def _record_blocking(self, call, canon, attr_name, facts, shielded) -> None:
         what = None
@@ -813,7 +687,6 @@ class _FunctionFacts:
 
     def __init__(self) -> None:
         self.calls: List[CallSite] = []
-        self.births: List[RngBirth] = []
         self.obs_uses: List[Fact] = []
         self.lock_awaits: List[Fact] = []
         self.bare_tasks: List[Fact] = []
@@ -826,71 +699,6 @@ def _expr_text(node: ast.AST) -> str:
     except Exception:  # pragma: no cover - unparse of synthetic nodes
         return "<expr>"
     return text if len(text) <= 60 else text[:57] + "..."
-
-
-def _classify_seed(
-    expr: ast.AST,
-    params: Sequence[str],
-    local_exprs: Dict[str, ast.AST],
-    ctx: ModuleContext,
-    _depth: int = 0,
-) -> str:
-    """Provenance class of a seed expression.
-
-    ``tracked`` (parameter / attribute / derive-family) beats
-    ``untracked`` beats ``literal``; ``wallclock`` beats everything.
-    Attribute chains are conservatively accepted: fields like
-    ``self.seed`` or ``config.seed`` are set at construction time from
-    threaded configuration, which the per-call-site analysis cannot see.
-    """
-    if _depth > 8:
-        return "untracked"
-    kinds: Set[str] = set()
-    for node in [expr]:
-        if isinstance(node, ast.Constant):
-            kinds.add("literal")
-        elif isinstance(node, ast.Name):
-            if node.id in params:
-                kinds.add("tracked")
-            elif node.id in local_exprs:
-                kinds.add(
-                    _classify_seed(
-                        local_exprs[node.id], params, local_exprs, ctx,
-                        _depth + 1,
-                    )
-                )
-            else:
-                kinds.add("untracked")
-        elif isinstance(node, ast.Attribute):
-            kinds.add("tracked")
-        elif isinstance(node, ast.Call):
-            canon = ctx.resolve(node.func) or ""
-            if canon.rsplit(".", 1)[-1] in _DERIVE_FAMILY:
-                kinds.add("derived")
-            elif canon in _WALL_CLOCK:
-                kinds.add("wallclock")
-            else:
-                seeds = list(node.args) + [kw.value for kw in node.keywords]
-                if not seeds:
-                    kinds.add("untracked")
-                for arg in seeds:
-                    kinds.add(
-                        _classify_seed(arg, params, local_exprs, ctx, _depth + 1)
-                    )
-        else:
-            for child in ast.iter_child_nodes(node):
-                kinds.add(
-                    _classify_seed(child, params, local_exprs, ctx, _depth + 1)
-                )
-    if "wallclock" in kinds:
-        return "wallclock"
-    if "derived" in kinds and not kinds & {"untracked"}:
-        return "derived"
-    if "tracked" in kinds:
-        return "tracked"
-    if "untracked" in kinds:
-        return "untracked"
-    return "literal"
 
 
 def summarize_module(ctx: ModuleContext, sha: str) -> ModuleSummary:
@@ -964,14 +772,10 @@ def _summary_to_dict(summary: ModuleSummary) -> Dict:
             {
                 "qual": f.qual, "rel": f.rel, "path": f.path, "line": f.line,
                 "col": f.col, "is_async": f.is_async,
-                "params": list(f.params), "rng_params": list(f.rng_params),
                 "calls": [list(astuple) for astuple in (
                     (c.raw, c.target, c.line, c.col, c.awaited, c.shielded)
                     for c in f.calls
                 )],
-                "births": [
-                    [b.line, b.col, b.kind, b.detail] for b in f.births
-                ],
                 "obs_uses": [_fact_to_list(x) for x in f.obs_uses],
                 "lock_awaits": [_fact_to_list(x) for x in f.lock_awaits],
                 "bare_tasks": [_fact_to_list(x) for x in f.bare_tasks],
@@ -1004,16 +808,12 @@ def _summary_from_dict(data: Dict) -> ModuleSummary:
         FunctionSummary(
             qual=f["qual"], rel=f["rel"], path=f["path"], line=f["line"],
             col=f["col"], is_async=f["is_async"],
-            params=tuple(f["params"]), rng_params=tuple(f["rng_params"]),
             calls=tuple(
                 CallSite(
                     raw=c[0], target=c[1], line=c[2], col=c[3],
                     awaited=c[4], shielded=c[5],
                 )
                 for c in f["calls"]
-            ),
-            births=tuple(
-                RngBirth(b[0], b[1], b[2], b[3]) for b in f["births"]
             ),
             obs_uses=tuple(_fact_from_list(x) for x in f["obs_uses"]),
             lock_awaits=tuple(_fact_from_list(x) for x in f["lock_awaits"]),
@@ -1066,47 +866,8 @@ class Program:
                     edge_count += 1
             self._edges[key] = resolved
         self._blocking_memo: Dict[str, Optional[Tuple[str, ...]]] = {}
-        self._overrides = self._override_map()
         stats["nodes"] = len(self.functions)
         stats["edges"] = edge_count
-
-    def _override_map(self) -> Dict[str, Tuple[str, ...]]:
-        """Class-hierarchy dispatch: base method key -> override keys.
-
-        A call that statically links to ``Base.m`` may dynamically
-        dispatch to any subclass override, so :meth:`reachable` fans out
-        through this map. Blocking propagation deliberately does *not*:
-        a may-dispatch guess is the right bias for taint reachability
-        (miss nothing) and the wrong one for ASY001 (every guess risks a
-        false "this blocks").
-        """
-        children: Dict[str, List[str]] = {}
-        for key, cls in self.classes.items():
-            for base in cls.bases:
-                base_key = self._resolve_name(base, self.classes)
-                if base_key is not None:
-                    children.setdefault(base_key, []).append(key)
-        overrides: Dict[str, Tuple[str, ...]] = {}
-        for base_key, cls in self.classes.items():
-            for method in cls.methods:
-                base_method = f"{base_key}.{method}"
-                if base_method not in self.functions:
-                    continue
-                found = []
-                stack = list(children.get(base_key, []))
-                seen: Set[str] = set()
-                while stack:
-                    sub = stack.pop()
-                    if sub in seen:
-                        continue
-                    seen.add(sub)
-                    candidate = f"{sub}.{method}"
-                    if candidate in self.functions:
-                        found.append(candidate)
-                    stack.extend(children.get(sub, []))
-                if found:
-                    overrides[base_method] = tuple(sorted(found))
-        return overrides
 
     def _chase_alias(self, target: str) -> Optional[str]:
         """One re-export hop: rebase ``target`` through the alias map of
@@ -1234,44 +995,6 @@ class Program:
                     break
         self._blocking_memo[key] = result
         return result
-
-    # -- reachability ---------------------------------------------------
-    def reachable(self, roots: Sequence[str]) -> Dict[str, Optional[str]]:
-        """BFS over resolved edges: reachable key -> predecessor key.
-
-        Calls linked to a base-class method also fan out to every
-        subclass override (see :meth:`_override_map`), so a pipeline
-        dispatching ``stage.process(state)`` over ``List[ISPStage]``
-        reaches each concrete stage body.
-        """
-        parents: Dict[str, Optional[str]] = {}
-        queue = []
-        for root in roots:
-            if root in self.functions and root not in parents:
-                parents[root] = None
-                queue.append(root)
-        while queue:
-            current = queue.pop(0)
-            for _site, callee in self.callees(current):
-                if callee is None:
-                    continue
-                for nxt in (callee,) + self._overrides.get(callee, ()):
-                    if nxt not in parents:
-                        parents[nxt] = current
-                        queue.append(nxt)
-        return parents
-
-    def trace(self, roots: Sequence[str], target: str) -> Optional[List[str]]:
-        """Shortest root->target call chain as display names."""
-        parents = self.reachable(roots)
-        if target not in parents:
-            return None
-        chain = []
-        cursor: Optional[str] = target
-        while cursor is not None:
-            chain.append(self.functions[cursor].display)
-            cursor = parents[cursor]
-        return list(reversed(chain))
 
 
 def build_program(

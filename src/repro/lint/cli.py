@@ -64,7 +64,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         action="append",
         dest="rules",
         metavar="RULE",
-        help="check only this rule (repeatable, e.g. --rule DET001)",
+        help="check only this rule (repeatable, e.g. --rule ASY001)",
     )
     parser.add_argument(
         "--baseline",

@@ -5,10 +5,10 @@ owns the pieces rules keep needing:
 
 * the parsed ``ast`` tree and raw source lines;
 * ``rel``, the module's path relative to the linted package root, which
-  rules use to scope themselves (e.g. DET001 exempts
-  ``runner/seeds.py``);
-* an import-alias map so ``np.random.rand`` and
-  ``numpy.random.rand`` resolve to the same canonical dotted name, and
+  rules use to scope themselves (e.g. MUT001 checks only
+  ``isp/stages.py``, ``codecs/``, ``imaging/`` and ``kernels/``);
+* an import-alias map so ``np.load`` and ``numpy.load`` resolve to the
+  same canonical dotted name, and
   ``from .. import obs`` is recognized as :mod:`repro.obs` regardless of
   the importing module's depth.
 """

@@ -17,7 +17,7 @@ Two kinds of rules run per invocation:
   skip the summary extraction walk entirely.
 
 Both kinds feed the same suppression/baseline pipeline, so an inline
-``# lint: disable=SEED001`` or a baseline entry works identically for
+``# lint: disable=ASY002`` or a baseline entry works identically for
 cross-module findings.
 
 Scope keys (``rel``) are paths relative to the linted package root:
@@ -44,7 +44,7 @@ from .registry import ProgramRule, Rule, all_rules, get_rules
 
 __all__ = ["LintEngine", "LintReport", "lint_paths"]
 
-#: Inline suppression: ``# lint: disable=DET001`` or ``=DET001,MUT001``
+#: Inline suppression: ``# lint: disable=ASY002`` or ``=ASY002,MUT001``
 #: or ``=all``, anywhere on the flagged line.
 _SUPPRESS = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
 

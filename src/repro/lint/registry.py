@@ -10,8 +10,8 @@ linter.
 Whole-program rules (:class:`ProgramRule`) run after every file is
 parsed: instead of ``check(ctx)`` per module they implement
 ``check_program(program)`` against the linked
-:class:`~repro.lint.callgraph.Program`, so they can follow an RNG or a
-blocking call across module boundaries.
+:class:`~repro.lint.callgraph.Program`, so they can follow a blocking
+call or an obs value across module boundaries.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class ProgramRule(Rule):
 
 # Populated once by the @register decorators as the rule modules import;
 # read-only afterwards, so sharing it across processes is safe.
-_REGISTRY: Dict[str, Rule] = {}  # lint: disable=PROC001
+_REGISTRY: Dict[str, Rule] = {}
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:
@@ -92,13 +92,7 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> Tuple[Rule, ...]:
     """Every registered rule, sorted by name."""
     # Importing the rule modules triggers their @register decorators.
-    from . import (  # noqa: F401
-        rules_async,
-        rules_determinism,
-        rules_effects,
-        rules_purity,
-        rules_seed,
-    )
+    from . import rules_async, rules_effects, rules_purity  # noqa: F401
 
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
 

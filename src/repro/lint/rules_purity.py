@@ -1,25 +1,22 @@
-"""Purity rules: MUT001 (argument mutation), OBS001 (obs discipline),
-PROC001 (cross-process module state).
+"""Purity rules: MUT001 (argument mutation), OBS001 (obs discipline).
 
 MUT001 keeps the image-processing layers referentially transparent: the
 capture cache and the parallel executor both assume that running a stage
 twice on the same array yields the same bits and leaves the input
 untouched. OBS001 enforces the observability contract — hooks are
-side-band, their results never steer results. PROC001 guards process
-fan-out: module state mutated after import diverges between the parent
-and spawned workers, silently breaking the serial==parallel guarantee.
+side-band, their results never steer results.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, Optional, Set
 
 from .context import ModuleContext
 from .findings import Finding
 from .registry import Rule, register
 
-__all__ = ["NoArgumentMutation", "ObsHookDiscipline", "NoModuleMutableState"]
+__all__ = ["NoArgumentMutation", "ObsHookDiscipline"]
 
 
 #: Method calls that mutate their receiver in place.
@@ -216,70 +213,3 @@ class ObsHookDiscipline(Rule):
             return func.attr
         return None
 
-
-#: Constructors whose empty form is a grow-later container.
-_MUTABLE_CONSTRUCTORS = frozenset(
-    {"dict", "list", "set", "defaultdict", "Counter", "OrderedDict", "deque"}
-)
-
-
-@register
-class NoModuleMutableState(Rule):
-    """PROC001: no post-import module state in worker-imported modules."""
-
-    name = "PROC001"
-    summary = (
-        "no module-level mutable state (empty containers, `global` "
-        "rebinding) outside the obs/ side-band"
-    )
-
-    #: obs's one active-observer global *is* the side-band design.
-    exempt_prefixes = ("obs/",)
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.rel.startswith(self.exempt_prefixes):
-            return
-        for stmt in ctx.tree.body:
-            targets: List[ast.AST] = []
-            value: Optional[ast.AST] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is not None and self._empty_container(value):
-                names = ", ".join(
-                    t.id for t in targets if isinstance(t, ast.Name)
-                )
-                yield self.finding(
-                    ctx,
-                    stmt,
-                    f"module-level mutable container {names or '<target>'} "
-                    "starts empty and grows after import; worker processes "
-                    "each see their own divergent copy",
-                )
-        for node in ctx.walk():
-            if isinstance(node, ast.Global):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"`global {', '.join(node.names)}` rebinds module "
-                    "state at runtime; state must live in objects threaded "
-                    "through calls (workers never see parent rebinds)",
-                )
-
-    @staticmethod
-    def _empty_container(value: ast.AST) -> bool:
-        if isinstance(value, ast.Dict):
-            return not value.keys
-        if isinstance(value, (ast.List, ast.Set)):
-            return not value.elts
-        if isinstance(value, ast.Call):
-            func = value.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            if name == "defaultdict":
-                # Always a grow-later container, whatever its factory.
-                return True
-            return name in _MUTABLE_CONSTRUCTORS and not (
-                value.args or value.keywords
-            )
-        return False

@@ -13,7 +13,7 @@ wire would only add noise.
 Both return a report with per-status counts and client-observed
 p50/p95/p99 latency (:func:`~repro.serve.service.latency_summary`).
 Wall-clock here paces arrivals and measures latency only; it never
-touches response payloads (DET002-exempt, like the server side).
+touches response payloads, like the server side.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ class Conv2D(Layer):
         # tests, ad-hoc probes). Every real model path threads the rng
         # from micro_mobilenet's seed, so this literal never reaches
         # capture results.
-        rng = rng or np.random.default_rng(0)  # lint: disable=SEED001
+        rng = rng or np.random.default_rng(0)
         self.stride = stride
         self.pad = pad if pad is not None else kernel // 2
         fan_in = in_channels * kernel * kernel
@@ -127,7 +127,7 @@ class DepthwiseConv2D(Layer):
         # tests, ad-hoc probes). Every real model path threads the rng
         # from micro_mobilenet's seed, so this literal never reaches
         # capture results.
-        rng = rng or np.random.default_rng(0)  # lint: disable=SEED001
+        rng = rng or np.random.default_rng(0)
         self.stride = stride
         self.pad = pad if pad is not None else kernel // 2
         self.params["weight"] = _he_init(rng, (channels, kernel, kernel), kernel * kernel)
@@ -234,7 +234,7 @@ class Dense(Layer):
         # tests, ad-hoc probes). Every real model path threads the rng
         # from micro_mobilenet's seed, so this literal never reaches
         # capture results.
-        rng = rng or np.random.default_rng(0)  # lint: disable=SEED001
+        rng = rng or np.random.default_rng(0)
         self.params["weight"] = _he_init(rng, (out_features, in_features), in_features)
         if bias:
             self.params["bias"] = np.zeros(out_features, dtype=np.float32)

@@ -52,7 +52,7 @@ class InvertedResidual(Layer):
         # tests, ad-hoc probes). Every real model path threads the rng
         # from micro_mobilenet's seed, so this literal never reaches
         # capture results.
-        rng = rng or np.random.default_rng(0)  # lint: disable=SEED001
+        rng = rng or np.random.default_rng(0)
         hidden = in_channels * expand_ratio
         self.use_residual = stride == 1 and in_channels == out_channels
         self.sublayers: List[Layer] = [

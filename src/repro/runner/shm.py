@@ -107,7 +107,7 @@ class GroupTask:
 # Per-process attach cache: slab name -> open SharedMemory handle.
 # Divergence across worker processes is the point: each worker attaches
 # each slab once and keeps the mapping until process exit.
-_ATTACHED: Dict[str, shared_memory.SharedMemory] = {}  # lint: disable=PROC001
+_ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:

@@ -174,7 +174,7 @@ def unit_cache_key(unit: CaptureUnit) -> str:
 #: one instance per distinct profile per worker is safe and saves the
 #: ISP-pipeline construction on every unit. Divergence between workers
 #: is speed-only — the memo never influences a payload bit.
-_PHONE_MEMO: Dict[str, Phone] = {}  # lint: disable=PROC001
+_PHONE_MEMO: Dict[str, Phone] = {}
 
 
 def _phone_for(profile: DeviceProfile) -> Phone:

@@ -50,9 +50,9 @@ Shutdown is a **graceful drain** (:meth:`drain`): admission closes,
 everything already accepted is answered, background tasks stop, the
 open window folds in, and the final accounting is returned.
 
-This module is DET002-exempt (see ``repro.lint``): wall-clock here
-steers scheduling and reported latencies only — payload bits all come
-from the pure capture path.
+Wall-clock reads here steer scheduling and reported latencies only —
+payload bits all come from the pure capture path, which
+``tests/serve/test_identity.py`` pins to the serial reference.
 """
 
 from __future__ import annotations

@@ -24,119 +24,6 @@ class Case:
 
 
 CASES = [
-    # ------------------------------------------------------------ DET001
-    Case("DET001", "np-global-rand", "scenes/gen.py", """
-        import numpy as np
-        x = np.random.rand(4)
-    """, True),
-    Case("DET001", "np-global-shuffle", "mitigation/mix.py", """
-        import numpy as np
-        np.random.shuffle([1, 2, 3])
-    """, True),
-    Case("DET001", "unseeded-default-rng", "lab/warmup.py", """
-        import numpy as np
-        rng = np.random.default_rng()
-    """, True),
-    Case("DET001", "stdlib-random", "lab/pick.py", """
-        import random
-        v = random.random()
-    """, True),
-    Case("DET001", "os-urandom", "runner/token.py", """
-        import os
-        b = os.urandom(8)
-    """, True),
-    Case("DET001", "legacy-randomstate", "nn/legacy.py", """
-        import numpy as np
-        rs = np.random.RandomState(0)
-    """, True),
-    Case("DET001", "seeded-default-rng-ok", "scenes/gen.py", """
-        import numpy as np
-        rng = np.random.default_rng(7)
-    """, False),
-    Case("DET001", "seeds-module-exempt", "runner/seeds.py", """
-        import numpy as np
-        def fresh():
-            return np.random.default_rng()
-    """, False),
-    Case("DET001", "generator-method-ok", "sensor/noise.py", """
-        def sample(rng):
-            return rng.random(3)
-    """, False),
-    # ------------------------------------------------------------ DET002
-    Case("DET002", "time-time", "lab/clockish.py", """
-        import time
-        t = time.time()
-    """, True),
-    Case("DET002", "datetime-now", "mitigation/stamp.py", """
-        from datetime import datetime
-        now = datetime.now()
-    """, True),
-    Case("DET002", "uuid4", "runner/ids.py", """
-        import uuid
-        u = uuid.uuid4()
-    """, True),
-    Case("DET002", "builtin-hash", "runner/keys.py", """
-        key = hash("cache-key")
-    """, True),
-    Case("DET002", "obs-exempt", "obs/trace.py", """
-        import time
-        t0 = time.perf_counter()
-    """, False),
-    Case("DET002", "sleep-ok", "lab/pace.py", """
-        import time
-        time.sleep(0.01)
-    """, False),
-    Case("DET002", "crc32-ok", "runner/keys.py", """
-        from zlib import crc32
-        key = crc32(b"cache-key")
-    """, False),
-    # ------------------------------------------------------------ DET003
-    Case("DET003", "for-over-set", "core/order.py", """
-        for x in {"b", "a"}:
-            print(x)
-    """, True),
-    Case("DET003", "list-of-set", "lab/names.py", """
-        def uniq(names):
-            return list(set(names))
-    """, True),
-    Case("DET003", "join-keys", "runner/keyfmt.py", """
-        def render(d):
-            return ",".join(d.keys())
-    """, True),
-    Case("DET003", "comprehension-keys", "devices/walk.py", """
-        def labels(d):
-            return [k.upper() for k in d.keys()]
-    """, True),
-    Case("DET003", "set-algebra", "core/merge.py", """
-        def both(a, b):
-            for item in set(a) | set(b):
-                yield item
-    """, True),
-    Case("DET003", "strict-items", "core/serialize.py", """
-        def dump(d):
-            return {k: v for k, v in d.items()}
-    """, True),
-    Case("DET003", "strict-values", "obs/report.py", """
-        def totals(d):
-            return [v for v in d.values()]
-    """, True),
-    Case("DET003", "sorted-set-ok", "core/order.py", """
-        for x in sorted({"b", "a"}):
-            print(x)
-    """, False),
-    Case("DET003", "sum-of-set-ok", "core/stats.py", """
-        def total(xs):
-            return sum(set(xs))
-    """, False),
-    Case("DET003", "nonstrict-items-ok", "lab/iterate.py", """
-        def walk(d):
-            for k, v in d.items():
-                print(k, v)
-    """, False),
-    Case("DET003", "strict-sorted-items-ok", "core/serialize.py", """
-        def dump(d):
-            return {k: v for k, v in sorted(d.items())}
-    """, False),
     # ------------------------------------------------------------ MUT001
     Case("MUT001", "augassign-param", "imaging/ops.py", """
         def scale(x):
@@ -223,106 +110,6 @@ CASES = [
     Case("OBS001", "no-obs-import-ok", "runner/plain.py", """
         def f(obs):
             return obs.span("not the real module")
-    """, False),
-    # ----------------------------------------------------------- PROC001
-    Case("PROC001", "empty-module-dict", "nn/memo.py", """
-        _CACHE = {}
-    """, True),
-    Case("PROC001", "empty-module-list", "lab/queue.py", """
-        pending = []
-    """, True),
-    Case("PROC001", "defaultdict", "devices/tally.py", """
-        from collections import defaultdict
-        counts = defaultdict(list)
-    """, True),
-    Case("PROC001", "global-rebind", "lab/counter.py", """
-        _calls = 0
-        def bump():
-            global _calls
-            _calls = _calls + 1
-    """, True),
-    Case("PROC001", "constant-table-ok", "devices/tables.py", """
-        FAMILIES = {"adreno": 1, "mali": 2}
-    """, False),
-    Case("PROC001", "function-local-ok", "nn/memo.py", """
-        def collect():
-            out = {}
-            out["k"] = 1
-            return out
-    """, False),
-    Case("PROC001", "obs-exempt", "obs/state.py", """
-        _ACTIVE = None
-        def activate(ob):
-            global _ACTIVE
-            _ACTIVE = ob
-    """, False),
-    # ----------------------------------------------------------- SEED001
-    Case("SEED001", "literal-seed", "fleet/pop.py", """
-        import numpy as np
-        def make():
-            rng = np.random.default_rng(0)
-            return rng.random(3)
-    """, True),
-    Case("SEED001", "wallclock-seed", "scenes/shuffle.py", """
-        import time
-        import numpy as np
-        def make():
-            rng = np.random.default_rng(int(time.time()))
-            return rng.random(3)
-    """, True),
-    Case("SEED001", "untracked-seed", "mitigation/remix.py", """
-        import numpy as np
-        def make():
-            rng = np.random.default_rng(mystery_seed())
-            return rng.random(3)
-    """, True),
-    Case("SEED001", "second-source", "sensor/blend.py", """
-        import numpy as np
-        def blend(rng, seed):
-            extra = np.random.default_rng(seed)
-            return rng.random(3) + extra.random(3)
-    """, True),
-    Case("SEED001", "bare-derive", "fleet/ids.py", """
-        from ..runner.seeds import derive_rng
-        def make(master):
-            return derive_rng(master)
-    """, True),
-    Case("SEED001", "literal-through-local", "lab/setup.py", """
-        import numpy as np
-        def make():
-            seed = 1234
-            rng = np.random.default_rng(seed)
-            return rng.random(3)
-    """, True),
-    Case("SEED001", "param-seed-ok", "scenes/gen.py", """
-        import numpy as np
-        def make(seed):
-            rng = np.random.default_rng(seed)
-            return rng.random(3)
-    """, False),
-    Case("SEED001", "attr-seed-ok", "sensor/noise.py", """
-        import numpy as np
-        def make(config):
-            rng = np.random.default_rng(config.seed)
-            return rng.random(3)
-    """, False),
-    Case("SEED001", "derived-ok", "fleet/pop.py", """
-        from ..runner.seeds import derive_rng
-        def make(master, unit_id):
-            rng = derive_rng(master, unit_id)
-            return rng.random(3)
-    """, False),
-    Case("SEED001", "closure-param-ok", "scenes/build.py", """
-        import numpy as np
-        def build(seed):
-            def prep():
-                return np.random.default_rng(seed)
-            return prep
-    """, False),
-    Case("SEED001", "seeds-module-exempt", "runner/seeds.py", """
-        import numpy as np
-        def bootstrap():
-            return np.random.default_rng(0xC0FFEE)
     """, False),
     # ------------------------------------------------------------ ASY001
     Case("ASY001", "direct-sleep", "serve/slowpath.py", """

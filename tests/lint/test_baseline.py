@@ -11,11 +11,11 @@ from repro.lint import (
     write_baseline,
 )
 
-VIOLATION = "import numpy as np\nx = np.random.rand(4)\n"
+VIOLATION = "from repro import obs\nx = obs.count('n')\n"
 TWO_VIOLATIONS = (
-    "import numpy as np\n"
-    "a = np.random.rand(4)\n"
-    "b = np.random.rand(4)\n"
+    "from repro import obs\n"
+    "a = obs.count('n')\n"
+    "b = obs.count('n')\n"
 )
 
 
@@ -31,21 +31,21 @@ class TestParsing:
         text = (
             "# a justification\n"
             "\n"
-            "lab/mod.py:DET001  # stray rand, tracked in #42\n"
-            "core/old.py:DET003:2\n"
+            "lab/mod.py:OBS001  # stray obs read, tracked in #42\n"
+            "core/old.py:MUT001:2\n"
         )
         assert parse_baseline(text) == {
-            ("lab/mod.py", "DET001"): 1,
-            ("core/old.py", "DET003"): 2,
+            ("lab/mod.py", "OBS001"): 1,
+            ("core/old.py", "MUT001"): 2,
         }
 
     def test_rejects_malformed_lines(self):
         with pytest.raises(ValueError):
             parse_baseline("not a baseline entry\n")
         with pytest.raises(ValueError):
-            parse_baseline("a.py:DET001:zero\n")
+            parse_baseline("a.py:OBS001:zero\n")
         with pytest.raises(ValueError):
-            parse_baseline("a.py:DET001:0\n")
+            parse_baseline("a.py:OBS001:0\n")
 
     def test_missing_file_is_empty(self, tmp_path):
         assert load_baseline(tmp_path / "absent.txt") == {}
@@ -60,7 +60,7 @@ class TestRoundTrip:
         baseline_file = tmp_path / "baseline.txt"
         write_baseline(report.findings, baseline_file)
         parsed = load_baseline(baseline_file)
-        assert parsed == {("lab/mod.py", "DET001"): 2}
+        assert parsed == {("lab/mod.py", "OBS001"): 2}
 
         again = lint_paths([target], root=tmp_path, baseline=parsed)
         assert not again.findings
@@ -71,7 +71,7 @@ class TestRoundTrip:
         target = _write(tmp_path, TWO_VIOLATIONS)
         report = lint_paths([target], root=tmp_path)
         text = format_baseline(report.findings)
-        assert "lab/mod.py:DET001:2" in text
+        assert "lab/mod.py:OBS001:2" in text
         assert text.startswith("#")
 
 
@@ -79,7 +79,7 @@ class TestBudgets:
     def test_excess_findings_beyond_count_still_fail(self, tmp_path):
         target = _write(tmp_path, TWO_VIOLATIONS)
         report = lint_paths(
-            [target], root=tmp_path, baseline={("lab/mod.py", "DET001"): 1}
+            [target], root=tmp_path, baseline={("lab/mod.py", "OBS001"): 1}
         )
         assert len(report.baselined) == 1
         assert len(report.findings) == 1
@@ -88,33 +88,33 @@ class TestBudgets:
     def test_new_finding_not_in_baseline_fails(self, tmp_path):
         target = _write(tmp_path, VIOLATION)
         report = lint_paths(
-            [target], root=tmp_path, baseline={("other.py", "DET001"): 1}
+            [target], root=tmp_path, baseline={("other.py", "OBS001"): 1}
         )
         assert report.exit_code == 1
-        assert report.stale_baseline == (("other.py", "DET001", 1),)
+        assert report.stale_baseline == (("other.py", "OBS001", 1),)
 
     def test_stale_entries_surface_after_fix(self, tmp_path):
         target = _write(tmp_path, "x = 1\n")
         report = lint_paths(
-            [target], root=tmp_path, baseline={("lab/mod.py", "DET001"): 2}
+            [target], root=tmp_path, baseline={("lab/mod.py", "OBS001"): 2}
         )
         assert report.exit_code == 0
-        assert report.stale_baseline == (("lab/mod.py", "DET001", 2),)
+        assert report.stale_baseline == (("lab/mod.py", "OBS001", 2),)
 
 
 class TestUnknownRules:
     def test_split_unknown_rules_partitions_the_budget(self):
         budget = {
-            ("lab/mod.py", "DET001"): 1,
+            ("lab/mod.py", "OBS001"): 1,
             ("lab/mod.py", "GONE042"): 2,
             ("core/old.py", "NOPE999"): 1,
         }
-        removed = split_unknown_rules(budget, {"DET001", "DET002"})
+        removed = split_unknown_rules(budget, {"OBS001", "MUT001"})
         assert removed == (
             ("core/old.py", "NOPE999", 1),
             ("lab/mod.py", "GONE042", 2),
         )
-        assert budget == {("lab/mod.py", "DET001"): 1}
+        assert budget == {("lab/mod.py", "OBS001"): 1}
 
     def test_retired_rule_entry_is_reported_not_silently_stale(self, tmp_path):
         """Regression: an entry naming a rule that no longer exists used to

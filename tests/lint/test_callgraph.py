@@ -3,8 +3,8 @@
 Covers the linking machinery the program rules stand on: cross-module
 edge resolution through aliased imports, method resolution (attribute
 types from constructor calls and annotated parameters, plus base-class
-walks), cycle-safe blocking propagation, reachability traces, and the
-hash-keyed summary cache.
+walks), cycle-safe blocking propagation, and the hash-keyed summary
+cache.
 """
 
 import textwrap
@@ -125,22 +125,6 @@ def test_inherited_method_resolves_through_base_class():
     })
     edges = program.callees("repro.nn.deep.Deep.run")
     assert [t for _s, t in edges] == ["repro.nn.base.Base.forward"]
-
-
-def test_trace_finds_the_shortest_chain():
-    program = make_program({
-        "lab/flow.py": """
-            def top():
-                return mid()
-            def mid():
-                return leaf()
-            def leaf():
-                return 0
-        """,
-    })
-    chain = program.trace(["repro.lab.flow.top"], "repro.lab.flow.leaf")
-    assert chain == ["lab/flow.py:top", "lab/flow.py:mid", "lab/flow.py:leaf"]
-    assert program.trace(["repro.lab.flow.leaf"], "repro.lab.flow.top") is None
 
 
 def test_summary_cache_round_trips_and_invalidates_on_edit(tmp_path):

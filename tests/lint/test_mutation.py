@@ -53,20 +53,6 @@ def _lint(tree, rule):
     return lint_paths([tree], rules=(rule,), root=tree)
 
 
-def test_literal_rng_on_a_capture_path_trips_seed001(tree):
-    _inject(
-        tree, "devices/phone.py", "Phone.photograph",
-        "rng = np.random.default_rng(7)",
-    )
-    report = _lint(tree, "SEED001")
-    assert [f.rule for f in report.findings] == ["SEED001"]
-    finding = report.findings[0]
-    assert finding.rel == "devices/phone.py"
-    assert "literal" in finding.message
-    assert "reachable from the capture path" in finding.message
-    assert "devices/phone.py:Phone.photograph" in finding.message
-
-
 def test_sleep_in_async_serve_handler_trips_asy001(tree):
     _inject(
         tree, "serve/service.py", "IngestService._process",

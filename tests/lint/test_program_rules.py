@@ -3,8 +3,8 @@
 The corpus in :mod:`tests.lint.corpus` exercises each rule on a single
 file; these tests build small multi-module fixture packages under
 ``tmp_path`` and check the properties that only exist cross-module:
-taint and blocking chains that span import hops, and the rendered
-traces that make the findings actionable.
+blocking and obs-reachability chains that span import hops, and the
+rendered traces that make the findings actionable.
 """
 
 import textwrap
@@ -25,54 +25,6 @@ def _write_tree(tmp_path, files):
 def _lint(tmp_path, files, rule):
     targets = _write_tree(tmp_path, files)
     return lint_paths(targets, rules=(rule,), root=tmp_path)
-
-
-def test_seed001_taint_reaches_through_two_import_hops(tmp_path):
-    """A literal-seeded RNG two modules below a capture root is flagged
-    once, at its birth site, with the root-to-birth chain in the message."""
-    report = _lint(tmp_path, {
-        "fleet/study.py": """
-            from ..devices.phone import photograph
-            def run_study(units):
-                return [photograph(u) for u in units]
-        """,
-        "devices/phone.py": """
-            from ..sensor.noise import sample_noise
-            def photograph(unit):
-                return sample_noise(unit)
-        """,
-        "sensor/noise.py": """
-            import numpy as np
-            def sample_noise(unit):
-                rng = np.random.default_rng(1234)
-                return rng.normal(size=4)
-        """,
-    }, "SEED001")
-    assert [f.rule for f in report.findings] == ["SEED001"]
-    finding = report.findings[0]
-    assert finding.rel == "sensor/noise.py"
-    assert "literal" in finding.message
-    assert (
-        "fleet/study.py:run_study -> devices/phone.py:photograph "
-        "-> sensor/noise.py:sample_noise" in finding.message
-    )
-
-
-def test_seed001_derived_chain_through_hops_is_clean(tmp_path):
-    report = _lint(tmp_path, {
-        "fleet/study.py": """
-            from ..devices.phone import photograph
-            def run_study(master, units):
-                return [photograph(master, u) for u in units]
-        """,
-        "devices/phone.py": """
-            from ..runner.seeds import derive_rng
-            def photograph(master, unit):
-                rng = derive_rng(master, unit)
-                return rng.normal(size=4)
-        """,
-    }, "SEED001")
-    assert not report.findings
 
 
 def test_asy001_blocking_chain_through_two_import_hops(tmp_path):

@@ -41,20 +41,20 @@ def test_every_rule_has_both_directions():
 
 
 def test_rule_selection_and_unknown_rule():
-    assert [r.name for r in get_rules(("det001",))] == ["DET001"]
+    assert [r.name for r in get_rules(("asy001",))] == ["ASY001"]
     with pytest.raises(KeyError):
         get_rules(("NOPE999",))
 
 
 def test_findings_carry_location_and_render(tmp_path):
-    case = next(c for c in CASES if c.id == "np-global-rand")
+    case = next(c for c in CASES if c.id == "augassign-param")
     report = _lint_case(tmp_path, case)
     finding = report.findings[0]
     assert finding.rel == case.rel
     assert finding.line == 2
     assert finding.col >= 1
     assert finding.render().startswith(f"{finding.path}:2:")
-    assert "DET001" in finding.render()
+    assert "MUT001" in finding.render()
 
 
 def test_parse_error_is_reported_not_raised(tmp_path):
@@ -69,9 +69,10 @@ def test_ast_cache_shared_across_runs(tmp_path):
     from repro.lint import LintEngine
 
     target = tmp_path / "mod.py"
-    target.write_text("import numpy as np\nx = np.random.rand(2)\n")
+    target.write_text("from repro import obs\nx = obs.count('n')\n")
     engine = LintEngine()
     first = engine.run([target], root=tmp_path)
+    assert [f.rule for f in first.findings] == ["OBS001"]
     assert len(engine._ast_cache) == 1
     cached_ctx = next(iter(engine._ast_cache.values()))[1]
     second = engine.run([target], root=tmp_path)

@@ -6,11 +6,11 @@ from repro.lint import all_rules, lint_paths, to_sarif
 
 
 def _report(tmp_path):
-    target = tmp_path / "lab" / "mod.py"
+    target = tmp_path / "imaging" / "mod.py"
     target.parent.mkdir(parents=True)
     target.write_text(
-        "import time\nimport numpy as np\n"
-        "x = np.random.rand(4)\nt = time.time()\n"
+        "from repro import obs\ndef f(a):\n"
+        "    a *= 2\n    return obs.active()\n"
     )
     return lint_paths([target], root=tmp_path)
 
@@ -33,12 +33,12 @@ def test_document_shape(tmp_path):
 def test_results_carry_rule_level_message_and_location(tmp_path):
     doc = to_sarif(_report(tmp_path), all_rules())
     results = doc["runs"][0]["results"]
-    assert sorted(r["ruleId"] for r in results) == ["DET001", "DET002"]
+    assert sorted(r["ruleId"] for r in results) == ["MUT001", "OBS001"]
     for result in results:
         assert result["level"] == "error"
         assert result["message"]["text"]
         location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "lab/mod.py"
+        assert location["artifactLocation"]["uri"] == "imaging/mod.py"
         assert location["region"]["startLine"] in (3, 4)
         assert location["region"]["startColumn"] >= 1
 

@@ -13,8 +13,8 @@ def _run(tmp_path, source, rel="lab/mod.py", rules=None):
 def test_same_line_suppression(tmp_path):
     report = _run(
         tmp_path,
-        "import numpy as np\n"
-        "x = np.random.rand(4)  # lint: disable=DET001\n",
+        "from repro import obs\n"
+        "x = obs.count('n')  # lint: disable=OBS001\n",
     )
     assert not report.findings
     assert report.suppressed == 1
@@ -23,20 +23,22 @@ def test_same_line_suppression(tmp_path):
 def test_suppression_is_rule_specific(tmp_path):
     report = _run(
         tmp_path,
-        "import numpy as np\n"
-        "x = np.random.rand(4)  # lint: disable=DET003\n",
+        "from repro import obs\n"
+        "x = obs.count('n')  # lint: disable=ASY001\n",
     )
-    assert [f.rule for f in report.findings] == ["DET001"]
+    assert [f.rule for f in report.findings] == ["OBS001"]
     assert report.suppressed == 0
 
 
 def test_suppress_multiple_rules_on_one_line(tmp_path):
     report = _run(
         tmp_path,
-        "import time\n"
-        "import numpy as np\n"
-        "x = np.random.rand(int(time.time()))"
-        "  # lint: disable=DET001, DET002\n",
+        "from repro import obs\n"
+        "def f(a):\n"
+        "    a *= obs.count('n')"
+        "  # lint: disable=MUT001, OBS001\n"
+        "    return a\n",
+        rel="imaging/mod.py",
     )
     assert not report.findings
     assert report.suppressed == 2
@@ -45,8 +47,8 @@ def test_suppress_multiple_rules_on_one_line(tmp_path):
 def test_disable_all(tmp_path):
     report = _run(
         tmp_path,
-        "import numpy as np\n"
-        "x = np.random.rand(4)  # lint: disable=all\n",
+        "from repro import obs\n"
+        "x = obs.count('n')  # lint: disable=all\n",
     )
     assert not report.findings
     assert report.suppressed == 1
@@ -55,9 +57,9 @@ def test_disable_all(tmp_path):
 def test_suppression_only_covers_its_line(tmp_path):
     report = _run(
         tmp_path,
-        "import numpy as np\n"
-        "a = np.random.rand(4)  # lint: disable=DET001\n"
-        "b = np.random.rand(4)\n",
+        "from repro import obs\n"
+        "a = obs.count('n')  # lint: disable=OBS001\n"
+        "b = obs.count('n')\n",
     )
     assert [f.line for f in report.findings] == [3]
     assert report.suppressed == 1
