@@ -10,7 +10,6 @@ generators between two runs of every unit kind, serial and pooled,
 must leave every payload digest unchanged.
 """
 
-import hashlib
 import random
 
 import numpy as np
@@ -26,6 +25,8 @@ from repro.runner import (
     unit_entropy,
 )
 from repro.runner.seeds import seed_component
+
+from .test_golden_captures import payload_digest
 
 
 # ----------------------------------------------------------------------
@@ -71,8 +72,6 @@ class TestSeedDerivation:
         assert np.array_equal(via_helper, via_tuple)
 
 
-
-
 # ----------------------------------------------------------------------
 # runtime guard: global RNG state never reaches a payload
 # ----------------------------------------------------------------------
@@ -86,17 +85,6 @@ def restore_global_rngs():
     yield
     np.random.set_state(np_state)
     random.setstate(py_state)
-
-
-def _digest(payload) -> str:
-    h = hashlib.sha256()
-    for name in sorted(payload):
-        value = np.asarray(payload[name])
-        h.update(name.encode())
-        h.update(str(value.dtype).encode())
-        h.update(repr(value.shape).encode())
-        h.update(value.tobytes())
-    return h.hexdigest()
 
 
 def _guard_units(radiance):
@@ -135,7 +123,7 @@ def test_global_rng_state_never_reaches_payloads(
             payloads = FleetExecutor(workers=workers).run(
                 _guard_units(small_radiance)
             )
-            runs[(seed, workers)] = [_digest(p) for p in payloads]
+            runs[(seed, workers)] = [payload_digest(p) for p in payloads]
     reference = runs[(1, 0)]
     assert len(reference) == 3 * 2 * len(capture_fleet()) + 1
     for key, digests in sorted(runs.items()):
