@@ -3,12 +3,45 @@
 Everything runs on the ``untrained`` seed-1 model (instant start; the
 bit-identity invariants don't care about weights) and tiny fleets, so
 the whole suite stays in tier-1 time budgets. Async tests drive the
-event loop explicitly with ``asyncio.run`` — no async test plugin.
+event loop explicitly with :func:`run_scenario` — no async test plugin.
+
+Every test here runs under an event-loop guard:
+
+* :func:`run_scenario` runs a coroutine in asyncio's debug mode, which
+  logs any loop step longer than :data:`SLOW_CALLBACK_S`;
+* the autouse :func:`asyncio_guard` fails the test if the ``asyncio``
+  logger recorded a WARNING or worse — a slow step, a pending task
+  destroyed, an exception never retrieved, a failing connection
+  callback;
+* the autouse :func:`watchdog` dumps every thread's stack and exits
+  when a test outlives :data:`WATCHDOG_S`, because a blocked loop never
+  reaches ``asyncio.wait_for``'s timeout.
+
+Build each :class:`IngestService` or ``ServeServer`` before calling
+:func:`run_scenario`: construction generates the fleet and presents the
+scenes, which is synchronous setup work, not a loop step.
 """
+
+import asyncio
+import contextlib
+import faulthandler
+import gc
+import logging
+import os
 
 import pytest
 
 from repro.serve.service import IngestService, ServeConfig
+
+#: A loop step longer than this stalls every in-flight request. The
+#: clean suite's longest step is well under half of it.
+SLOW_CALLBACK_S = 0.05
+
+#: In-loop timeout of one scenario (catches a lost wake-up).
+SCENARIO_TIMEOUT_S = 120
+
+#: Wall time after which a test is taken to have hung the process.
+WATCHDOG_S = 60
 
 
 def make_config(**overrides) -> ServeConfig:
@@ -25,6 +58,76 @@ def make_config(**overrides) -> ServeConfig:
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
+
+
+def run_scenario(main):
+    """Run coroutine ``main`` to completion on a debug-mode event loop."""
+
+    async def guarded():
+        asyncio.get_running_loop().slow_callback_duration = SLOW_CALLBACK_S
+        return await asyncio.wait_for(main, SCENARIO_TIMEOUT_S)
+
+    return asyncio.run(guarded(), debug=True)
+
+
+class _Collector(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@contextlib.contextmanager
+def asyncio_warnings():
+    """Collect the ``asyncio`` logger's WARNING-or-worse records.
+
+    Yields the list the records land in. A ``gc.collect()`` runs before
+    the block closes, so a pending task that was dropped is reported
+    inside it. Nested blocks capture separately: a record goes to the
+    innermost block only.
+    """
+    logger = logging.getLogger("asyncio")
+    outer = [h for h in logger.handlers if isinstance(h, _Collector)]
+    collector = _Collector()
+    for handler in outer:
+        logger.removeHandler(handler)
+    logger.addHandler(collector)
+    try:
+        yield collector.records
+        gc.collect()
+    finally:
+        logger.removeHandler(collector)
+        for handler in outer:
+            logger.addHandler(handler)
+
+
+def check_loop_records(records) -> None:
+    """Raise ``AssertionError`` naming every record, if there are any."""
+    assert not records, "asyncio reported a loop defect:\n" + "\n".join(
+        f"  {record.levelname}: {record.getMessage()}" for record in records
+    )
+
+
+@pytest.fixture(autouse=True)
+def asyncio_guard():
+    with asyncio_warnings() as records:
+        yield
+    check_loop_records(records)
+
+
+@pytest.fixture(autouse=True)
+def watchdog(request):
+    # The per-test capture file vanishes with the process, so point the
+    # dump at the terminal's stderr.
+    capture = request.config.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
+        stderr = os.dup(2)
+    faulthandler.dump_traceback_later(WATCHDOG_S, exit=True, file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+    os.close(stderr)
 
 
 @pytest.fixture(scope="session")

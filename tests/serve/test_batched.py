@@ -6,24 +6,23 @@ repeats to fuse, neither the worker pool nor the arrival order may
 change a single deterministic response field.
 """
 
-import asyncio
-
 from repro.loadgen.client import drive_inproc
 from repro.loadgen.generator import build_schedule
 from repro.serve.service import IngestService
 
-from .conftest import make_config
+from .conftest import make_config, run_scenario
 
 
 def drive(config, schedule):
+    service = IngestService(config)
+
     async def scenario():
-        service = IngestService(config)
         await service.start()
         report = await drive_inproc(service, schedule)
         await service.drain()
-        return service, report
+        return report
 
-    return asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+    return service, run_scenario(scenario())
 
 
 def fields(report):

@@ -8,25 +8,24 @@ while ``serial_reference`` runs one ``execute_unit`` per request, so
 these tests also pin fused == per-unit at the serving layer.
 """
 
-import asyncio
-
 from repro import obs
 from repro.loadgen.client import drive_inproc
 from repro.loadgen.generator import ScheduledRequest, build_schedule
 from repro.serve.service import CaptureRequest, IngestService
 
-from .conftest import make_config
+from .conftest import make_config, run_scenario
 
 
 def drive(config, schedule):
+    service = IngestService(config)
+
     async def scenario():
-        service = IngestService(config)
         await service.start()
         report = await drive_inproc(service, schedule)
         await service.drain()
-        return service, report
+        return report
 
-    return asyncio.run(asyncio.wait_for(scenario(), timeout=120))
+    return service, run_scenario(scenario())
 
 
 def fields(report):
@@ -111,7 +110,7 @@ class TestFusedServingCounters:
             return report, accounting
 
         with obs.observed() as ob:
-            report, accounting = asyncio.run(scenario())
+            report, accounting = run_scenario(scenario())
         assert accounting["balanced"]
         assert all(r.status == "ok" for r in report["responses"].values())
         counters = ob.metrics.snapshot()["counters"]

@@ -8,12 +8,13 @@ from repro.serve.protocol import decode_message, encode_message
 from repro.serve.server import ServeServer
 from repro.serve.service import IngestService
 
-from .conftest import make_config
+from .conftest import make_config, run_scenario
 
 
 def serve_and_drive(count=20, rate=500.0, seed=5, **config_overrides):
+    server = ServeServer(IngestService(make_config(**config_overrides)), port=0)
+
     async def scenario():
-        server = ServeServer(IngestService(make_config(**config_overrides)), port=0)
         await server.start()
         run_task = asyncio.create_task(server.run())
         report = await run_loadgen(
@@ -22,7 +23,7 @@ def serve_and_drive(count=20, rate=500.0, seed=5, **config_overrides):
         accounting = await asyncio.wait_for(run_task, 60)
         return report, accounting
 
-    return asyncio.run(scenario())
+    return run_scenario(scenario())
 
 
 class TestEndToEnd:
@@ -60,8 +61,9 @@ class TestEndToEnd:
             assert message["encoded_size"] == reference.encoded_size
 
     def test_protocol_errors_answered_not_fatal(self):
+        server = ServeServer(IngestService(make_config()), port=0)
+
         async def scenario():
-            server = ServeServer(IngestService(make_config()), port=0)
             await server.start()
             run_task = asyncio.create_task(server.run())
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
@@ -78,7 +80,7 @@ class TestEndToEnd:
             await asyncio.wait_for(run_task, 30)
             return error, hello, drained
 
-        error, hello, drained = asyncio.run(scenario())
+        error, hello, drained = run_scenario(scenario())
         assert error["op"] == "error"
         assert hello["op"] == "hello"
         assert hello["devices"] == 4

@@ -21,17 +21,14 @@ from repro.serve.service import (
 )
 from repro.runner.units import unit_cache_key
 
-from .conftest import make_config
-
-
-def run(coro):
-    return asyncio.run(asyncio.wait_for(coro, timeout=120))
+from .conftest import make_config, run_scenario
 
 
 class TestAdmission:
     def test_overload_sheds_exactly_beyond_capacity(self):
+        service = IngestService(make_config(queue_capacity=5))
+
         async def scenario():
-            service = IngestService(make_config(queue_capacity=5))
             await service.start()
             # Synchronous submits with no await in between: the batcher
             # never gets scheduled, so the queue fills deterministically.
@@ -41,9 +38,9 @@ class TestAdmission:
             ]
             responses = await asyncio.gather(*futures)
             await service.drain()
-            return service, responses
+            return responses
 
-        service, responses = run(scenario())
+        responses = run_scenario(scenario())
         statuses = [r.status for r in responses]
         assert statuses.count("shed") == 12 - 5
         assert statuses.count("ok") == 5
@@ -56,8 +53,9 @@ class TestAdmission:
         assert accounting["balanced"]
 
     def test_invalid_coordinates_rejected_without_acceptance(self):
+        service = IngestService(make_config())
+
         async def scenario():
-            service = IngestService(make_config())
             await service.start()
             bad = [
                 CaptureRequest(0, device=99, scene=0),
@@ -66,9 +64,9 @@ class TestAdmission:
             ]
             responses = await asyncio.gather(*[service.submit(r) for r in bad])
             await service.drain()
-            return service, responses
+            return responses
 
-        service, responses = run(scenario())
+        responses = run_scenario(scenario())
         assert [r.status for r in responses] == ["invalid"] * 3
         accounting = service.accounting()
         assert accounting["invalid"] == 3
@@ -76,21 +74,23 @@ class TestAdmission:
         assert accounting["balanced"]
 
     def test_submit_after_drain_rejected_as_draining(self):
+        service = IngestService(make_config())
+
         async def scenario():
-            service = IngestService(make_config())
             await service.start()
             await service.drain()
-            return service, await service.submit(CaptureRequest(0, 0, 0))
+            return await service.submit(CaptureRequest(0, 0, 0))
 
-        service, response = run(scenario())
+        response = run_scenario(scenario())
         assert response.status == "draining"
         assert service.accounting()["rejected_draining"] == 1
 
 
 class TestDrain:
     def test_drain_answers_every_accepted_request(self):
+        service = IngestService(make_config(batch_max=100))
+
         async def scenario():
-            service = IngestService(make_config(batch_max=100))
             await service.start()
             futures = [
                 service.submit(CaptureRequest(i, device=i % 4, scene=i % 2))
@@ -102,7 +102,7 @@ class TestDrain:
             responses = await asyncio.gather(*futures)
             return accounting, responses
 
-        accounting, responses = run(scenario())
+        accounting, responses = run_scenario(scenario())
         assert all(r.status == "ok" for r in responses)
         assert accounting["accepted"] == 10
         assert accounting["completed"] == 10
@@ -110,8 +110,9 @@ class TestDrain:
         assert accounting["balanced"]
 
     def test_drain_is_idempotent(self):
+        service = IngestService(make_config())
+
         async def scenario():
-            service = IngestService(make_config())
             await service.start()
             await asyncio.gather(*[
                 service.submit(CaptureRequest(i, 0, 0)) for i in range(3)
@@ -120,12 +121,13 @@ class TestDrain:
             second = await service.drain()
             return first, second
 
-        first, second = run(scenario())
+        first, second = run_scenario(scenario())
         assert first == second
 
     def test_expired_requests_answer_timeout_and_stay_accounted(self):
+        service = IngestService(make_config(request_timeout_s=0.0))
+
         async def scenario():
-            service = IngestService(make_config(request_timeout_s=0.0))
             await service.start()
             futures = [
                 service.submit(CaptureRequest(i, 0, 0)) for i in range(4)
@@ -134,7 +136,7 @@ class TestDrain:
             accounting = await service.drain()
             return accounting, responses
 
-        accounting, responses = run(scenario())
+        accounting, responses = run_scenario(scenario())
         assert [r.status for r in responses] == ["timeout"] * 4
         assert accounting["timed_out"] == 4
         assert accounting["completed"] == 0
@@ -143,17 +145,18 @@ class TestDrain:
 
 class TestCoalescing:
     def test_duplicate_coordinates_coalesce_to_one_execution(self):
+        service = IngestService(make_config(batch_max=16))
+
         async def scenario():
-            service = IngestService(make_config(batch_max=16))
             await service.start()
             futures = [
                 service.submit(CaptureRequest(i, device=1, scene=1)) for i in range(6)
             ]
             responses = await asyncio.gather(*futures)
             await service.drain()
-            return service, responses
+            return responses
 
-        service, responses = run(scenario())
+        responses = run_scenario(scenario())
         assert all(r.status == "ok" for r in responses)
         # All six shared one (device, scene, repeat): identical payloads.
         assert len({r.pixels_sha256 for r in responses}) == 1
@@ -164,8 +167,9 @@ class TestCoalescing:
 
 class TestWorkConservation:
     def test_lone_request_dispatches_without_waiting(self):
+        service = IngestService(make_config())
+
         async def scenario():
-            service = IngestService(make_config())
             await service.start()
             await asyncio.sleep(0)  # the batcher parks on the empty queue
             future = service.submit(CaptureRequest(0, 0, 0))
@@ -176,14 +180,15 @@ class TestWorkConservation:
             await service.drain()
             return batches, response
 
-        batches, response = run(scenario())
+        batches, response = run_scenario(scenario())
         assert batches == 1
         assert response.status == "ok"
 
     def test_backlog_forms_the_next_batch_and_still_coalesces(self):
+        service = IngestService(make_config())
+
         async def scenario():
             loop = asyncio.get_running_loop()
-            service = IngestService(make_config())
             entered = loop.create_future()
             release = threading.Event()
             sizes = []
@@ -210,9 +215,9 @@ class TestWorkConservation:
                 release.set()
             responses = await asyncio.gather(first, *backlog)
             await service.drain()
-            return service, sizes, responses
+            return sizes, responses
 
-        service, sizes, responses = run(scenario())
+        sizes, responses = run_scenario(scenario())
         assert all(r.status == "ok" for r in responses)
         assert sizes == [1, 2]
         assert service.stats()["counters"]["serve.coalesced"] == 1.0
@@ -231,8 +236,9 @@ class TestExecutorFailure:
 
         monkeypatch.setattr(IngestService, "_execute", failing_once)
 
+        service = IngestService(make_config())
+
         async def scenario():
-            service = IngestService(make_config())
             await service.start()
             failed = await asyncio.gather(*[
                 service.submit(CaptureRequest(i, device=i, scene=0)) for i in range(3)
@@ -242,7 +248,7 @@ class TestExecutorFailure:
             accounting = await service.drain()
             return failed, errors, later, accounting
 
-        failed, errors, later, accounting = run(scenario())
+        failed, errors, later, accounting = run_scenario(scenario())
         assert [r.status for r in failed] == ["error"] * 3
         assert all("RuntimeError" in r.detail for r in failed)
         assert errors == len(failed)
@@ -252,8 +258,9 @@ class TestExecutorFailure:
 
 class TestWindowedMetrics:
     def test_window_totals_match_direct_counts(self):
+        service = IngestService(make_config(window_s=0.05))
+
         async def scenario():
-            service = IngestService(make_config(window_s=0.05))
             await service.start()
             for burst in range(3):
                 futures = [
@@ -263,9 +270,9 @@ class TestWindowedMetrics:
                 await asyncio.gather(*futures)
                 await asyncio.sleep(0.08)  # force at least one window roll
             accounting = await service.drain()
-            return service, accounting
+            return accounting
 
-        service, accounting = run(scenario())
+        accounting = run_scenario(scenario())
         assert service._windows_rolled >= 3
         # The cumulative registry was built purely from window-snapshot
         # merges, yet its totals equal the per-event ground truth.
