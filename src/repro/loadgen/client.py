@@ -85,7 +85,12 @@ async def run_loadgen(
     async def ask(message: Dict) -> Dict:
         writer.write(encode_message(message))
         await writer.drain()
-        return decode_message(await reader.readline())
+        while True:
+            reply = decode_message(await reader.readline())
+            # A request still unanswered when the settle wait gave up is
+            # answered later, ahead of this reply: drop it.
+            if reply.get("op") != "result":
+                return reply
 
     hello = await ask({"op": "hello"})
     schedule = build_schedule(

@@ -130,7 +130,7 @@ class ServeServer:
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionResetError, asyncio.IncompleteReadError):
+                except (ConnectionError, asyncio.IncompleteReadError):
                     break
                 except asyncio.CancelledError:
                     # Loop shutdown mid-read: the drain already answered

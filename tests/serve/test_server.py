@@ -4,21 +4,27 @@ import asyncio
 
 from repro.__main__ import build_parser
 from repro.loadgen.client import run_loadgen
-from repro.serve.protocol import decode_message, encode_message
+from repro.serve.protocol import capture_message, decode_message, encode_message
 from repro.serve.server import ServeServer
 from repro.serve.service import IngestService
 
 from .conftest import make_config, run_scenario
 
 
-def serve_and_drive(count=20, rate=500.0, seed=5, **config_overrides):
+def serve_and_drive(count=20, rate=500.0, seed=5, settle_timeout_s=60.0, **config_overrides):
     server = ServeServer(IngestService(make_config(**config_overrides)), port=0)
 
     async def scenario():
         await server.start()
         run_task = asyncio.create_task(server.run())
         report = await run_loadgen(
-            "127.0.0.1", server.port, count=count, rate=rate, seed=seed, drain=True
+            "127.0.0.1",
+            server.port,
+            count=count,
+            rate=rate,
+            seed=seed,
+            drain=True,
+            settle_timeout_s=settle_timeout_s,
         )
         accounting = await asyncio.wait_for(run_task, 60)
         return report, accounting
@@ -36,6 +42,38 @@ class TestEndToEnd:
         assert accounting["balanced"]
         assert accounting["accepted"] == 20
         assert report["server_accounting"] == accounting
+
+    def test_drain_reply_found_behind_late_results(self):
+        # The settle wait gives up long before the first capture is
+        # answered, so every result arrives after the client's drain.
+        report, accounting = serve_and_drive(count=20, rate=1000.0, settle_timeout_s=0.001)
+        assert accounting["balanced"]
+        assert accounting["completed"] == 20
+        assert report["server_accounting"] == accounting
+
+    def test_client_gone_before_its_results(self):
+        # The client sends work and leaves without reading. Writing the
+        # results fails, which fails the connection's next read too: the
+        # handler must end quietly, not raise out of the callback.
+        server = ServeServer(IngestService(make_config()), port=0)
+
+        async def scenario():
+            await server.start()
+            run_task = asyncio.create_task(server.run())
+            _, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            for i in range(8):
+                writer.write(encode_message(capture_message(i, i % 4, i % 2, 0)))
+            writer.write(encode_message({"op": "drain"}))
+            writer.close()
+            await writer.wait_closed()
+            while server.drained is None:
+                await asyncio.sleep(0.01)
+            server.request_stop()
+            return await asyncio.wait_for(run_task, 30)
+
+        accounting = run_scenario(scenario())
+        assert accounting["balanced"]
+        assert accounting["completed"] == 8
 
     def test_wire_results_match_inproc_reference(self):
         # The digests shipped over TCP are the serial-runner digests:
