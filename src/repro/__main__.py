@@ -29,7 +29,8 @@ output-neutral: it times and counts, it never touches results.
 Each experiment command trains/loads the shared base model (cached after
 the first run), executes the experiment deterministically, and prints
 the same report the corresponding ``benchmarks/`` script does. ``lint``
-runs the determinism and invariant checker over ``src/repro``.
+checks ``src/repro`` for in-place parameter mutation in the pure layers
+(MUT001) and obs hooks whose value is used (OBS001).
 Performance numbers come from ``perfbench/run.py``, not from this CLI.
 """
 
@@ -516,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="AST-based determinism & invariant linter "
-        "(rules in ARCHITECTURE.md 'Invariants')",
+        help="AST checks for parameter mutation in pure layers and obs-hook "
+        "shape (rules in ARCHITECTURE.md 'Invariants')",
     )
     from .lint.cli import configure_parser as _configure_lint
 

@@ -1,4 +1,4 @@
-"""Static analysis for the invariants no runtime test can see.
+"""Per-module AST checks for parameter mutation and obs-hook shape.
 
 The reproduction's methodology only holds if instability comes from the
 *modeled* perturbation sources — sensor noise, ISP parameterization,
@@ -6,22 +6,16 @@ codecs, OS decoders — never from hidden nondeterminism in our own code.
 The runtime suites pin that: capture and codec golden hashes,
 batch/worker/cache invariance, the global-RNG guard, serve identity and
 the ``PYTHONHASHSEED`` sweep fail on any defect that moves an output
-bit. This package keeps the rules for what those suites cannot observe:
-a blocking call or a lock held across ``await`` on the serving event
-loop, a fire-and-forget task, an in-place write into a pure layer's
-argument, and an observability hook whose value is read back.
+bit, and the serving tests run every scenario under asyncio's debug
+mode, so a stalled event loop or a lost task fails them too. This
+package keeps two rules: no in-place write into a pure layer's
+argument, and obs hooks used only as statements or ``with`` contexts.
 
 Zero dependencies beyond the stdlib ``ast`` module. The pieces:
 
 * :mod:`~repro.lint.registry` — rule registry with per-rule severity;
 * :mod:`~repro.lint.rules_purity` — MUT001 (parameter mutation), OBS001
   (obs hook discipline);
-* :mod:`~repro.lint.callgraph` — project-wide call graph with
-  hash-cached per-function summaries, backing the whole-program rules;
-* :mod:`~repro.lint.rules_async` — ASY001-ASY003 (event-loop safety for
-  the serving path);
-* :mod:`~repro.lint.rules_effects` — PUR002 (obs stays a write-only
-  sink on pixel/byte paths, checked across module boundaries);
 * :mod:`~repro.lint.engine` — shared-AST-cache file walker with inline
   ``# lint: disable=RULE`` suppressions;
 * :mod:`~repro.lint.baseline` — committed grandfather list so the CI
@@ -33,7 +27,7 @@ Programmatic use::
 
     from repro.lint import lint_paths
 
-    report = lint_paths(["src/repro"], rules=("ASY001",))
+    report = lint_paths(["src/repro"], rules=("MUT001",))
     assert not report.findings, report.findings[0].render()
 """
 
@@ -46,11 +40,10 @@ from .baseline import (
     split_unknown_rules,
     write_baseline,
 )
-from .callgraph import Program, SummaryCache, build_program
 from .context import ModuleContext
 from .engine import LintEngine, LintReport, lint_paths
 from .findings import Finding, Severity
-from .registry import ProgramRule, Rule, all_rules, get_rules, register
+from .registry import Rule, all_rules, get_rules, register
 from .sarif import to_sarif
 
 __all__ = [
@@ -58,13 +51,9 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "ModuleContext",
-    "Program",
-    "ProgramRule",
     "Rule",
     "Severity",
-    "SummaryCache",
     "all_rules",
-    "build_program",
     "format_baseline",
     "get_rules",
     "lint_paths",

@@ -48,23 +48,16 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="persist whole-program summaries here (warm reruns skip "
-        "re-analysis of unchanged files)",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-rule counts, wall time, and call-graph size",
+        help="print per-rule counts and wall time",
     )
     parser.add_argument(
         "--rule",
         action="append",
         dest="rules",
         metavar="RULE",
-        help="check only this rule (repeatable, e.g. --rule ASY001)",
+        help="check only this rule (repeatable, e.g. --rule MUT001)",
     )
     parser.add_argument(
         "--baseline",
@@ -111,12 +104,7 @@ def run(args: argparse.Namespace) -> int:
 
     paths: List[Path] = [Path(p) for p in args.paths] or [default_target()]
     try:
-        report = lint_paths(
-            paths,
-            rules=args.rules,
-            baseline=baseline,
-            cache_dir=args.cache_dir,
-        )
+        report = lint_paths(paths, rules=args.rules, baseline=baseline)
     except KeyError as exc:
         print(f"repro lint: {exc.args[0]}")
         return 2
@@ -196,12 +184,3 @@ def _print_stats(stats: dict) -> None:
     rule_counts = stats.get("rule_counts") or {}
     for rule, count in sorted(rule_counts.items()):
         print(f"stats:   {rule}: {count} finding(s)")
-    graph = stats.get("callgraph") or {}
-    if graph:
-        total = graph.get("cache_hits", 0) + graph.get("cache_misses", 0)
-        rate = graph.get("cache_hits", 0) / total if total else 0.0
-        print(
-            f"stats:   call graph: {graph.get('nodes', 0)} node(s), "
-            f"{graph.get('edges', 0)} edge(s); summary cache "
-            f"{graph.get('cache_hits', 0)}/{total} hit(s) ({rate:.0%})"
-        )

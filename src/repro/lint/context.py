@@ -7,33 +7,19 @@ owns the pieces rules keep needing:
 * ``rel``, the module's path relative to the linted package root, which
   rules use to scope themselves (e.g. MUT001 checks only
   ``isp/stages.py``, ``codecs/``, ``imaging/`` and ``kernels/``);
-* an import-alias map so ``np.load`` and ``numpy.load`` resolve to the
-  same canonical dotted name, and
-  ``from .. import obs`` is recognized as :mod:`repro.obs` regardless of
-  the importing module's depth.
+* an import-alias map, so ``from .. import obs`` is recognized as
+  :mod:`repro.obs` regardless of the importing module's depth.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .findings import Finding, Severity
 
-__all__ = ["ModuleContext", "dotted_name"]
-
-
-def dotted_name(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    """The ``("np", "random", "rand")`` chain of a Name/Attribute, if any."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
+__all__ = ["ModuleContext"]
 
 
 def _package_parts(rel: str) -> list:
@@ -105,19 +91,6 @@ class ModuleContext:
             lines=tuple(source.splitlines()),
             aliases=_collect_aliases(tree, rel),
         )
-
-    def resolve(self, node: ast.AST) -> Optional[str]:
-        """Canonical dotted name of a Name/Attribute chain, or ``None``.
-
-        ``np.random.rand`` resolves to ``"numpy.random.rand"`` when the
-        module did ``import numpy as np``; unimported bare chains pass
-        through verbatim.
-        """
-        parts = dotted_name(node)
-        if parts is None:
-            return None
-        head = self.aliases.get(parts[0], parts[0])
-        return ".".join((head,) + parts[1:])
 
     def finding(
         self,

@@ -2,23 +2,9 @@
 
 One :class:`LintEngine` parses each file once per content version (a
 shared AST cache keyed by path/mtime/size serves every rule and every
-repeat run), collects findings from the selected rules, drops findings
-suppressed inline with ``# lint: disable=RULE`` comments, debits the
-baseline, and returns a :class:`LintReport`.
-
-Two kinds of rules run per invocation:
-
-* per-module rules see one :class:`ModuleContext` at a time, exactly as
-  before;
-* whole-program rules (:class:`~repro.lint.registry.ProgramRule`) run
-  once all files are parsed, against the linked
-  :class:`~repro.lint.callgraph.Program`. Their per-module summaries
-  are cached by source hash when ``cache_dir`` is set, so warm reruns
-  skip the summary extraction walk entirely.
-
-Both kinds feed the same suppression/baseline pipeline, so an inline
-``# lint: disable=ASY002`` or a baseline entry works identically for
-cross-module findings.
+repeat run), runs the selected rules on one :class:`ModuleContext` at a
+time, drops findings suppressed inline with ``# lint: disable=RULE``
+comments, debits the baseline, and returns a :class:`LintReport`.
 
 Scope keys (``rel``) are paths relative to the linted package root:
 when a file lives under a directory named ``repro`` the root is that
@@ -37,14 +23,13 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .baseline import BaselineKey, split_unknown_rules
-from .callgraph import SummaryCache, build_program, source_sha
 from .context import ModuleContext
 from .findings import Finding, Severity
-from .registry import ProgramRule, Rule, all_rules, get_rules
+from .registry import Rule, all_rules, get_rules
 
 __all__ = ["LintEngine", "LintReport", "lint_paths"]
 
-#: Inline suppression: ``# lint: disable=ASY002`` or ``=ASY002,MUT001``
+#: Inline suppression: ``# lint: disable=OBS001`` or ``=OBS001,MUT001``
 #: or ``=all``, anywhere on the flagged line.
 _SUPPRESS = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -61,8 +46,8 @@ class LintReport:
     #: Baseline entries naming rules that no longer exist (rel, rule, n);
     #: they cannot match any finding and should be deleted from the file.
     unknown_baseline: Tuple[Tuple[str, str, int], ...] = ()
-    #: Analysis cost: files, wall seconds, per-rule finding counts, and
-    #: call-graph size / summary-cache hit rate (``--stats``).
+    #: Analysis cost: files, wall seconds and per-rule finding counts
+    #: (``--stats``).
     stats: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -110,15 +95,9 @@ def _relative_scope(path: Path, root: Optional[Path]) -> str:
 class LintEngine:
     """Parses, caches, and checks; reusable across runs."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[str]] = None,
-        cache_dir: Optional[Union[str, Path]] = None,
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence[str]] = None) -> None:
         self.rules: Tuple[Rule, ...] = get_rules(rules)
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._ast_cache: Dict[Path, Tuple[Tuple[float, int], ModuleContext]] = {}
-        self._sha_cache: Dict[Path, Tuple[Tuple[float, int], str]] = {}
 
     def _context(self, path: Path, root: Optional[Path]) -> ModuleContext:
         stat = path.stat()
@@ -133,7 +112,6 @@ class LintEngine:
             source=source,
         )
         self._ast_cache[path] = (stamp, ctx)
-        self._sha_cache[path] = (stamp, source_sha(source))
         return ctx
 
     def run(
@@ -156,28 +134,6 @@ class LintEngine:
         known = {rule.name for rule in all_rules()} | {"PARSE"}
         unknown = split_unknown_rules(budget, known)
 
-        module_rules = [
-            r for r in self.rules if not getattr(r, "whole_program", False)
-        ]
-        program_rules = [
-            r for r in self.rules if getattr(r, "whole_program", False)
-        ]
-        contexts: List[ModuleContext] = []
-        muted_by_rel: Dict[str, Dict[int, Set[str]]] = {}
-
-        def _admit(finding: Finding) -> None:
-            nonlocal suppressed
-            rules_here = muted_by_rel.get(finding.rel, {}).get(finding.line, ())
-            if "ALL" in rules_here or finding.rule in rules_here:
-                suppressed += 1
-                return
-            key = (finding.rel, finding.rule)
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-                baselined.append(finding)
-                return
-            live.append(finding)
-
         for path in files:
             try:
                 ctx = self._context(path, root)
@@ -193,31 +149,21 @@ class LintEngine:
                     )
                 )
                 continue
-            contexts.append(ctx)
-            muted_by_rel[ctx.rel] = _suppressions(ctx.lines)
+            muted = _suppressions(ctx.lines)
             found: List[Finding] = []
-            for rule in module_rules:
+            for rule in self.rules:
                 found.extend(rule.check(ctx))
             for finding in sorted(found, key=Finding.sort_key):
-                _admit(finding)
-
-        graph_stats: Dict[str, object] = {}
-        if program_rules and contexts:
-            cache = (
-                SummaryCache(self.cache_dir)
-                if self.cache_dir is not None
-                else None
-            )
-            program = build_program(
-                [(ctx, self._sha_cache[Path(ctx.path)][1]) for ctx in contexts],
-                cache=cache,
-            )
-            graph_stats = dict(program.stats)
-            found = []
-            for rule in program_rules:
-                found.extend(rule.check_program(program))
-            for finding in sorted(found, key=Finding.sort_key):
-                _admit(finding)
+                rules_here = muted.get(finding.line, ())
+                if "ALL" in rules_here or finding.rule in rules_here:
+                    suppressed += 1
+                    continue
+                key = (finding.rel, finding.rule)
+                if budget.get(key, 0) > 0:
+                    budget[key] -= 1
+                    baselined.append(finding)
+                    continue
+                live.append(finding)
 
         stale = tuple(
             (rel, rule, count)
@@ -231,7 +177,6 @@ class LintEngine:
             "files": len(files),
             "wall_s": round(time.perf_counter() - started, 4),
             "rule_counts": dict(sorted(rule_counts.items())),
-            "callgraph": graph_stats,
         }
         return LintReport(
             findings=tuple(sorted(live, key=Finding.sort_key)),
@@ -259,9 +204,6 @@ def lint_paths(
     rules: Optional[Sequence[str]] = None,
     baseline: Optional[Dict[BaselineKey, int]] = None,
     root: Optional[Union[str, Path]] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
 ) -> LintReport:
     """One-shot convenience wrapper around :class:`LintEngine`."""
-    return LintEngine(rules, cache_dir=cache_dir).run(
-        paths, baseline=baseline, root=root
-    )
+    return LintEngine(rules).run(paths, baseline=baseline, root=root)

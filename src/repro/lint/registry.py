@@ -6,12 +6,6 @@ Rules self-register at import time via the :func:`register` decorator;
 :func:`all_rules` imports the rule modules and returns the registry
 sorted by name, so adding a rule module is the only step to extend the
 linter.
-
-Whole-program rules (:class:`ProgramRule`) run after every file is
-parsed: instead of ``check(ctx)`` per module they implement
-``check_program(program)`` against the linked
-:class:`~repro.lint.callgraph.Program`, so they can follow a blocking
-call or an obs value across module boundaries.
 """
 
 from __future__ import annotations
@@ -21,7 +15,7 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple, Type
 from .context import ModuleContext
 from .findings import Finding, Severity
 
-__all__ = ["Rule", "ProgramRule", "register", "all_rules", "get_rules"]
+__all__ = ["Rule", "register", "all_rules", "get_rules"]
 
 
 class Rule:
@@ -44,35 +38,6 @@ class Rule:
         return ctx.finding(self.name, node, message, severity=self.severity)
 
 
-class ProgramRule(Rule):
-    """A rule that needs the whole program, not one module at a time.
-
-    The engine calls :meth:`check_program` once per run with the linked
-    :class:`~repro.lint.callgraph.Program`; :meth:`check` is a no-op so
-    program rules slot into the same registry/selection machinery.
-    """
-
-    whole_program = True
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_program(self, program) -> Iterator[Finding]:  # pragma: no cover
-        raise NotImplementedError
-
-    def program_finding(self, fn, line: int, col: int, message: str) -> Finding:
-        """Build a finding anchored inside ``fn`` (a FunctionSummary)."""
-        return Finding(
-            rule=self.name,
-            path=fn.path,
-            rel=fn.rel,
-            line=line,
-            col=col,
-            message=message,
-            severity=self.severity,
-        )
-
-
 # Populated once by the @register decorators as the rule modules import;
 # read-only afterwards, so sharing it across processes is safe.
 _REGISTRY: Dict[str, Rule] = {}
@@ -92,7 +57,7 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 def all_rules() -> Tuple[Rule, ...]:
     """Every registered rule, sorted by name."""
     # Importing the rule modules triggers their @register decorators.
-    from . import rules_async, rules_effects, rules_purity  # noqa: F401
+    from . import rules_purity  # noqa: F401
 
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
 

@@ -99,7 +99,7 @@ class ServeServer:
             # interleaved partial writes would corrupt the NDJSON stream.
             # The awaited drain inside it is flow control on this same
             # writer, so it cannot be hoisted out of the critical section.
-            async with write_lock:  # lint: disable=ASY002
+            async with write_lock:
                 if writer.is_closing():
                     return
                 writer.write(encode_message(message))

@@ -111,125 +111,6 @@ CASES = [
         def f(obs):
             return obs.span("not the real module")
     """, False),
-    # ------------------------------------------------------------ ASY001
-    Case("ASY001", "direct-sleep", "serve/slowpath.py", """
-        import time
-        async def handle():
-            time.sleep(0.5)
-    """, True),
-    Case("ASY001", "transitive-blocking", "serve/chained.py", """
-        import numpy as np
-        def load_weights(path):
-            return np.load(path)
-        async def handle(path):
-            return load_weights(path)
-    """, True),
-    Case("ASY001", "sync-open", "loadgen/reader.py", """
-        async def handle(path):
-            with open(path) as fh:
-                return fh.read()
-    """, True),
-    Case("ASY001", "future-result", "serve/waiters.py", """
-        async def handle(fut):
-            return fut.result()
-    """, True),
-    Case("ASY001", "executor-shim-ok", "serve/shimmed.py", """
-        import time
-        async def handle(loop):
-            await loop.run_in_executor(None, lambda: time.sleep(0.5))
-    """, False),
-    Case("ASY001", "async-sleep-ok", "serve/paced.py", """
-        import asyncio
-        async def handle():
-            await asyncio.sleep(0.5)
-    """, False),
-    Case("ASY001", "sync-context-ok", "runner/batch.py", """
-        import time
-        def pace():
-            time.sleep(0.5)
-    """, False),
-    # ------------------------------------------------------------ ASY002
-    Case("ASY002", "lock-across-await", "serve/guarded.py", """
-        async def handle(lock, queue):
-            async with lock:
-                item = await queue.get()
-            return item
-    """, True),
-    Case("ASY002", "threading-lock-constructor", "serve/shared.py", """
-        import threading
-        async def handle(queue):
-            with threading.Lock():
-                return await queue.get()
-    """, True),
-    Case("ASY002", "await-outside-lock-ok", "serve/guarded.py", """
-        async def handle(lock, queue):
-            item = await queue.get()
-            async with lock:
-                count = item + 1
-            return count
-    """, False),
-    Case("ASY002", "non-lock-context-ok", "serve/session.py", """
-        async def handle(session, queue):
-            async with session:
-                return await queue.get()
-    """, False),
-    # ------------------------------------------------------------ ASY003
-    Case("ASY003", "bare-create-task", "serve/spawner.py", """
-        import asyncio
-        async def tick():
-            pass
-        async def handle():
-            asyncio.create_task(tick())
-    """, True),
-    Case("ASY003", "bare-ensure-future", "loadgen/fired.py", """
-        import asyncio
-        async def tick():
-            pass
-        async def handle():
-            asyncio.ensure_future(tick())
-    """, True),
-    Case("ASY003", "referenced-task-ok", "serve/tracked.py", """
-        import asyncio
-        async def tick():
-            pass
-        async def handle():
-            task = asyncio.create_task(tick())
-            await task
-    """, False),
-    # ------------------------------------------------------------ PUR002
-    Case("PUR002", "measurement-value-used", "codecs/counted.py", """
-        from repro import obs
-        def encode(data):
-            n = obs.count("codec.calls")
-            return data + [n]
-    """, True),
-    Case("PUR002", "obs-in-return", "isp/hooked.py", """
-        from repro import obs
-        def demosaic(raw):
-            return obs.active()
-    """, True),
-    Case("PUR002", "write-only-ok", "codecs/counted.py", """
-        from repro import obs
-        def encode(data):
-            with obs.span("codec.encode"):
-                out = list(data)
-            obs.count("codec.calls")
-            return out
-    """, False),
-    Case("PUR002", "handle-assignment-ok", "kernels/hooked.py", """
-        from repro import obs
-        def run(block):
-            ob = obs.active()
-            if ob is not None:
-                ob.metrics.count("kernel.calls")
-            return block
-    """, False),
-    Case("PUR002", "outside-pure-modules-ok", "runner/hooked.py", """
-        from repro import obs
-        def f():
-            x = obs.count("n")
-            return x
-    """, False),
 ]
 
 

@@ -30,10 +30,13 @@ def clean_file(tmp_path):
 
 @pytest.fixture
 def dirty_file(tmp_path):
-    target = tmp_path / "dirty.py"
+    # Under a ``repro`` directory, so it scopes as imaging/dirty.py and
+    # MUT001 applies.
+    target = tmp_path / "repro" / "imaging" / "dirty.py"
+    target.parent.mkdir(parents=True)
     target.write_text(
-        "import time\nfrom repro import obs\n"
-        "x = obs.count('n')\nasync def f():\n    time.sleep(1)\n"
+        "import numpy as np\nfrom repro import obs\n"
+        "x = obs.count('n')\ndef f(a):\n    a *= 2\n    return a\n"
     )
     return target
 
@@ -47,7 +50,7 @@ def test_violations_exit_nonzero_with_locations(dirty_file, capsys):
     assert run_cli("lint", str(dirty_file)) == 1
     out = capsys.readouterr().out
     assert f"{dirty_file}:3:" in out
-    assert "OBS001" in out and "ASY001" in out
+    assert "OBS001" in out and "MUT001" in out
     assert out.strip().endswith("across 1 file(s)")
 
 
@@ -55,15 +58,15 @@ def test_json_format(dirty_file, capsys):
     assert run_cli("lint", str(dirty_file), "--format", "json") == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["exit_code"] == 1
-    assert sorted(f["rule"] for f in payload["findings"]) == ["ASY001", "OBS001"]
+    assert sorted(f["rule"] for f in payload["findings"]) == ["MUT001", "OBS001"]
     assert payload["files"] == 1
 
 
-def test_rule_filter(dirty_file, capsys):
-    assert run_cli("lint", str(dirty_file), "--rule", "ASY001") == 1
+def test_rule_filter(dirty_file, clean_file, capsys):
+    assert run_cli("lint", str(dirty_file), "--rule", "MUT001") == 1
     out = capsys.readouterr().out
-    assert "ASY001" in out and "OBS001" not in out
-    assert run_cli("lint", str(dirty_file), "--rule", "MUT001") == 0
+    assert "MUT001" in out and "OBS001" not in out
+    assert run_cli("lint", str(clean_file), "--rule", "MUT001") == 0
 
 
 def test_unknown_rule_is_usage_error(clean_file, capsys):
@@ -80,7 +83,7 @@ def test_list_rules(capsys):
     assert run_cli("lint", "--list-rules") == 0
     out = capsys.readouterr().out
     listed = [line.split()[0] for line in out.strip().splitlines()]
-    assert listed == ["ASY001", "ASY002", "ASY003", "MUT001", "OBS001", "PUR002"]
+    assert listed == ["MUT001", "OBS001"]
 
 
 def test_write_baseline_then_gate_passes(dirty_file, tmp_path, capsys):
@@ -116,7 +119,6 @@ def test_stats_flag_prints_analysis_cost(clean_file, capsys):
     assert run_cli("lint", str(clean_file), "--stats") == 0
     out = capsys.readouterr().out
     assert "stats: 1 file(s) analyzed in" in out
-    assert "call graph:" in out
 
 
 def test_sarif_format(dirty_file, capsys):
@@ -125,23 +127,7 @@ def test_sarif_format(dirty_file, capsys):
     assert payload["version"] == "2.1.0"
     run = payload["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert sorted(r["ruleId"] for r in run["results"]) == ["ASY001", "OBS001"]
-
-
-def test_cache_dir_warm_run_matches_cold(dirty_file, tmp_path, capsys):
-    cache = tmp_path / "cache"
-    args = ("lint", str(dirty_file), "--format", "json",
-            "--cache-dir", str(cache))
-    assert run_cli(*args) == 1
-    cold = json.loads(capsys.readouterr().out)
-    assert run_cli(*args) == 1
-    warm = json.loads(capsys.readouterr().out)
-    # Identical findings cold vs. warm; the warm run served every
-    # summary from the on-disk cache.
-    assert warm["findings"] == cold["findings"]
-    assert cold["stats"]["callgraph"]["cache_misses"] == 1
-    assert warm["stats"]["callgraph"]["cache_hits"] == 1
-    assert warm["stats"]["callgraph"]["cache_misses"] == 0
+    assert sorted(r["ruleId"] for r in run["results"]) == ["MUT001", "OBS001"]
 
 
 def test_unknown_baseline_rule_is_reported(clean_file, tmp_path, capsys):

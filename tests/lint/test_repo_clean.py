@@ -51,26 +51,6 @@ def test_one_seeded_violation_per_rule_fails(tmp_path):
             "runner/x.py",
             "from repro import obs\ndef f():\n    return obs.active()\n",
         ),
-        "ASY001": (
-            "serve/x.py",
-            "import time\nasync def f():\n    time.sleep(1)\n",
-        ),
-        "ASY002": (
-            "serve/x.py",
-            "async def f(lock, q):\n"
-            "    async with lock:\n"
-            "        return await q.get()\n",
-        ),
-        "ASY003": (
-            "serve/x.py",
-            "import asyncio\n"
-            "async def g():\n    pass\n"
-            "async def f():\n    asyncio.create_task(g())\n",
-        ),
-        "PUR002": (
-            "codecs/x.py",
-            "from repro import obs\ndef f():\n    return obs.active()\n",
-        ),
     }
     assert set(seeded) == {rule.name for rule in all_rules()}
     for rule, (rel, code) in sorted(seeded.items()):

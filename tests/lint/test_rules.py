@@ -41,7 +41,7 @@ def test_every_rule_has_both_directions():
 
 
 def test_rule_selection_and_unknown_rule():
-    assert [r.name for r in get_rules(("asy001",))] == ["ASY001"]
+    assert [r.name for r in get_rules(("mut001",))] == ["MUT001"]
     with pytest.raises(KeyError):
         get_rules(("NOPE999",))
 

@@ -24,7 +24,7 @@ def test_suppression_is_rule_specific(tmp_path):
     report = _run(
         tmp_path,
         "from repro import obs\n"
-        "x = obs.count('n')  # lint: disable=ASY001\n",
+        "x = obs.count('n')  # lint: disable=MUT001\n",
     )
     assert [f.rule for f in report.findings] == ["OBS001"]
     assert report.suppressed == 0
