@@ -11,7 +11,9 @@ from repro.serve.service import IngestService
 from .conftest import make_config, run_scenario
 
 
-def serve_and_drive(count=20, rate=500.0, seed=5, settle_timeout_s=60.0, **config_overrides):
+def serve_and_drive(
+    count=20, rate=500.0, seed=5, settle_timeout_s=60.0, **config_overrides
+):
     server = ServeServer(IngestService(make_config(**config_overrides)), port=0)
 
     async def scenario():
@@ -46,7 +48,9 @@ class TestEndToEnd:
     def test_drain_reply_found_behind_late_results(self):
         # The settle wait gives up long before the first capture is
         # answered, so every result arrives after the client's drain.
-        report, accounting = serve_and_drive(count=20, rate=1000.0, settle_timeout_s=0.001)
+        report, accounting = serve_and_drive(
+            count=20, rate=1000.0, settle_timeout_s=0.001
+        )
         assert accounting["balanced"]
         assert accounting["completed"] == 20
         assert report["server_accounting"] == accounting
