@@ -56,13 +56,17 @@ class Phone:
         return self.sensor.capture(radiance, rng)
 
     def capture_raw_batch(
-        self, radiance: ImageBuffer, rngs: Sequence[np.random.Generator]
+        self,
+        radiances: Sequence[ImageBuffer],
+        rngs: Sequence[np.random.Generator],
     ) -> List[RawImage]:
-        """Expose ``len(rngs)`` repeat frames in one vectorized pass.
+        """Expose one frame per ``(radiances[i], rngs[i])`` in one pass.
 
-        Frame ``i`` is bit-identical to ``capture_raw(radiance, rngs[i])``.
+        The sensor front end runs once per distinct radiance buffer, so
+        repeats and a device's several scenes share one call. Frame ``i``
+        is bit-identical to ``capture_raw(radiances[i], rngs[i])``.
         """
-        return self.sensor.capture_batch(radiance, rngs)
+        return self.sensor.capture_batch(radiances, rngs)
 
     def develop(self, raw: RawImage) -> ImageBuffer:
         """Run a raw capture through this phone's vendor ISP (a batch of one)."""

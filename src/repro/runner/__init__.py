@@ -18,8 +18,10 @@ guaranteed bit-identical either way:
   repeated experiments and ablation sweeps skip redundant capture work;
 * :mod:`~repro.runner.executor` schedules units over
   ``concurrent.futures`` with a serial fallback and cache short-circuit,
-  fusing same-(phone, scene) repeats of every unit kind into vectorized
-  group passes (:func:`~repro.runner.units.execute_unit_group`);
+  fusing each (kind, phone, options) triple's captures — all its scenes
+  and their repeats, in chunks of at most ``MAX_GROUP_UNITS`` — into
+  vectorized group passes
+  (:func:`~repro.runner.units.execute_unit_group`);
 * :mod:`~repro.runner.shm` ships fused groups to pooled workers as
   pixel-free shared-memory descriptors instead of pickled buffers.
 

@@ -6,18 +6,22 @@
    the attached :class:`~repro.runner.cache.CaptureCache`; hits skip
    execution entirely.
 2. **Execution** — misses are grouped by
-   :func:`~repro.runner.units.group_signature`, so all repeats of the
-   same (phone, scene, options) triple fuse into one vectorized
+   :func:`~repro.runner.units.group_signature`, so every capture one
+   (kind, phone, options) triple makes in a ``run`` — all its scenes and
+   their repeat shots — fuses into one vectorized
    :func:`~repro.runner.units.execute_unit_group` pass (a group of one
-   included); per-unit cache keys are untouched because the fused
-   outputs are split back into per-unit payloads before reassembly.
-   Every unit kind runs through that one pass: ``photograph``, ``raw``
-   and ``raw_vs_jpeg`` repeats fuse, and each ``develop`` unit is a
-   group of one. With ``workers > 1`` the groups fan out across a
-   ``ProcessPoolExecutor`` in one submit-and-collect loop. Capture
-   groups ship as pixel-free :class:`~repro.runner.shm.GroupTask`
-   descriptors — radiance travels through a shared-memory input slab,
-   and photograph pixels come back through a preallocated output slab,
+   included), split into consecutive chunks of at most
+   :data:`MAX_GROUP_UNITS`; per-unit cache keys are untouched because
+   the fused outputs are split back into per-unit payloads before
+   reassembly. Every unit kind runs through that one pass:
+   ``photograph``, ``raw`` and ``raw_vs_jpeg`` captures fuse, and each
+   ``develop`` unit is a group of one. With ``workers > 1`` the groups
+   fan out across a ``ProcessPoolExecutor`` in one submit-and-collect
+   loop. Capture groups ship as pixel-free
+   :class:`~repro.runner.shm.GroupTask` descriptors — each distinct
+   radiance travels once through a shared-memory input slab, units name
+   it by index, and photograph pixels come back through a preallocated
+   output slab,
    so only scalar metadata crosses the pickle boundary (``raw`` and
    ``raw_vs_jpeg`` payloads, and photographs from an ISP without a
    Resize stage, come back pickled). ``develop`` units, which carry
@@ -61,7 +65,12 @@ from .units import (
     unit_cache_key,
 )
 
-__all__ = ["FleetExecutor", "resolve_workers"]
+__all__ = ["FleetExecutor", "MAX_GROUP_UNITS", "resolve_workers"]
+
+#: Largest fused group: a bigger one splits into consecutive chunks.
+#: Bounds the (N, H, W, C) frame stacks a group holds at once (64 frames
+#: of a 96 x 96 output is ~7 MB per float32 stage buffer).
+MAX_GROUP_UNITS = 64
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -194,8 +203,11 @@ class FleetExecutor:
         observed = observer is not None
 
         # Input slab: each distinct radiance buffer is written once, no
-        # matter how many groups (phones x repeats) reference it.
+        # matter how many groups (phones x repeats) reference it. Each
+        # capture group also records its distinct buffers' ids, in first
+        # use order; a unit names its buffer by position in that list.
         radiance_refs: Dict[int, Tuple[int, np.ndarray]] = {}
+        group_slots: List[Dict[int, int]] = []
         input_bytes = 0
         # Output slab: one (N, H, W, 3) float32 region per photograph
         # group whose decoded shape is statically known; every other
@@ -205,11 +217,16 @@ class FleetExecutor:
         for indices in groups:
             first = units[indices[0]]
             shape = None
+            slots: Dict[int, int] = {}
+            group_slots.append(slots)
             if first.kind != "develop":
-                if id(first.radiance) not in radiance_refs:
-                    contiguous = np.ascontiguousarray(first.radiance)
-                    radiance_refs[id(first.radiance)] = (input_bytes, contiguous)
-                    input_bytes += contiguous.nbytes
+                for i in indices:
+                    radiance = units[i].radiance
+                    slots.setdefault(id(radiance), len(slots))
+                    if id(radiance) not in radiance_refs:
+                        contiguous = np.ascontiguousarray(radiance)
+                        radiance_refs[id(radiance)] = (input_bytes, contiguous)
+                        input_bytes += contiguous.nbytes
                 if first.kind == "photograph":
                     shape = photograph_output_shape(first.profile)
             if shape is None:
@@ -247,14 +264,22 @@ class FleetExecutor:
                 max_workers=max_workers, mp_context=_pool_context()
             ) as pool:
                 futures = []
-                for indices, out_spec in zip(groups, out_specs):
+                for indices, out_spec, slots in zip(groups, out_specs, group_slots):
                     first = units[indices[0]]
                     if first.kind == "develop":
                         futures.append(
                             pool.submit(run_unit_group, [first], observed)
                         )
                         continue
-                    offset, contiguous = radiance_refs[id(first.radiance)]
+                    refs = [
+                        SharedArrayRef(
+                            input_slab.name,
+                            offset,
+                            contiguous.shape,
+                            str(contiguous.dtype),
+                        )
+                        for offset, contiguous in (radiance_refs[k] for k in slots)
+                    ]
                     out_ref = None
                     if out_spec is not None:
                         out_offset, region = out_spec
@@ -263,12 +288,8 @@ class FleetExecutor:
                         )
                     task = GroupTask(
                         profile=first.profile,
-                        radiance=SharedArrayRef(
-                            input_slab.name,
-                            offset,
-                            contiguous.shape,
-                            str(contiguous.dtype),
-                        ),
+                        radiances=refs,
+                        radiance_index=[slots[id(units[i].radiance)] for i in indices],
                         entropies=[tuple(units[i].entropy) for i in indices],
                         options=dict(first.options),
                         kind=first.kind,
@@ -318,25 +339,33 @@ class FleetExecutor:
 def _group_pending(units: List[CaptureUnit]) -> List[List[int]]:
     """Partition pending units into fused groups, preserving order.
 
-    Units sharing a :func:`group_signature` land in one group (ordered by
-    first occurrence, members in submission order); ``develop`` units,
-    which have no signature, get singleton groups. The grouping is a pure function of
-    unit *content*, so any submission order of the same multiset of units
-    yields the same group contents — the batch-invariance suite shuffles
-    submission order to prove the outputs don't care.
+    Units sharing a :func:`group_signature` — one device's captures with
+    one treatment, over any scenes — land in one group (ordered by first
+    occurrence, members in submission order); ``develop`` units, which
+    have no signature, get singleton groups. A group larger than
+    :data:`MAX_GROUP_UNITS` splits into near-equal consecutive chunks, so
+    a frame stack stays bounded in memory and a big study still leaves
+    the pool several groups per device. Which units share a group is
+    scheduling only: every payload is a function of its own unit, which
+    the batch-invariance suite checks by shuffling submission order and
+    splitting groups.
     """
-    grouped: Dict[str, List[int]] = {}
-    order: List[List[int]] = []
-    radiance_memo: Dict[int, str] = {}
+    grouped: Dict[Tuple, List[int]] = {}
+    buckets: List[List[int]] = []
     for i, unit in enumerate(units):
-        signature = group_signature(unit, _radiance_memo=radiance_memo)
+        signature = group_signature(unit)
         if signature is None:
-            order.append([i])
+            buckets.append([i])
             continue
         bucket = grouped.get(signature)
         if bucket is None:
             bucket = grouped[signature] = [i]
-            order.append(bucket)
+            buckets.append(bucket)
         else:
             bucket.append(i)
+    order: List[List[int]] = []
+    for bucket in buckets:
+        parts = -(-len(bucket) // MAX_GROUP_UNITS)
+        size = -(-len(bucket) // parts)
+        order.extend(bucket[k : k + size] for k in range(0, len(bucket), size))
     return order

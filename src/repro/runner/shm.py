@@ -8,8 +8,11 @@ module replaces both directions with ``multiprocessing.shared_memory``
 slabs:
 
 * the parent writes each *distinct* radiance buffer into one input slab
-  and ships workers a :class:`SharedArrayRef` (name + offset + shape +
-  dtype — a few hundred bytes) instead of the pixels;
+  and ships workers one :class:`SharedArrayRef` (name + offset + shape +
+  dtype — a few hundred bytes) per distinct buffer in the group, plus
+  one small index per unit, instead of the pixels; the worker maps each
+  index to a single view, so a device's repeats of one scene still share
+  one sensor front end;
 * the parent preallocates one output slab with an ``(N, H, W, 3)``
   float32 region per photograph group (shapes come from
   :func:`~repro.runner.units.photograph_output_shape`), and workers write
@@ -88,15 +91,17 @@ class SharedArrayRef:
 class GroupTask:
     """Everything a worker needs to run one fused capture group.
 
-    Deliberately pixel-free: the radiance travels as a
-    :class:`SharedArrayRef`, and photograph pixels return through
-    ``out``. With ``out`` ``None`` — a ``raw``/``raw_vs_jpeg`` group, or
-    a photograph whose ISP has no Resize stage — the payloads come back
+    Deliberately pixel-free: the group's distinct radiance buffers travel
+    as :class:`SharedArrayRef` s, unit ``i`` names its buffer by
+    ``radiance_index[i]``, and photograph pixels return through ``out``.
+    With ``out`` ``None`` — a ``raw``/``raw_vs_jpeg`` group, or a
+    photograph whose ISP has no Resize stage — the payloads come back
     pickled.
     """
 
     profile: DeviceProfile
-    radiance: SharedArrayRef
+    radiances: List[SharedArrayRef]
+    radiance_index: List[int]
     entropies: List[Tuple[int, ...]]
     options: Dict[str, Any] = field(default_factory=dict)
     kind: str = "photograph"
@@ -168,16 +173,18 @@ def run_group_task(task: GroupTask):
     full payloads come back pickled. ``span_dicts``/``metrics_snapshot``
     are ``None`` unless ``task.observed``.
     """
-    radiance = _view(task.radiance)
+    # One view per distinct buffer: units naming the same index share the
+    # view object, so the sensor's identity dedup survives the pickle.
+    views = [_view(ref) for ref in task.radiances]
     units = [
         CaptureUnit(
             kind=task.kind,
             profile=task.profile,
-            radiance=radiance,
+            radiance=views[slot],
             entropy=tuple(entropy),
             options=dict(task.options),
         )
-        for entropy in task.entropies
+        for slot, entropy in zip(task.radiance_index, task.entropies)
     ]
     payloads, span_dicts, metrics_snapshot = run_unit_group(units, task.observed)
     if task.out is None:

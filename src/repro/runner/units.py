@@ -172,17 +172,17 @@ def unit_cache_key(unit: CaptureUnit) -> str:
 # ----------------------------------------------------------------------
 #: Per-process Phone memo: profiles are frozen, Phones are stateless, so
 #: one instance per distinct profile per worker is safe and saves the
-#: ISP-pipeline construction on every unit. Divergence between workers
-#: is speed-only — the memo never influences a payload bit.
-_PHONE_MEMO: Dict[str, Phone] = {}
+#: ISP-pipeline construction on every unit. Keyed by the (hashable,
+#: frozen) profile itself: a dict lookup, not a content digest, per unit.
+#: Divergence between workers is speed-only — the memo never influences
+#: a payload bit.
+_PHONE_MEMO: Dict[DeviceProfile, Phone] = {}
 
 
 def _phone_for(profile: DeviceProfile) -> Phone:
-    key = fingerprint(profile)
-    phone = _PHONE_MEMO.get(key)
+    phone = _PHONE_MEMO.get(profile)
     if phone is None:
-        phone = Phone(profile)
-        _PHONE_MEMO[key] = phone
+        phone = _PHONE_MEMO[profile] = Phone(profile)
     return phone
 
 
@@ -264,41 +264,24 @@ def _conversion_isp(unit: CaptureUnit):
     return build_isp(str(unit.options.get("conversion_isp", "imagemagick")))
 
 
-def group_signature(
-    unit: CaptureUnit, _radiance_memo: Optional[Dict[int, str]] = None
-) -> Optional[str]:
-    """Fingerprint of a unit's fusable inputs (everything but entropy).
+def group_signature(unit: CaptureUnit) -> Optional[Tuple]:
+    """The key of a unit's fusable inputs: (kind, profile, options).
 
-    Units sharing a signature are repeat captures of the same (kind,
-    phone, scene, options): their execution differs only in the per-unit
-    RNG stream, which is exactly what :func:`execute_unit_group`
-    vectorizes over. Every capture kind (``photograph``, ``raw``,
-    ``raw_vs_jpeg``) has one; ``develop`` units carry no capture to fuse
-    and return ``None`` (they run as groups of one).
-
-    ``_radiance_memo`` lets a caller grouping many units amortize the
-    radiance digest across the (typical) case where every repeat of a
-    scene shares one buffer object. Keyed by ``id``; only valid while the
-    caller keeps the buffers alive, which is why it is caller-supplied
-    rather than a module-level cache.
+    Units sharing a signature are captures by the same device with the
+    same treatment — a device's scenes and their repeat shots alike —
+    which :func:`execute_unit_group` develops and encodes in one pass;
+    radiance and entropy vary per unit. Every capture kind
+    (``photograph``, ``raw``, ``raw_vs_jpeg``) has one; ``develop`` units
+    carry no capture to fuse and return ``None`` (they run as groups of
+    one). The profile enters by value (frozen, hashable), so the key
+    costs a dict hash rather than a content digest; options enter as
+    their type-tagged fingerprint, so ``70`` and ``70.0`` never share a
+    group.
     """
     if unit.kind == "develop":
         return None
-    if _radiance_memo is None:
-        radiance_fp = fingerprint(unit.radiance)
-    else:
-        radiance_fp = _radiance_memo.get(id(unit.radiance))
-        if radiance_fp is None:
-            radiance_fp = fingerprint(unit.radiance)
-            _radiance_memo[id(unit.radiance)] = radiance_fp
-    return fingerprint(
-        (
-            unit.kind,
-            unit.profile,
-            radiance_fp,
-            sorted(unit.options.items(), key=lambda kv: kv[0]),
-        )
-    )
+    options = fingerprint(sorted(unit.options.items(), key=lambda kv: kv[0]))
+    return (unit.kind, unit.profile, options)
 
 
 def photograph_output_shape(profile: DeviceProfile) -> Optional[Tuple[int, int]]:
@@ -317,7 +300,7 @@ def photograph_output_shape(profile: DeviceProfile) -> Optional[Tuple[int, int]]
 
 
 def _check_group(units: Sequence[CaptureUnit]) -> None:
-    """Reject a group that is not repeats of one capture."""
+    """Reject a group whose units are not one device's captures."""
     first = units[0]
     if first.kind == "develop":
         if len(units) != 1:
@@ -327,15 +310,9 @@ def _check_group(units: Sequence[CaptureUnit]) -> None:
         if (
             u.kind != first.kind
             or (u.profile is not first.profile and u.profile != first.profile)
-            or (
-                u.radiance is not first.radiance
-                and not np.array_equal(u.radiance, first.radiance)
-            )
             or u.options != first.options
         ):
-            raise ValueError(
-                "a unit group must share kind, profile, radiance and options"
-            )
+            raise ValueError("a unit group must share kind, profile and options")
 
 
 def _encode_decode(codec, images, quality) -> List[Tuple[bytes, ImageBuffer]]:
@@ -363,17 +340,18 @@ def _encode_decode(codec, images, quality) -> List[Tuple[bytes, ImageBuffer]]:
 
 
 def execute_unit_group(units: Sequence[CaptureUnit]) -> List[Dict[str, np.ndarray]]:
-    """Run a group of repeat captures in one fused pass.
+    """Run one device's captures in one fused pass.
 
-    All units must share kind/profile/radiance/options and differ only in
-    seed entropy (i.e. be repeats of one capture, as
-    :func:`group_signature` groups them); a ``develop`` unit runs as a
-    group of one. Payload ``i`` is bit-identical to
-    ``execute_unit(units[i])`` — the sensor fans one shared exposure
-    front end out over the per-unit RNGs, the ISP develops the stack as
+    All units must share kind/profile/options (as :func:`group_signature`
+    groups them) and may differ in radiance and seed entropy; a
+    ``develop`` unit runs as a group of one. Payload ``i`` is
+    bit-identical to ``execute_unit(units[i])`` — the sensor runs its
+    exposure front end once per distinct radiance buffer and fans it out
+    over the per-unit RNGs, the ISP develops the stack as
     ``(N, H, W, C)``, and JPEG files go through the fused
     :func:`~repro.codecs.jpeg.jpeg_roundtrip_batch` encode+reconstruct.
-    A single-unit group still wins: the fused roundtrip skips the decode
+    Repeat shots are the case where every unit names one buffer. A
+    single-unit group still wins: the fused roundtrip skips the decode
     marker parse and Huffman walk entirely.
     """
     units = list(units)
@@ -400,7 +378,13 @@ def _execute_capture_group(units: List[CaptureUnit]) -> List[Dict[str, np.ndarra
     first = units[0]
     phone = _phone_for(first.profile)
     rngs = [np.random.default_rng(tuple(u.entropy)) for u in units]
-    raws = phone.capture_raw_batch(ImageBuffer(first.radiance), rngs)
+    # One ImageBuffer per distinct radiance array, so the sensor's
+    # identity dedup shares the front end across every unit naming it.
+    buffers: Dict[int, ImageBuffer] = {}
+    for u in units:
+        if id(u.radiance) not in buffers:
+            buffers[id(u.radiance)] = ImageBuffer(u.radiance)
+    raws = phone.capture_raw_batch([buffers[id(u.radiance)] for u in units], rngs)
     if first.kind == "raw":
         return [raw_to_payload(raw) for raw in raws]
 

@@ -71,30 +71,32 @@ class SensorNoiseModel:
         noise (shot, read, dark, row) is drawn from ``rng`` so repeat
         captures differ. One capture of :meth:`apply_batch`.
         """
-        (noisy,) = self.apply_batch(signal, [rng])
+        (noisy,) = self.apply_batch(np.asarray(signal)[None], [rng])
         return noisy
 
     def apply_batch(
-        self, signal: np.ndarray, rngs: Sequence[np.random.Generator]
+        self, signals: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """Noise for ``len(rngs)`` repeat captures of one exposure.
+        """Noise for an ``(N, H, W)`` stack of signals, one per generator.
 
-        One shared pre-noise ``signal`` is observed through ``len(rngs)``
-        independent temporal-noise draws. The fixed-pattern gain and the
-        shot-noise sigma depend only on ``signal``, so they are computed
-        once and broadcast; each generator then draws its components in a
-        fixed order (shot, dark, read, row), so item ``i`` depends only
-        on ``rngs[i]`` and equals ``apply(signal, rngs[i])``.
+        The fixed-pattern gain is computed once per call and shared by
+        every frame; the shot-noise sigma is elementwise in each frame's
+        own signal. Each generator draws its components in a fixed order
+        (shot, dark, read, row), so item ``i`` depends only on
+        ``signals[i]`` and ``rngs[i]`` and equals
+        ``apply(signals[i], rngs[i])``. Repeats of one exposure are the
+        case where every frame carries the same signal.
         """
-        signal = np.asarray(signal, dtype=np.float32)
-        h, w = signal.shape
-        n = len(rngs)
+        signals = np.asarray(signals, dtype=np.float32)
+        n, h, w = signals.shape
+        if n != len(rngs):
+            raise ValueError(f"{n} signals for {len(rngs)} generators")
         if n == 0:
             return np.empty((0, h, w), dtype=np.float32)
 
-        # Shared (rng-independent) terms: the fixed-pattern gain, then the
-        # photon shot noise sigma (Gaussian approximation to Poisson).
-        noisy0 = signal * self.prnu_map(h, w)
+        # Deterministic terms: the fixed-pattern gain, then the photon
+        # shot noise sigma (Gaussian approximation to Poisson).
+        noisy0 = signals * self.prnu_map(h, w)
         electrons = np.clip(noisy0, 0.0, 1.0) * self.full_well_electrons
         shot_sigma = np.sqrt(np.maximum(electrons, 0.0)) / self.full_well_electrons
 
@@ -117,7 +119,7 @@ class SensorNoiseModel:
                 row_draws[i] = rng.normal(0.0, self.row_noise, (h, 1)).astype(np.float32)
 
         # Sum the components; dark current also adds its mean offset.
-        noisy = noisy0[None, :, :] + shot_draws * shot_sigma[None, :, :]
+        noisy = noisy0 + shot_draws * shot_sigma
         if dark_draws is not None:
             noisy = noisy + self.dark_current + dark_draws
         if read_draws is not None:

@@ -71,6 +71,10 @@ class LensModel:
             center = np.array([cy, cx])
             channels = []
             for channel, scale in ((0, 1.0 + self.chromatic_aberration), (1, 1.0), (2, 1.0 - self.chromatic_aberration)):
+                if scale == 1.0:
+                    # Green is the reference: its warp is an exact identity.
+                    channels.append(out[..., channel])
+                    continue
                 matrix = np.eye(2) / scale
                 offset = center - matrix @ center
                 channels.append(

@@ -19,12 +19,12 @@ calibration metadata an ISP (or the raw-inference mitigation path) needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .. import obs
-from ..imaging.color import gray_world_gains
+from ..imaging.color import gray_world_gains_batch
 from ..imaging.image import BAYER_PATTERNS, ImageBuffer, RawImage
 from ..imaging.ops import bilinear_resize
 from .noise import SensorNoiseModel
@@ -76,29 +76,50 @@ class BayerSensor:
         states model two consecutive shutter actuations (the paper's
         Fig. 1 repeat-shot scenario).
         """
-        return self.capture_batch(radiance, [rng])[0]
+        return self.capture_batch([radiance], [rng])[0]
 
     def capture_batch(
-        self, radiance: ImageBuffer, rngs: Sequence[np.random.Generator]
+        self,
+        radiances: Sequence[ImageBuffer],
+        rngs: Sequence[np.random.Generator],
     ) -> List[RawImage]:
-        """Expose ``len(rngs)`` repeat frames of one radiance field.
+        """Expose one frame per ``(radiances[i], rngs[i])`` pair.
 
         Everything upstream of the temporal noise — optics, exposure, CFA
         sampling, and the as-shot AWB estimate — depends only on the
-        radiance, so it is computed once and shared; the noise model then
-        fans the shared mosaic out over the per-repeat generators. Frame
-        ``i`` depends only on ``rngs[i]``, so it is bit-identical to
-        ``capture(radiance, rngs[i])``.
+        radiance, so it runs once per distinct buffer object and is
+        shared by every frame that names it; the noise model then draws
+        each frame from its own generator. Repeat shots are the case
+        where every frame names the same buffer. Frame ``i`` depends only
+        on ``radiances[i]`` and ``rngs[i]``, so it is bit-identical to
+        ``capture(radiances[i], rngs[i])``.
         """
         cfg = self.config
         h, w = cfg.resolution
+        if len(radiances) != len(rngs):
+            raise ValueError(f"{len(radiances)} radiances for {len(rngs)} generators")
         if not rngs:
             return []
 
+        # Distinct buffers by identity; ``index[i]`` is frame i's buffer.
+        slots: Dict[int, int] = {}
+        distinct: List[ImageBuffer] = []
+        index = []
+        for radiance in radiances:
+            slot = slots.get(id(radiance))
+            if slot is None:
+                slot = slots[id(radiance)] = len(distinct)
+                distinct.append(radiance)
+            index.append(slot)
+
         with obs.span("sensor.capture_batch", frames=len(rngs)):
             with obs.span("sensor.optics"):
-                linear = bilinear_resize(radiance.pixels, h, w)
-                linear = cfg.lens.apply(linear)
+                linear = np.stack(
+                    [
+                        cfg.lens.apply(bilinear_resize(r.pixels, h, w))
+                        for r in distinct
+                    ]
+                )
 
             sens = np.asarray(cfg.channel_sensitivity, dtype=np.float32)
             exposed = linear * sens * np.float32(cfg.exposure)
@@ -107,11 +128,11 @@ class BayerSensor:
             cell = BAYER_PATTERNS[cfg.pattern]
             channel_map = np.tile(cell, (h // 2, w // 2))
             mosaic = np.take_along_axis(
-                exposed.reshape(h, w, 3), channel_map[..., None], axis=2
+                exposed, channel_map[None, ..., None], axis=3
             )[..., 0]
 
             with obs.span("sensor.noise"):
-                mosaics = cfg.noise.apply_batch(mosaic, rngs)
+                mosaics = cfg.noise.apply_batch(mosaic[index], rngs)
 
             # Pedestal, saturation, and ADC quantization.
             span = 1.0 - cfg.black_level
@@ -122,17 +143,16 @@ class BayerSensor:
             # As-shot white balance estimate (gray world over the exposed
             # RGB, before mosaicing — phones estimate this from the full
             # AWB stats).
-            wb = gray_world_gains(exposed)
+            wbs = [tuple(float(g) for g in wb) for wb in gray_world_gains_batch(exposed)]
 
-        wb_gains = (float(wb[0]), float(wb[1]), float(wb[2]))
         return [
             RawImage(
                 mosaic=mosaics[i].astype(np.float32),
                 pattern=cfg.pattern,
                 black_level=cfg.black_level,
                 white_level=1.0,
-                wb_gains=wb_gains,
+                wb_gains=wbs[slot],
                 metadata={"exposure": cfg.exposure, "adc_bits": cfg.adc_bits},
             )
-            for i in range(len(rngs))
+            for i, slot in enumerate(index)
         ]

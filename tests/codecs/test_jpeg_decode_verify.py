@@ -41,7 +41,7 @@ def test_fused_pixels_equal_a_real_decode(profile, quality, n, radiance):
         np.random.default_rng(unit_entropy(0, profile.name, "decode_verify", r))
         for r in range(n)
     ]
-    images = phone.develop_batch(phone.capture_raw_batch(radiance, rngs))
+    images = phone.develop_batch(phone.capture_raw_batch([radiance] * n, rngs))
     pairs = jpeg_roundtrip_batch(images, quality=quality)
     assert len(pairs) == n
     for data, fused in pairs:

@@ -37,7 +37,7 @@ def raws_by_profile():
         out[profile.name] = (
             phone,
             phone.capture_raw_batch(
-                radiance, [np.random.default_rng((4, r)) for r in range(4)]
+                [radiance] * 4, [np.random.default_rng((4, r)) for r in range(4)]
             ),
         )
     return out

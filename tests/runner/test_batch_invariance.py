@@ -1,8 +1,9 @@
 """The batch-invariance invariant: fused execution is a no-op, bitwise.
 
-The executor may group units however it likes — by (kind, phone, scene)
-signature, any batch size, any submission order, serial or pooled, cold
-or warm cache — and the payloads must still be byte-for-byte what
+The executor may group units however it likes — by (kind, phone,
+options) signature across scenes, any batch size, split at the group
+cap, any submission order, serial or pooled, cold or warm cache — and
+the payloads must still be byte-for-byte what
 ``[execute_unit(u) for u in units]`` produces, and what N groups of one
 produce: a batch of N equals N batches of 1. ``execute_unit`` is the
 independent per-unit reference (it parses every encoded file back), and
@@ -28,8 +29,9 @@ from repro.runner import (
     group_signature,
     unit_entropy,
 )
+from repro.runner import executor as executor_module
 from repro.runner.shm import GroupTask, SharedArrayRef
-from repro.runner.executor import _group_pending
+from repro.runner.executor import MAX_GROUP_UNITS, _group_pending
 from repro.runner.units import execute_unit_group, photograph_output_shape
 
 
@@ -163,11 +165,12 @@ class TestBatchInvariance:
                 _assert_payloads_equal(payload, exp)
 
     def test_every_capture_profile_in_groups_of_four(self, scenes):
-        """Every capture_fleet() phone x 2 scenes x 4 repeats: fused == per-unit.
+        """Every capture_fleet() phone x 2 scenes x 2 repeats: fused == per-unit.
 
         The unit pool above covers phones 0 and 4 only, and the golden
         captures run in groups of one; this pins the fused pass for every
-        capture profile at a group size above one.
+        capture profile in one group of four per phone that mixes two
+        scenes with their repeats.
         """
         units = [
             CaptureUnit(
@@ -178,9 +181,9 @@ class TestBatchInvariance:
             )
             for profile in capture_fleet()
             for scene_id, radiance in enumerate(scenes)
-            for repeat in range(4)
+            for repeat in range(2)
         ]
-        assert sorted(len(g) for g in _group_pending(units)) == [4] * 10
+        assert sorted(len(g) for g in _group_pending(units)) == [4] * 5
         expected = [execute_unit(unit) for unit in units]
         payloads = FleetExecutor(workers=0).run(units)
         assert len(payloads) == len(expected)
@@ -189,9 +192,9 @@ class TestBatchInvariance:
 
     def test_groups_of_one_match_batches(self, unit_pool, reference):
         """N groups of one == one group of N == the per-unit reference."""
-        group = unit_pool[8:16]  # all repeats of (phone 0, scene 1)
+        group = unit_pool[:16]  # phone 0: both scenes, all repeats
         fused = execute_unit_group(group)
-        for unit, payload, exp in zip(group, fused, reference[8:16]):
+        for unit, payload, exp in zip(group, fused, reference[:16]):
             (single,) = execute_unit_group([unit])
             _assert_payloads_equal(single, payload)
             _assert_payloads_equal(payload, exp)
@@ -201,15 +204,37 @@ class TestGrouping:
     def test_signature_partitions_repeats(self, unit_pool):
         sigs = [group_signature(u) for u in unit_pool]
         assert all(s is not None for s in sigs)
-        # 2 phones x 2 scenes -> 4 distinct groups of 8 repeats each.
-        assert len(set(sigs)) == 4
+        # 2 phones -> 2 groups of 2 scenes x 8 repeats each.
+        assert len(set(sigs)) == 2
         for sig in set(sigs):
-            assert sigs.count(sig) == 8
+            assert sigs.count(sig) == 16
+        assert sorted(len(g) for g in _group_pending(unit_pool)) == [16, 16]
 
     def test_signature_ignores_entropy(self, unit_pool):
         a, b = unit_pool[0], unit_pool[1]
         assert a.entropy != b.entropy
         assert group_signature(a) == group_signature(b)
+
+    def test_signature_ignores_radiance_but_not_options(self, unit_pool):
+        a, b = unit_pool[0], unit_pool[8]  # phone 0, scenes 0 and 1
+        assert a.radiance is not b.radiance
+        assert group_signature(a) == group_signature(b)
+        c = CaptureUnit(
+            kind=a.kind,
+            profile=a.profile,
+            radiance=a.radiance,
+            entropy=a.entropy,
+            options={"quality": 70},
+        )
+        d = CaptureUnit(
+            kind=a.kind,
+            profile=a.profile,
+            radiance=a.radiance,
+            entropy=a.entropy,
+            options={"quality": 70.0},
+        )
+        assert group_signature(c) != group_signature(a)
+        assert group_signature(c) != group_signature(d)
 
     def test_non_photograph_has_no_signature(self, scenes):
         """Capture kinds fuse; only ``develop`` runs as a group of one."""
@@ -233,12 +258,37 @@ class TestGrouping:
         )
         assert group_signature(develop_unit) is None
 
-    def test_memoized_signature_matches_unmemoized(self, unit_pool):
-        memo = {}
-        for unit in unit_pool[:6]:
-            assert group_signature(unit, _radiance_memo=memo) == group_signature(
-                unit
-            )
+    def test_cap_chunks_are_consecutive_and_balanced(self, unit_pool):
+        """Plan only: a group over the cap splits into near-equal chunks."""
+        first = unit_pool[0]
+        for count, sizes in (
+            (MAX_GROUP_UNITS, [MAX_GROUP_UNITS]),
+            (MAX_GROUP_UNITS + 1, [MAX_GROUP_UNITS // 2 + 1, MAX_GROUP_UNITS // 2]),
+            (200, [50, 50, 50, 50]),
+        ):
+            units = [
+                CaptureUnit(
+                    kind="photograph",
+                    profile=first.profile,
+                    radiance=first.radiance,
+                    entropy=(0, i),
+                )
+                for i in range(count)
+            ]
+            groups = _group_pending(units)
+            assert [len(g) for g in groups] == sizes
+            assert [i for g in groups for i in g] == list(range(count))
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_group_over_the_cap_splits_with_same_bits(
+        self, unit_pool, reference, workers, monkeypatch
+    ):
+        """With the cap at 5, each phone's 16 units run as 4 chunks of 4."""
+        monkeypatch.setattr(executor_module, "MAX_GROUP_UNITS", 5)
+        assert sorted(len(g) for g in _group_pending(unit_pool)) == [4] * 8
+        payloads = FleetExecutor(workers=workers).run(unit_pool)
+        for payload, exp in zip(payloads, reference):
+            _assert_payloads_equal(payload, exp)
 
     def test_group_execute_matches_per_unit(self, unit_pool, reference):
         group = unit_pool[:8]  # all repeats of (phone 0, scene 0)
@@ -248,6 +298,38 @@ class TestGrouping:
 
 
 class TestSharedMemoryFanout:
+    @staticmethod
+    def _task(group):
+        """The pooled descriptor for ``group``, as the executor builds it."""
+        first = group[0]
+        slots = {}
+        refs = []
+        for unit in group:
+            if id(unit.radiance) not in slots:
+                slots[id(unit.radiance)] = len(refs)
+                radiance = np.ascontiguousarray(unit.radiance)
+                refs.append(
+                    SharedArrayRef(
+                        "psm_test",
+                        len(refs) * radiance.nbytes,
+                        radiance.shape,
+                        str(radiance.dtype),
+                    )
+                )
+        return GroupTask(
+            profile=first.profile,
+            radiances=refs,
+            radiance_index=[slots[id(u.radiance)] for u in group],
+            entropies=[tuple(u.entropy) for u in group],
+            options=dict(first.options),
+            out=SharedArrayRef(
+                "psm_test_out",
+                0,
+                (len(group),) + photograph_output_shape(first.profile) + (3,),
+                "float32",
+            ),
+        )
+
     def test_group_task_is_pixel_free(self, unit_pool, scenes):
         """The pooled fan-out descriptor must not embed pixel buffers.
 
@@ -258,20 +340,8 @@ class TestSharedMemoryFanout:
         group = unit_pool[:8]
         first = group[0]
         radiance = np.ascontiguousarray(first.radiance)
-        task = GroupTask(
-            profile=first.profile,
-            radiance=SharedArrayRef(
-                "psm_test", 0, radiance.shape, str(radiance.dtype)
-            ),
-            entropies=[tuple(u.entropy) for u in group],
-            options=dict(first.options),
-            out=SharedArrayRef(
-                "psm_test_out",
-                0,
-                (len(group),) + photograph_output_shape(first.profile) + (3,),
-                "float32",
-            ),
-        )
+        task = self._task(group)
+        assert len(task.radiances) == 1
         blob = pickle.dumps(task)
         # Bounded per-unit IPC payload: a few hundred bytes per unit,
         # not the tens of KB a pickled radiance buffer would add.
@@ -280,6 +350,18 @@ class TestSharedMemoryFanout:
         assert radiance.tobytes() not in blob
         # The legacy pickled unit demonstrates what the bound prevents.
         assert len(pickle.dumps(first)) > radiance.nbytes
+
+    def test_group_task_over_distinct_scenes_is_pixel_free(self, unit_pool, scenes):
+        """One device's scenes ship one ref per scene and one index per unit."""
+        group = unit_pool[:16]  # phone 0: 2 scenes x 8 repeats
+        task = self._task(group)
+        assert len(task.radiances) == 2
+        assert task.radiance_index == [0] * 8 + [1] * 8
+        blob = pickle.dumps(task)
+        assert len(blob) // len(group) < 256
+        assert len(blob) < 8192
+        for radiance in scenes:
+            assert np.ascontiguousarray(radiance).tobytes() not in blob
 
     def test_shared_ref_nbytes(self):
         ref = SharedArrayRef("psm_x", 64, (2, 3, 4), "float32")
