@@ -476,7 +476,7 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
     zz = zigzag_order(8)
 
     while pos < len(data):
-        if data[pos] != 0xFF:
+        if data[pos] != 0xFF or pos + 2 > len(data):
             raise ValueError(f"expected marker at offset {pos}")
         marker = data[pos + 1]
         pos += 2
@@ -484,7 +484,14 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
             break
         if marker in (0x01,) or 0xD0 <= marker <= 0xD7:
             continue  # parameterless markers
+        if pos + 2 > len(data):
+            raise ValueError(f"segment length cut off at offset {pos}")
         length = struct.unpack(">H", data[pos : pos + 2])[0]
+        if length < 2 or pos + length > len(data):
+            raise ValueError(
+                f"segment at offset {pos} declares {length} bytes, "
+                f"{len(data) - pos} remain"
+            )
         payload = data[pos + 2 : pos + length]
         pos += length
 
@@ -513,6 +520,8 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
                 huff_tables[(table_class, table_id)] = _dht_table(bits, values)
                 offset += 17 + count
         elif marker == 0xC0:  # SOF0 baseline
+            if len(payload) < 6 + 3 * 3:
+                raise ValueError("SOF segment too short")
             precision, height, width, ncomp = struct.unpack(">BHHB", payload[:6])
             if precision != 8 or ncomp != 3:
                 raise ValueError("only 8-bit 3-component baseline supported")
@@ -524,6 +533,8 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
         elif marker in (0xC1, 0xC2, 0xC3):
             raise ValueError("only baseline (SOF0) JPEG is supported")
         elif marker == 0xDA:  # SOS
+            if not payload or len(payload) < 1 + 2 * payload[0]:
+                raise ValueError("SOS segment too short")
             ns = payload[0]
             for i in range(ns):
                 cid, tables = payload[1 + 2 * i : 3 + 2 * i]

@@ -99,6 +99,16 @@ class TestMarkerStream:
         with pytest.raises(ValueError, match="component 3"):
             decode_jpeg(data.replace(sos, short))
 
+    @pytest.mark.parametrize("marker", [b"\xff\xc0", b"\xff\xda"], ids=["sof", "sos"])
+    def test_decode_rejects_empty_header_segment(self, marker):
+        # A declared length of 2 leaves no payload for the frame or scan
+        # header fields (once struct.error / IndexError).
+        data = bytearray(encode_jpeg(_smooth_image()))
+        idx = data.find(marker)
+        data[idx + 2 : idx + 4] = b"\x00\x02"
+        with pytest.raises(ValueError, match="too short"):
+            decode_jpeg(bytes(data))
+
     @pytest.mark.parametrize(
         "segment, patched, match",
         [
