@@ -28,9 +28,7 @@ output-neutral: it times and counts, it never touches results.
 
 Each experiment command trains/loads the shared base model (cached after
 the first run), executes the experiment deterministically, and prints
-the same report the corresponding ``benchmarks/`` script does. ``lint``
-checks ``src/repro`` for in-place parameter mutation in the pure layers
-(MUT001) and obs hooks whose value is used (OBS001).
+the same report the corresponding ``benchmarks/`` script does.
 Performance numbers come from ``perfbench/run.py``, not from this CLI.
 """
 
@@ -516,16 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser(
-        "lint",
-        help="AST checks for parameter mutation in pure layers and obs-hook "
-        "shape (rules in ARCHITECTURE.md 'Invariants')",
-    )
-    from .lint.cli import configure_parser as _configure_lint
-
-    _configure_lint(p)
-    p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
         "report",
         help="render a recorded trace/metrics pair as timing and "
         "cache-efficiency tables",
@@ -690,14 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_loadgen)
 
     return parser
-
-
-def _cmd_lint(args) -> None:
-    from .lint.cli import run as lint_run
-
-    code = lint_run(args)
-    if code:
-        raise SystemExit(code)
 
 
 def _cmd_report(args) -> None:

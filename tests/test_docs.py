@@ -100,17 +100,6 @@ class TestCliExamplesParse:
         """Guard the extractor itself: the docs do contain CLI examples."""
         assert len(_all_doc_commands()) >= 5
 
-    def test_docs_quote_the_lint_gate(self):
-        """The lint gate is documented: at least one quoted
-        ``python -m repro lint`` command (README and/or ARCHITECTURE),
-        each of which the parametrized test below also parses."""
-        lint_commands = [
-            param.values[0]
-            for param in _all_doc_commands()
-            if param.values[0].startswith("python -m repro lint")
-        ]
-        assert lint_commands, "no doc quotes `python -m repro lint`"
-
     def test_serving_runbook_covers_both_entry_points(self):
         """SERVING.md exists and quotes both halves of the serving
         surface — a ``python -m repro serve`` and a ``python -m repro
@@ -123,33 +112,6 @@ class TestCliExamplesParse:
         )
         assert any(c.startswith("python -m repro loadgen") for c in commands), (
             "SERVING.md quotes no `python -m repro loadgen` command"
-        )
-
-    def test_architecture_quotes_list_rules_output_verbatim(self):
-        """ARCHITECTURE.md quotes the ``--list-rules`` output; the quoted
-        block must match the live registry line for line, so the docs
-        can never advertise a rule set the linter does not enforce."""
-        from repro.lint import all_rules
-
-        text = (REPO_ROOT / "ARCHITECTURE.md").read_text()
-        block = next(
-            (
-                b for b in _fenced_blocks(text)
-                if b.lstrip().startswith("$ python -m repro lint --list-rules")
-            ),
-            None,
-        )
-        assert block is not None, (
-            "ARCHITECTURE.md no longer quotes `--list-rules` output"
-        )
-        quoted = [line for line in block.splitlines()[1:] if line.strip()]
-        expected = [
-            f"{rule.name}  [{rule.severity}]  {rule.summary}"
-            for rule in all_rules()
-        ]
-        assert quoted == expected, (
-            "quoted --list-rules block is out of date; re-run "
-            "`python -m repro lint --list-rules` and paste the output"
         )
 
     @pytest.mark.parametrize("command", _all_doc_commands())
