@@ -40,7 +40,7 @@ from repro.runner import (
 )
 
 #: Span prefixes recorded inside a fused group (in the worker when pooled).
-IN_GROUP = ("unit.", "sensor", "isp.", "codec.", "kernels.")
+IN_GROUP = ("unit.", "sensor.", "isp.", "codec.", "kernels.")
 
 #: Every span a cold-cache run of the mix records, by name.
 EXPECTED_SPANS = {
@@ -82,6 +82,8 @@ EXPECTED_COUNTS = {
     "capture_cache.store": 11,
 }
 
+#: Fused groups in the mix: one per (kind, profile, options), one per
+#: ``develop`` unit.
 N_GROUPS = 8
 
 
@@ -127,10 +129,10 @@ def _mix():
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """``(units, bare payloads, {workers: (payloads, spans, counters)})``.
+    """``(units, bare payloads, {workers: (payloads, spans, counters, cache dir)})``.
 
-    Each traced run gets its own cold cache; the serial run's directory
-    is kept as ``cache_dirs[0]`` for the warm replay.
+    Each traced run gets its own cold cache; the warm replay reads the
+    serial run's directory back.
     """
     units = _mix()
     bare = FleetExecutor(workers=0).run(units)
