@@ -175,7 +175,10 @@ def run_group_task(task: GroupTask):
     """
     # One view per distinct buffer: units naming the same index share the
     # view object, so the sensor's identity dedup survives the pickle.
+    # Read-only: every group of the run that shows a scene reads its slab.
     views = [_view(ref) for ref in task.radiances]
+    for view in views:
+        view.flags.writeable = False
     units = [
         CaptureUnit(
             kind=task.kind,

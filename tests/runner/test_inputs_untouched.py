@@ -7,9 +7,9 @@ writes into an array it was handed. This suite makes the inputs of
 every golden capture unit read-only and runs them through
 :func:`execute_unit`, the serial fused executor and a two-worker pool:
 
-* in process, a stage that writes into a read-only input raises on the
-  spot (pool workers map the radiance from their own writable shared
-  memory, so there only the checks below apply);
+* a stage that writes into a read-only input raises on the spot, in
+  process and in pool workers (which map the shared radiance slab
+  read-only; ``test_shm_read_only.py`` pins that);
 * every payload must still hash to the writable-input reference, so a
   stage that copies defensively but computes from a mutated alias
   shows up as drift;
