@@ -51,12 +51,11 @@ from .core.serialize import save_result
 
 def _make_cache(args):
     """Build the shared capture cache when ``--cache-dir`` is given."""
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is None:
+    if args.cache_dir is None:
         return None
     from .runner import CaptureCache
 
-    return CaptureCache(cache_dir)
+    return CaptureCache(args.cache_dir)
 
 
 def _cmd_end_to_end(args) -> None:
@@ -382,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--per-class", type=int, default=8, dest="per_class")
-        p.add_argument("--save", type=str, default=None, help="save records as JSON")
+        observability(p)
+
+    def capture(p):
         p.add_argument(
             "--workers",
             type=int,
@@ -397,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
             dest="cache_dir",
             help="content-addressed capture cache directory (reused across runs)",
         )
-        observability(p)
 
     def observability(p):
         p.add_argument(
@@ -419,6 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("end-to-end", help="the §4 five-phone study")
     common(p)
+    capture(p)
+    p.add_argument("--save", type=str, default=None, help="save records as JSON")
     p.set_defaults(func=_cmd_end_to_end)
 
     p = sub.add_parser("firebase", help="the §7 OS/processor experiment")
@@ -431,14 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compression", help="Tables 2 and 3")
     common(p)
+    capture(p)
     p.set_defaults(func=_cmd_compression)
 
     p = sub.add_parser("isp", help="Table 4")
     common(p)
+    capture(p)
     p.set_defaults(func=_cmd_isp)
 
     p = sub.add_parser("raw-vs-jpeg", help="Figure 8 / §9.2")
     common(p)
+    capture(p)
     p.set_defaults(func=_cmd_raw_vs_jpeg)
 
     p = sub.add_parser("stability", help="Table 6 / §9.1")
@@ -496,20 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         "all records in memory",
     )
     p.add_argument("--save", type=str, default=None, help="save summary JSON here")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="capture worker processes (0 = serial, -1 = all cores); "
-        "results are bit-identical for every setting",
-    )
-    p.add_argument(
-        "--cache-dir",
-        type=str,
-        default=None,
-        dest="cache_dir",
-        help="content-addressed capture cache directory (reused across runs)",
-    )
+    capture(p)
     observability(p)
     p.set_defaults(func=_cmd_fleet)
 
@@ -618,20 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="summary_out",
         help="write the post-drain run summary JSON here",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="capture worker processes (0 = serial, -1 = all cores); "
-        "results are bit-identical for every setting",
-    )
-    p.add_argument(
-        "--cache-dir",
-        type=str,
-        default=None,
-        dest="cache_dir",
-        help="content-addressed capture cache directory (reused across runs)",
-    )
+    capture(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
