@@ -5,10 +5,7 @@ from .metrics import PixelDiffStats, mse, pixel_diff_map, psnr, ssim
 from .ops import (
     affine_warp,
     bilinear_resize,
-    box_blur,
-    center_crop,
     gaussian_blur,
-    pad_to_multiple,
     perspective_shift,
 )
 from . import color
@@ -24,10 +21,7 @@ __all__ = [
     "ssim",
     "affine_warp",
     "bilinear_resize",
-    "box_blur",
-    "center_crop",
     "gaussian_blur",
-    "pad_to_multiple",
     "perspective_shift",
     "color",
 ]

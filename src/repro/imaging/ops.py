@@ -12,13 +12,9 @@ from scipy import ndimage
 __all__ = [
     "bilinear_resize",
     "bilinear_resize_batch",
-    "center_crop",
-    "pad_to_multiple",
     "gaussian_kernel1d",
     "gaussian_blur",
     "gaussian_blur_batch",
-    "gaussian_blur_planes_batch",
-    "box_blur",
     "unsharp_mask_batch",
     "affine_warp",
     "perspective_shift",
@@ -106,31 +102,6 @@ def bilinear_resize_batch(images: np.ndarray, height: int, width: int) -> np.nda
     return (top * (1 - wy_b) + bot * wy_b).astype(np.float32)
 
 
-def center_crop(image: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Crop the central ``height x width`` window."""
-    src_h, src_w = image.shape[:2]
-    if height > src_h or width > src_w:
-        raise ValueError(
-            f"crop {height}x{width} larger than image {src_h}x{src_w}"
-        )
-    y0 = (src_h - height) // 2
-    x0 = (src_w - width) // 2
-    return np.ascontiguousarray(image[y0 : y0 + height, x0 : x0 + width])
-
-
-def pad_to_multiple(image: np.ndarray, multiple: int, mode: str = "edge") -> np.ndarray:
-    """Pad bottom/right so both spatial dims are multiples of ``multiple``."""
-    if multiple <= 0:
-        raise ValueError("multiple must be positive")
-    h, w = image.shape[:2]
-    pad_h = (-h) % multiple
-    pad_w = (-w) % multiple
-    if pad_h == 0 and pad_w == 0:
-        return image
-    pads = [(0, pad_h), (0, pad_w)] + [(0, 0)] * (image.ndim - 2)
-    return np.pad(image, pads, mode=mode)
-
-
 def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:
     """A normalized 1-D Gaussian kernel."""
     if sigma <= 0:
@@ -155,7 +126,7 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def gaussian_blur_batch(images: np.ndarray, sigma: float) -> np.ndarray:
-    """Batched :func:`gaussian_blur` over an ``(N, H, W, C)`` stack.
+    """Batched :func:`gaussian_blur` over an ``(N, H, W)`` or ``(N, H, W, C)`` stack.
 
     ``gaussian_filter1d`` runs the same 1-D correlation along each
     spatial line regardless of how many leading batch dims surround it,
@@ -167,28 +138,6 @@ def gaussian_blur_batch(images: np.ndarray, sigma: float) -> np.ndarray:
     out = np.asarray(images, dtype=np.float32)
     for axis in (1, 2):
         out = ndimage.gaussian_filter1d(out, sigma=sigma, axis=axis, mode="nearest")
-    return out.astype(np.float32)
-
-
-def gaussian_blur_planes_batch(planes: np.ndarray, sigma: float) -> np.ndarray:
-    """Batched :func:`gaussian_blur` over an ``(N, H, W)`` plane stack."""
-    if sigma <= 0:
-        return np.asarray(planes, dtype=np.float32).copy()
-    out = np.asarray(planes, dtype=np.float32)
-    for axis in (1, 2):
-        out = ndimage.gaussian_filter1d(out, sigma=sigma, axis=axis, mode="nearest")
-    return out.astype(np.float32)
-
-
-def box_blur(image: np.ndarray, size: int) -> np.ndarray:
-    """Uniform (box) blur with an odd window ``size``."""
-    if size < 1 or size % 2 == 0:
-        raise ValueError("box size must be odd and >= 1")
-    if size == 1:
-        return np.asarray(image, dtype=np.float32).copy()
-    image = np.asarray(image, dtype=np.float32)
-    out = ndimage.uniform_filter1d(image, size=size, axis=0, mode="nearest")
-    out = ndimage.uniform_filter1d(out, size=size, axis=1, mode="nearest")
     return out.astype(np.float32)
 
 

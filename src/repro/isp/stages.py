@@ -32,7 +32,7 @@ from ..imaging.color import (
 from ..imaging.image import BAYER_PATTERNS, RawImage
 from ..imaging.ops import (
     bilinear_resize_batch,
-    gaussian_blur_planes_batch,
+    gaussian_blur_batch,
     unsharp_mask_batch,
 )
 
@@ -347,10 +347,10 @@ class Denoise(ISPStage):
         rgb = state.require_rgb()
         ycc = rgb_to_ycbcr(np.clip(rgb, 0.0, 1.0))
         if self.luma_sigma > 0:
-            ycc[..., 0] = gaussian_blur_planes_batch(ycc[..., 0], self.luma_sigma)
+            ycc[..., 0] = gaussian_blur_batch(ycc[..., 0], self.luma_sigma)
         if self.chroma_sigma > 0:
-            ycc[..., 1] = gaussian_blur_planes_batch(ycc[..., 1], self.chroma_sigma)
-            ycc[..., 2] = gaussian_blur_planes_batch(ycc[..., 2], self.chroma_sigma)
+            ycc[..., 1] = gaussian_blur_batch(ycc[..., 1], self.chroma_sigma)
+            ycc[..., 2] = gaussian_blur_batch(ycc[..., 2], self.chroma_sigma)
         state.rgb = np.clip(ycbcr_to_rgb(ycc), 0.0, 1.0)
         return state
 

@@ -17,7 +17,6 @@ from repro.imaging.ops import (
     bilinear_resize_batch,
     gaussian_blur,
     gaussian_blur_batch,
-    gaussian_blur_planes_batch,
     unsharp_mask_batch,
 )
 
@@ -49,7 +48,7 @@ def test_gaussian_blur_batch(stack):
 def test_gaussian_blur_planes_batch(stack):
     planes = np.ascontiguousarray(stack[..., 0])
     for sigma in (0.0, 1.2):
-        out = gaussian_blur_planes_batch(planes, sigma)
+        out = gaussian_blur_batch(planes, sigma)
         _identical(out, [gaussian_blur(p, sigma) for p in planes])
 
 

@@ -43,31 +43,6 @@ class TestBilinearResize:
         assert out.max() <= img.max() + 1e-6
 
 
-class TestCropPad:
-    def test_center_crop(self):
-        img = np.arange(36, dtype=np.float32).reshape(6, 6)
-        out = ops.center_crop(img, 2, 2)
-        assert out.shape == (2, 2)
-        assert out[0, 0] == img[2, 2]
-
-    def test_center_crop_too_large(self):
-        with pytest.raises(ValueError):
-            ops.center_crop(np.zeros((4, 4)), 5, 4)
-
-    def test_pad_to_multiple(self):
-        img = np.ones((5, 7, 3), dtype=np.float32)
-        out = ops.pad_to_multiple(img, 8)
-        assert out.shape == (8, 8, 3)
-
-    def test_pad_noop_when_aligned(self):
-        img = np.ones((8, 8), dtype=np.float32)
-        assert ops.pad_to_multiple(img, 8) is img
-
-    def test_pad_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ops.pad_to_multiple(np.zeros((4, 4)), 0)
-
-
 class TestBlurs:
     def test_gaussian_kernel_normalized(self):
         k = ops.gaussian_kernel1d(1.5)
@@ -94,16 +69,6 @@ class TestBlurs:
         out = ops.gaussian_blur(img, 0.0)
         assert np.array_equal(out, img)
         assert out is not img
-
-    def test_box_blur_odd_only(self):
-        with pytest.raises(ValueError):
-            ops.box_blur(np.zeros((4, 4)), 2)
-
-    def test_box_blur_smooths(self):
-        img = np.zeros((9, 9), dtype=np.float32)
-        img[4, 4] = 1.0
-        out = ops.box_blur(img, 3)
-        assert out[4, 4] == pytest.approx(1.0 / 9.0, rel=1e-3)
 
     def test_unsharp_sharpens_edge(self):
         img = np.zeros((8, 16), dtype=np.float32)
