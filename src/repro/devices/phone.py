@@ -33,10 +33,10 @@ __all__ = ["Phone"]
 class Phone:
     """A concrete device instance built from a :class:`DeviceProfile`."""
 
-    def __init__(self, profile: DeviceProfile, output_size: int = 96) -> None:
+    def __init__(self, profile: DeviceProfile) -> None:
         self.profile = profile
         self.sensor = BayerSensor(profile.sensor)
-        self.isp: ISPPipeline = build_isp(profile.isp, output_size, output_size)
+        self.isp: ISPPipeline = build_isp(profile.isp)
         self._codec = get_codec(profile.save_format)
 
     @property

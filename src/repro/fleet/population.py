@@ -376,45 +376,40 @@ def sample_device(spec: FleetSpec, seed: int, index: int) -> SyntheticDevice:
     )
 
 
-def generate_devices(
-    size: int, seed: int = 0, spec: FleetSpec | None = None
-) -> List[SyntheticDevice]:
+def generate_devices(size: int, seed: int = 0) -> List[SyntheticDevice]:
     """Sample a population of ``size`` synthetic devices.
 
     Parameters
     ----------
     size:
-        Number of devices. Device ``i`` depends only on ``(spec, seed,
-        i)``, so a size-100 fleet is a prefix of the size-1000 fleet for
-        the same seed.
+        Number of devices. Device ``i`` depends only on ``(seed, i)``, so
+        a size-100 fleet is a prefix of the size-1000 fleet for the same
+        seed.
     seed:
         Master seed for the population.
-    spec:
-        Population design; defaults to :func:`default_fleet_spec`.
 
     Returns
     -------
-    ``size`` :class:`SyntheticDevice` entries in index order.
+    ``size`` :class:`SyntheticDevice` entries in index order, sampled
+    from :func:`default_fleet_spec`.
     """
     if size < 1:
         raise ValueError("fleet size must be >= 1")
-    spec = spec if spec is not None else default_fleet_spec()
+    spec = default_fleet_spec()
     with obs.span("fleet.generate", size=size, vendors=len(spec.vendors)):
         devices = [sample_device(spec, seed, i) for i in range(size)]
     obs.count("fleet.devices_generated", size)
     return devices
 
 
-def generate_fleet(
-    size: int, seed: int = 0, spec: FleetSpec | None = None
-) -> List[DeviceProfile]:
+def generate_fleet(size: int, seed: int = 0) -> List[DeviceProfile]:
     """Sample a population and return just the executable profiles.
 
     The profiles slot directly into every existing experiment
     (``EndToEndExperiment(phones=generate_fleet(1000))``) and into
     :class:`~repro.runner.executor.FleetExecutor` capture units.
     """
-    return [device.profile for device in generate_devices(size, seed, spec)]
+    return [device.profile for device in generate_devices(size, seed)]
 
 
 def fixed_devices(specs) -> List[SyntheticDevice]:

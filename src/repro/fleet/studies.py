@@ -48,7 +48,7 @@ from ..scenes.dataset import build_dataset
 from ..scenes.objects import ALL_CLASSES
 from ..scenes.screen import Screen
 from .columnar import ColumnarStore
-from .population import FleetSpec, SyntheticDevice, generate_devices
+from .population import SyntheticDevice, generate_devices
 from .stats import (
     RECORD_DTYPE,
     TableDims,
@@ -69,7 +69,7 @@ __all__ = [
 INFERENCE_BATCH = 64
 
 #: Devices whose capture units are in flight at once. Bounds peak payload
-#: memory to ``device_chunk * scenes * repeats`` decoded frames while
+#: memory to ``DEVICE_CHUNK * scenes * repeats`` decoded frames while
 #: still giving the process pool large unit batches. Chunk boundaries
 #: depend only on device index, so the chunking is output-neutral across
 #: worker counts (not across *chunk sizes*: inference batch composition
@@ -104,13 +104,12 @@ def _resolve_devices(
     devices: Optional[Sequence[SyntheticDevice]],
     fleet_size: Optional[int],
     seed: int,
-    spec: Optional[FleetSpec],
 ) -> List[SyntheticDevice]:
     if devices is not None:
         return list(devices)
     if fleet_size is None:
         raise ValueError("provide either devices or fleet_size")
-    return generate_devices(fleet_size, seed=seed, spec=spec)
+    return generate_devices(fleet_size, seed=seed)
 
 
 @dataclass
@@ -138,16 +137,14 @@ def run_population_study(
     cache: Optional[CaptureCache] = None,
     model: Optional[Model] = None,
     devices: Optional[Sequence[SyntheticDevice]] = None,
-    spec: Optional[FleetSpec] = None,
     spill_dir: Optional[Union[str, Path]] = None,
     shard_rows: int = 262144,
-    device_chunk: int = DEVICE_CHUNK,
 ) -> PopulationStudyOutcome:
     """Photograph ``scenes`` displayed scenes on every population device.
 
     Parameters
     ----------
-    fleet_size, seed, spec:
+    fleet_size, seed:
         Population coordinates for :func:`generate_devices`; or pass
         ``devices`` directly (e.g. ``fixed_devices(CAPTURE_SPECS)`` for
         the paper's fleet).
@@ -160,8 +157,6 @@ def run_population_study(
     spill_dir, shard_rows:
         Columnar store spill configuration for populations whose record
         tables outgrow memory.
-    device_chunk:
-        Devices in flight per executor batch (memory bound).
 
     Returns
     -------
@@ -172,9 +167,7 @@ def run_population_study(
         raise ValueError("scenes must be >= 1")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if device_chunk < 1:
-        raise ValueError("device_chunk must be >= 1")
-    devices = _resolve_devices(devices, fleet_size, seed, spec)
+    devices = _resolve_devices(devices, fleet_size, seed)
     runtime = DeviceRuntime(
         model if model is not None else fleet_model(), batch_size=INFERENCE_BATCH
     )
@@ -206,8 +199,8 @@ def run_population_study(
         repeats=repeats,
         workers=workers,
     ):
-        for start in range(0, len(devices), device_chunk):
-            chunk = devices[start : start + device_chunk]
+        for start in range(0, len(devices), DEVICE_CHUNK):
+            chunk = devices[start : start + DEVICE_CHUNK]
             units: List[CaptureUnit] = []
             for device in chunk:
                 for scene_idx, shown in enumerate(displayed):
@@ -293,10 +286,8 @@ def run_drift_study(
     steps: int = 6,
     photos: int = 12,
     image_format: str = "jpeg",
-    quality: int = 85,
     model: Optional[Model] = None,
     devices: Optional[Sequence[SyntheticDevice]] = None,
-    spec: Optional[FleetSpec] = None,
     spill_dir: Optional[Union[str, Path]] = None,
     shard_rows: int = 262144,
 ) -> DriftStudyOutcome:
@@ -317,7 +308,7 @@ def run_drift_study(
         raise ValueError("steps must be >= 1")
     if photos < 1:
         raise ValueError("photos must be >= 1")
-    devices = _resolve_devices(devices, fleet_size, seed, spec)
+    devices = _resolve_devices(devices, fleet_size, seed)
     runtime = DeviceRuntime(
         model if model is not None else fleet_model(), batch_size=INFERENCE_BATCH
     )
@@ -334,7 +325,7 @@ def run_drift_study(
         "fleet.drift_study", devices=len(devices), steps=steps, photos=photos
     ):
         corpus = build_photo_set(
-            num_photos=photos, image_format=image_format, quality=quality, seed=seed
+            num_photos=photos, image_format=image_format, seed=seed
         )
         if len(corpus) < photos:
             raise ValueError(

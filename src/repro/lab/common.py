@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.records import PredictionRecord
+from ..core.records import ExperimentResult, PredictionRecord
 from ..devices.runtime import DeviceRuntime, Prediction
 from ..imaging.image import ImageBuffer
 from ..nn.model import Model
@@ -14,7 +14,13 @@ from ..nn.pretrained import load_pretrained
 from ..scenes.objects import ALL_CLASSES
 from .rig import DisplayedImage
 
-__all__ = ["make_record", "resolve_model", "SIZE_SCALE_TO_12MP", "scaled_mb"]
+__all__ = [
+    "classify",
+    "make_record",
+    "resolve_model",
+    "SIZE_SCALE_TO_12MP",
+    "scaled_mb",
+]
 
 #: Our working resolution is 96x96; the paper's phones shoot ~12 MP.
 #: File sizes reported next to the paper's tables are scaled by the pixel
@@ -59,7 +65,36 @@ def make_record(
     )
 
 
-def predict_images(
-    runtime: DeviceRuntime, images: Sequence[ImageBuffer]
-) -> Sequence[Prediction]:
-    return runtime.predict(list(images))
+def classify(
+    runtime: DeviceRuntime,
+    name: str,
+    payloads: Sequence[Mapping[str, np.ndarray]],
+    chunks: Sequence[Tuple[str, Sequence[DisplayedImage]]],
+    key: str = "pixels",
+    **per_item: Sequence,
+) -> ExperimentResult:
+    """Classify capture payloads laid out as one chunk per environment.
+
+    ``chunks`` lists ``(environment, displayed)`` in payload order: the
+    next ``len(displayed)`` payloads are that environment's frames of
+    ``displayed``, item by item. Each chunk is one ``runtime.predict``
+    call over ``payload[key]`` and one :func:`make_record` per item;
+    ``per_item`` holds further :func:`make_record` keywords (``image_id``,
+    ``repeat``), each a sequence aligned with ``displayed``.
+    """
+    result = ExperimentResult([], name=name)
+    start = 0
+    for environment, displayed in chunks:
+        chunk = payloads[start : start + len(displayed)]
+        start += len(displayed)
+        predictions = runtime.predict([ImageBuffer(p[key]) for p in chunk])
+        result.extend(
+            make_record(
+                pred,
+                shown,
+                environment=environment,
+                **{k: values[i] for k, values in per_item.items()},
+            )
+            for i, (pred, shown) in enumerate(zip(predictions, displayed))
+        )
+    return result

@@ -41,7 +41,7 @@ from ..core.records import ExperimentResult
 from ..devices.phone import Phone
 from ..devices.profiles import DeviceProfile, capture_fleet
 from ..devices.runtime import DeviceRuntime
-from ..imaging.image import ImageBuffer, RawImage
+from ..imaging.image import RawImage
 from ..imaging.metrics import PixelDiffStats, pixel_diff_map
 from ..nn.model import Model
 from ..runner.cache import CaptureCache
@@ -50,7 +50,7 @@ from ..runner.seeds import derive_rng, unit_entropy
 from ..runner.units import CaptureUnit, payload_to_raw, raw_to_payload
 from ..scenes.dataset import build_dataset
 from ..scenes.screen import Screen
-from .common import make_record, resolve_model, scaled_mb
+from .common import classify, resolve_model, scaled_mb
 from .rig import DEFAULT_ANGLES, CaptureRig, DisplayedImage
 
 #: Inference chunk size for experiment sweeps (see DeviceRuntime).
@@ -70,33 +70,6 @@ __all__ = [
 ]
 
 
-def _resolve_profiles(
-    phones: Optional[Sequence[DeviceProfile]],
-    fleet_size: Optional[int],
-    seed: int,
-    raw_capable_only: bool = False,
-) -> List[DeviceProfile]:
-    """Resolve an experiment's phone list.
-
-    ``phones`` (explicit) and ``fleet_size`` (a seeded synthetic
-    population via :func:`repro.fleet.population.generate_fleet`) are
-    mutually exclusive; with neither, the paper's capture fleet is used.
-    """
-    if phones is not None and fleet_size is not None:
-        raise ValueError("pass phones= or fleet_size=, not both")
-    if phones is not None:
-        profiles = list(phones)
-    elif fleet_size is not None:
-        from ..fleet.population import generate_fleet
-
-        profiles = generate_fleet(fleet_size, seed=seed)
-    else:
-        profiles = capture_fleet()
-    if raw_capable_only:
-        profiles = [p for p in profiles if p.supports_raw]
-    return profiles
-
-
 # ======================================================================
 # §4 — end-to-end
 # ======================================================================
@@ -107,9 +80,8 @@ class EndToEndExperiment:
     angle), Fig. 4 (confidence), and the §9.3 top-k re-scoring.
 
     The fleet defaults to the paper's five phones; pass ``phones=`` for
-    an explicit profile list or ``fleet_size=`` to photograph on a
-    seeded synthetic population
-    (:func:`repro.fleet.population.generate_fleet`) instead — the
+    an explicit profile list, e.g. ``phones=generate_fleet(50, seed=0)``
+    (:func:`repro.fleet.population.generate_fleet`) for the
     population-scale variant of the §4 study.
     """
 
@@ -122,62 +94,45 @@ class EndToEndExperiment:
         seed: int = 0,
         workers: int = 0,
         cache: Optional[CaptureCache] = None,
-        executor: Optional[FleetExecutor] = None,
-        fleet_size: Optional[int] = None,
     ) -> None:
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
-        self.profiles = _resolve_profiles(phones, fleet_size, seed)
+        self.profiles = list(phones) if phones is not None else capture_fleet()
         self.runtime = DeviceRuntime(resolve_model(model), batch_size=INFERENCE_BATCH)
         self.angles = tuple(angles)
         self.repeats = repeats
         self.seed = seed
         self.cache = cache
-        self.executor = executor or FleetExecutor(workers=workers, cache=cache)
+        self.executor = FleetExecutor(workers=workers, cache=cache)
 
-    def run(self, per_class: int = 8, scenes_per_object: int = 1) -> ExperimentResult:
-        dataset = build_dataset(
-            per_class=per_class, scenes_per_object=scenes_per_object, seed=self.seed
-        )
+    def run(self, per_class: int = 8) -> ExperimentResult:
+        dataset = build_dataset(per_class=per_class, seed=self.seed)
         rig = CaptureRig(
             screen=Screen(seed=self.seed), angles=self.angles, cache=self.cache
         )
-        displayed = rig.present(list(dataset))
-
-        units: List[CaptureUnit] = []
-        meta: List[Tuple[DisplayedImage, int]] = []
-        for profile in self.profiles:
-            for shown in displayed:
-                for repeat in range(self.repeats):
-                    units.append(
-                        CaptureUnit(
-                            kind="photograph",
-                            profile=profile,
-                            radiance=shown.radiance.pixels,
-                            entropy=unit_entropy(
-                                self.seed, profile.name, shown.image_id, repeat
-                            ),
-                        )
-                    )
-                    meta.append((shown, repeat))
-        payloads = self.executor.run(units)
-
-        result = ExperimentResult([], name="end_to_end")
-        per_phone = len(displayed) * self.repeats
-        for p, profile in enumerate(self.profiles):
-            start = p * per_phone
-            images = [
-                ImageBuffer(payload["pixels"])
-                for payload in payloads[start : start + per_phone]
-            ]
-            predictions = self.runtime.predict(images)
-            result.extend(
-                make_record(pred, shown, environment=profile.name, repeat=repeat)
-                for pred, (shown, repeat) in zip(
-                    predictions, meta[start : start + per_phone]
-                )
+        shots = [
+            (shown, repeat)
+            for shown in rig.present(list(dataset))
+            for repeat in range(self.repeats)
+        ]
+        units = [
+            CaptureUnit(
+                kind="photograph",
+                profile=profile,
+                radiance=shown.radiance.pixels,
+                entropy=unit_entropy(self.seed, profile.name, shown.image_id, repeat),
             )
-        return result
+            for profile in self.profiles
+            for shown, repeat in shots
+        ]
+        frames = [shown for shown, _ in shots]
+        return classify(
+            self.runtime,
+            "end_to_end",
+            self.executor.run(units),
+            [(profile.name, frames) for profile in self.profiles],
+            repeat=[repeat for _, repeat in shots],
+        )
 
 
 # ======================================================================
@@ -201,23 +156,20 @@ class RawCaptureBank:
     def collect(
         cls,
         per_class: int = 8,
-        angles: Sequence[float] = (0.0,),
         seed: int = 0,
         phones: Optional[Sequence[DeviceProfile]] = None,
         workers: int = 0,
         cache: Optional[CaptureCache] = None,
-        executor: Optional[FleetExecutor] = None,
-        fleet_size: Optional[int] = None,
     ) -> "RawCaptureBank":
         profiles = (
             list(phones)
             if phones is not None
-            else _resolve_profiles(None, fleet_size, seed, raw_capable_only=True)
+            else [p for p in capture_fleet() if p.supports_raw]
         )
         if not profiles:
             raise ValueError("no raw-capable phones supplied")
         dataset = build_dataset(per_class=per_class, seed=seed)
-        rig = CaptureRig(screen=Screen(seed=seed), angles=angles, cache=cache)
+        rig = CaptureRig(screen=Screen(seed=seed), angles=(0.0,), cache=cache)
         displayed = rig.present(list(dataset))
 
         units: List[CaptureUnit] = []
@@ -235,7 +187,7 @@ class RawCaptureBank:
                 )
                 shown_out.append(shown)
                 names.append(profile.name)
-        runner = executor or FleetExecutor(workers=workers, cache=cache)
+        runner = FleetExecutor(workers=workers, cache=cache)
         raws = [payload_to_raw(payload) for payload in runner.run(units)]
         return cls(raws=raws, displayed=shown_out, phone_names=names)
 
@@ -268,7 +220,51 @@ class CompressionResult:
         return instability(self.result)
 
 
-class CompressionQualityExperiment:
+class _DevelopSweep:
+    """Develop every raw of a bank under each environment's options.
+
+    The base of the §5 and §6 experiments: the raws stay fixed and only
+    the ``develop`` options (ISP, codec, quality) vary per environment.
+    """
+
+    def __init__(
+        self,
+        model: Optional[Model] = None,
+        workers: int = 0,
+        cache: Optional[CaptureCache] = None,
+    ) -> None:
+        self.runtime = DeviceRuntime(resolve_model(model), batch_size=INFERENCE_BATCH)
+        self.executor = FleetExecutor(workers=workers, cache=cache)
+
+    def _sweep(
+        self, bank: RawCaptureBank, name: str, table: Dict[str, Dict[str, object]]
+    ) -> Tuple[ExperimentResult, Dict[str, float]]:
+        """Records and mean encoded size per environment of ``table``."""
+        raw_payloads = [raw_to_payload(raw) for raw in bank.raws]
+        units = [
+            CaptureUnit(kind="develop", raw=payload, options=options)
+            for options in table.values()
+            for payload in raw_payloads
+        ]
+        outputs = self.executor.run(units)
+        n = len(raw_payloads)
+        avg_sizes = {
+            env: float(
+                np.mean([int(p["encoded_size"]) for p in outputs[e * n : (e + 1) * n]])
+            )
+            for e, env in enumerate(table)
+        }
+        result = classify(
+            self.runtime,
+            name,
+            outputs,
+            [(env, bank.displayed) for env in table],
+            image_id=range(n),
+        )
+        return result, avg_sizes
+
+
+class CompressionQualityExperiment(_DevelopSweep):
     """§5.1 / Table 2: the same raw photo at JPEG quality 100, 85, 50.
 
     A consistent software ISP (ImageMagick) develops every raw capture so
@@ -278,97 +274,37 @@ class CompressionQualityExperiment:
 
     QUALITIES = (100, 85, 50)
 
-    def __init__(
-        self,
-        model: Optional[Model] = None,
-        isp: str = "imagemagick",
-        workers: int = 0,
-        cache: Optional[CaptureCache] = None,
-        executor: Optional[FleetExecutor] = None,
-    ) -> None:
-        self.runtime = DeviceRuntime(resolve_model(model), batch_size=INFERENCE_BATCH)
-        self.isp_name = isp
-        self.executor = executor or FleetExecutor(workers=workers, cache=cache)
-
     def run(self, bank: RawCaptureBank) -> CompressionResult:
-        raw_payloads = [raw_to_payload(raw) for raw in bank.raws]
-        units = [
-            CaptureUnit(
-                kind="develop",
-                raw=payload,
-                options={"isp": self.isp_name, "codec": "jpeg", "quality": quality},
-            )
-            for quality in self.QUALITIES
-            for payload in raw_payloads
-        ]
-        outputs = self.executor.run(units)
-
-        result = ExperimentResult([], name="jpeg_quality")
-        sizes: Dict[str, List[int]] = {}
-        per_quality = len(raw_payloads)
-        for q, quality in enumerate(self.QUALITIES):
-            env = f"jpeg-q{quality}"
-            chunk = outputs[q * per_quality : (q + 1) * per_quality]
-            sizes[env] = [int(payload["encoded_size"]) for payload in chunk]
-            images = [ImageBuffer(payload["pixels"]) for payload in chunk]
-            predictions = self.runtime.predict(images)
-            result.extend(
-                make_record(pred, shown, environment=env, image_id=i)
-                for i, (pred, shown) in enumerate(zip(predictions, bank.displayed))
-            )
-        return CompressionResult(
-            result=result,
-            avg_size_bytes={env: float(np.mean(s)) for env, s in sizes.items()},
+        result, avg_sizes = self._sweep(
+            bank,
+            "jpeg_quality",
+            {
+                f"jpeg-q{quality}": {
+                    "isp": "imagemagick",
+                    "codec": "jpeg",
+                    "quality": quality,
+                }
+                for quality in self.QUALITIES
+            },
         )
+        return CompressionResult(result=result, avg_size_bytes=avg_sizes)
 
 
-class CompressionFormatExperiment:
+class CompressionFormatExperiment(_DevelopSweep):
     """§5.2 / Table 3: the same raw photo as JPEG, PNG, WebP, and HEIF.
 
-    Each format uses its default parameters, as in the paper.
+    Each format uses its default parameters, as in the paper, after the
+    same ImageMagick development.
     """
 
     FORMATS = ("jpeg", "png", "webp", "heif")
 
-    def __init__(
-        self,
-        model: Optional[Model] = None,
-        isp: str = "imagemagick",
-        workers: int = 0,
-        cache: Optional[CaptureCache] = None,
-        executor: Optional[FleetExecutor] = None,
-    ) -> None:
-        self.runtime = DeviceRuntime(resolve_model(model), batch_size=INFERENCE_BATCH)
-        self.isp_name = isp
-        self.executor = executor or FleetExecutor(workers=workers, cache=cache)
-
     def run(self, bank: RawCaptureBank) -> CompressionResult:
-        raw_payloads = [raw_to_payload(raw) for raw in bank.raws]
-        units = [
-            CaptureUnit(
-                kind="develop",
-                raw=payload,
-                options={"isp": self.isp_name, "codec": fmt},
-            )
-            for fmt in self.FORMATS
-            for payload in raw_payloads
-        ]
-        outputs = self.executor.run(units)
-
-        result = ExperimentResult([], name="formats")
-        avg_sizes: Dict[str, float] = {}
-        per_format = len(raw_payloads)
-        for f, fmt in enumerate(self.FORMATS):
-            chunk = outputs[f * per_format : (f + 1) * per_format]
-            avg_sizes[fmt] = float(
-                np.mean([int(payload["encoded_size"]) for payload in chunk])
-            )
-            images = [ImageBuffer(payload["pixels"]) for payload in chunk]
-            predictions = self.runtime.predict(images)
-            result.extend(
-                make_record(pred, shown, environment=fmt, image_id=i)
-                for i, (pred, shown) in enumerate(zip(predictions, bank.displayed))
-            )
+        result, avg_sizes = self._sweep(
+            bank,
+            "formats",
+            {fmt: {"isp": "imagemagick", "codec": fmt} for fmt in self.FORMATS},
+        )
         return CompressionResult(result=result, avg_size_bytes=avg_sizes)
 
 
@@ -389,7 +325,7 @@ class ISPComparisonOutcome:
         return instability(self.result)
 
 
-class ISPComparisonExperiment:
+class ISPComparisonExperiment(_DevelopSweep):
     """§6 / Table 4: develop the same raws with two software ISPs.
 
     The paper uses ImageMagick and Adobe Photoshop as black-box software
@@ -403,33 +339,16 @@ class ISPComparisonExperiment:
         isps: Sequence[str] = ("imagemagick", "adobe"),
         workers: int = 0,
         cache: Optional[CaptureCache] = None,
-        executor: Optional[FleetExecutor] = None,
     ) -> None:
         if len(isps) < 2:
             raise ValueError("need at least two ISPs to compare")
-        self.runtime = DeviceRuntime(resolve_model(model), batch_size=INFERENCE_BATCH)
+        super().__init__(model=model, workers=workers, cache=cache)
         self.isp_names = tuple(isps)
-        self.executor = executor or FleetExecutor(workers=workers, cache=cache)
 
     def run(self, bank: RawCaptureBank) -> ISPComparisonOutcome:
-        raw_payloads = [raw_to_payload(raw) for raw in bank.raws]
-        units = [
-            CaptureUnit(kind="develop", raw=payload, options={"isp": name})
-            for name in self.isp_names
-            for payload in raw_payloads
-        ]
-        outputs = self.executor.run(units)
-
-        result = ExperimentResult([], name="isp_comparison")
-        per_isp = len(raw_payloads)
-        for n, name in enumerate(self.isp_names):
-            chunk = outputs[n * per_isp : (n + 1) * per_isp]
-            images = [ImageBuffer(payload["pixels"]) for payload in chunk]
-            predictions = self.runtime.predict(images)
-            result.extend(
-                make_record(pred, shown, environment=name, image_id=i)
-                for i, (pred, shown) in enumerate(zip(predictions, bank.displayed))
-            )
+        result, _ = self._sweep(
+            bank, "isp_comparison", {name: {"isp": name} for name in self.isp_names}
+        )
         return ISPComparisonOutcome(result=result)
 
 
@@ -487,25 +406,24 @@ class RawVsJpegExperiment:
         seed: int = 0,
         workers: int = 0,
         cache: Optional[CaptureCache] = None,
-        executor: Optional[FleetExecutor] = None,
         phones: Optional[Sequence[DeviceProfile]] = None,
-        fleet_size: Optional[int] = None,
     ) -> None:
         self.runtime = DeviceRuntime(resolve_model(model), batch_size=INFERENCE_BATCH)
         self.seed = seed
         self.conversion_isp_name = "imagemagick"
         self.cache = cache
-        self.executor = executor or FleetExecutor(workers=workers, cache=cache)
-        self.profiles = _resolve_profiles(
-            phones, fleet_size, seed, raw_capable_only=True
-        )
+        self.executor = FleetExecutor(workers=workers, cache=cache)
+        self.profiles = [
+            p
+            for p in (phones if phones is not None else capture_fleet())
+            if p.supports_raw
+        ]
         if not self.profiles:
             raise ValueError("no raw-capable phones supplied")
 
     def run(
         self, per_class: int = 8, angles: Sequence[float] = (0.0,)
     ) -> RawVsJpegOutcome:
-        profiles = self.profiles
         dataset = build_dataset(per_class=per_class, seed=self.seed)
         rig = CaptureRig(
             screen=Screen(seed=self.seed), angles=angles, cache=self.cache
@@ -525,27 +443,19 @@ class RawVsJpegExperiment:
                     "quality": profile.save_quality,
                 },
             )
-            for profile in profiles
+            for profile in self.profiles
             for shown in displayed
         ]
         payloads = self.executor.run(units)
-
-        jpeg_result = ExperimentResult([], name="raw_vs_jpeg/jpeg")
-        raw_result = ExperimentResult([], name="raw_vs_jpeg/raw")
-        per_phone = len(displayed)
-        for p, profile in enumerate(profiles):
-            chunk = payloads[p * per_phone : (p + 1) * per_phone]
-            for arm, result in (
-                ("jpeg_pixels", jpeg_result),
-                ("raw_pixels", raw_result),
-            ):
-                images = [ImageBuffer(payload[arm]) for payload in chunk]
-                predictions = self.runtime.predict(images)
-                result.extend(
-                    make_record(pred, shown, environment=profile.name)
-                    for pred, shown in zip(predictions, displayed)
-                )
-        return RawVsJpegOutcome(jpeg_result=jpeg_result, raw_result=raw_result)
+        chunks = [(profile.name, displayed) for profile in self.profiles]
+        return RawVsJpegOutcome(
+            jpeg_result=classify(
+                self.runtime, "raw_vs_jpeg/jpeg", payloads, chunks, key="jpeg_pixels"
+            ),
+            raw_result=classify(
+                self.runtime, "raw_vs_jpeg/raw", payloads, chunks, key="raw_pixels"
+            ),
+        )
 
 
 # ======================================================================
@@ -587,7 +497,6 @@ class RepeatShotOutcome:
 
 
 def repeat_shot_demo(
-    profile: Optional[DeviceProfile] = None,
     model: Optional[Model] = None,
     seed: int = 0,
     max_scenes: int = 64,
@@ -600,7 +509,7 @@ def repeat_shot_demo(
     labels; returns the last pair examined if none diverges (the stats
     still show the sub-5% pixel difference the paper highlights).
     """
-    profile = profile or capture_fleet()[0]  # Galaxy S10, as in the paper
+    profile = capture_fleet()[0]  # Galaxy S10, as in the paper
     phone = Phone(profile)
     runtime = DeviceRuntime(resolve_model(model))
     dataset = build_dataset(per_class=max(1, max_scenes // 5), seed=seed)

@@ -26,7 +26,6 @@ import numpy as np
 from ..core.records import ExperimentResult
 from ..devices.profiles import DeviceProfile, capture_fleet
 from ..devices.runtime import DeviceRuntime
-from ..imaging.image import ImageBuffer
 from ..nn.model import Model
 from ..runner.cache import CaptureCache
 from ..runner.executor import FleetExecutor
@@ -34,14 +33,17 @@ from ..runner.seeds import unit_entropy
 from ..runner.units import CaptureUnit
 from ..scenes.dataset import build_dataset
 from ..scenes.screen import Screen
-from .common import make_record, resolve_model
+from .common import classify, resolve_model
 from .rig import CaptureRig
 
 __all__ = ["LightingVariationExperiment", "LensVariationExperiment"]
 
 
 class LightingVariationExperiment:
-    """Instability across lighting conditions, one phone (§11 future work)."""
+    """Instability across lighting conditions, one phone (§11 future work).
+
+    The phone is the paper's Galaxy S10 (``capture_fleet()[0]``).
+    """
 
     #: (label, brightness multiplier, warmth) staging conditions.
     CONDITIONS = (
@@ -52,24 +54,22 @@ class LightingVariationExperiment:
 
     def __init__(
         self,
-        phone: Optional[DeviceProfile] = None,
         model: Optional[Model] = None,
         seed: int = 0,
         workers: int = 0,
         cache: Optional[CaptureCache] = None,
-        executor: Optional[FleetExecutor] = None,
     ) -> None:
-        self.profile = phone or capture_fleet()[0]
+        self.profile = capture_fleet()[0]
         self.runtime = DeviceRuntime(resolve_model(model))
         self.seed = seed
         self.cache = cache
-        self.executor = executor or FleetExecutor(workers=workers, cache=cache)
+        self.executor = FleetExecutor(workers=workers, cache=cache)
 
     def run(self, per_class: int = 8) -> ExperimentResult:
         dataset = build_dataset(per_class=per_class, seed=self.seed)
         screen = Screen(seed=self.seed)
         units: List[CaptureUnit] = []
-        shown_by_condition = []
+        chunks = []
         for label, brightness, warmth in self.CONDITIONS:
             relit = [
                 replace(item, scene=replace(item.scene, brightness=brightness, warmth=warmth))
@@ -77,7 +77,7 @@ class LightingVariationExperiment:
             ]
             rig = CaptureRig(screen=screen, angles=(0.0,), cache=self.cache)
             displayed = rig.present(relit)
-            shown_by_condition.append(displayed)
+            chunks.append((label, displayed))
             units.extend(
                 CaptureUnit(
                     kind="photograph",
@@ -87,53 +87,45 @@ class LightingVariationExperiment:
                 )
                 for shown in displayed
             )
-        payloads = self.executor.run(units)
-
-        result = ExperimentResult([], name="lighting_variation")
-        start = 0
-        for (label, _, _), displayed in zip(self.CONDITIONS, shown_by_condition):
-            chunk = payloads[start : start + len(displayed)]
-            start += len(displayed)
-            images = [ImageBuffer(payload["pixels"]) for payload in chunk]
-            predictions = self.runtime.predict(images)
-            result.extend(
-                make_record(pred, shown, environment=label, image_id=i)
-                for i, (pred, shown) in enumerate(zip(predictions, displayed))
-            )
-        return result
+        return classify(
+            self.runtime,
+            "lighting_variation",
+            self.executor.run(units),
+            chunks,
+            image_id=range(len(dataset)),
+        )
 
 
 class LensVariationExperiment:
     """Instability across manufacturing units of one phone model.
 
     Models the paper's observation (§6, citing Rameshwar 2019) that units
-    of the *same phone model* can differ in their imaging components: each
-    simulated unit perturbs the nominal lens (blur, vignetting) within
-    plausible assembly tolerances.
+    of the *same phone model* (the Galaxy S10) can differ in their
+    imaging components: each simulated unit perturbs the nominal lens
+    (blur, vignetting) within plausible assembly tolerances.
     """
+
+    #: Per-unit lens perturbation bounds: blur sigma and vignetting move
+    #: by up to these amounts either way.
+    BLUR_TOLERANCE = 0.15
+    VIGNETTE_TOLERANCE = 0.03
 
     def __init__(
         self,
-        phone: Optional[DeviceProfile] = None,
         model: Optional[Model] = None,
         units: int = 4,
-        blur_tolerance: float = 0.15,
-        vignette_tolerance: float = 0.03,
         seed: int = 0,
         workers: int = 0,
         cache: Optional[CaptureCache] = None,
-        executor: Optional[FleetExecutor] = None,
     ) -> None:
         if units < 2:
             raise ValueError("need at least two units to compare")
-        self.profile = phone or capture_fleet()[0]
+        self.profile = capture_fleet()[0]
         self.runtime = DeviceRuntime(resolve_model(model))
         self.units = units
-        self.blur_tolerance = blur_tolerance
-        self.vignette_tolerance = vignette_tolerance
         self.seed = seed
         self.cache = cache
-        self.executor = executor or FleetExecutor(workers=workers, cache=cache)
+        self.executor = FleetExecutor(workers=workers, cache=cache)
 
     def _unit_profiles(self) -> Sequence[DeviceProfile]:
         rng = np.random.default_rng(self.seed + 77)
@@ -144,12 +136,12 @@ class LensVariationExperiment:
             new_lens = replace(
                 lens,
                 blur_sigma=max(
-                    0.1, lens.blur_sigma + float(rng.uniform(-1, 1)) * self.blur_tolerance
+                    0.1, lens.blur_sigma + float(rng.uniform(-1, 1)) * self.BLUR_TOLERANCE
                 ),
                 vignetting=float(
                     np.clip(
                         lens.vignetting
-                        + rng.uniform(-1, 1) * self.vignette_tolerance,
+                        + rng.uniform(-1, 1) * self.VIGNETTE_TOLERANCE,
                         0.0,
                         0.9,
                     )
@@ -180,16 +172,9 @@ class LensVariationExperiment:
             for profile in profiles
             for shown in displayed
         ]
-        payloads = self.executor.run(work)
-
-        result = ExperimentResult([], name="lens_variation")
-        per_unit = len(displayed)
-        for p, profile in enumerate(profiles):
-            chunk = payloads[p * per_unit : (p + 1) * per_unit]
-            images = [ImageBuffer(payload["pixels"]) for payload in chunk]
-            predictions = self.runtime.predict(images)
-            result.extend(
-                make_record(pred, shown, environment=profile.name)
-                for pred, shown in zip(predictions, displayed)
-            )
-        return result
+        return classify(
+            self.runtime,
+            "lens_variation",
+            self.executor.run(work),
+            [(profile.name, displayed) for profile in profiles],
+        )

@@ -20,7 +20,7 @@ runs the same model. The paper's findings emerge mechanistically —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ..codecs.registry import get_codec
 from ..core.instability import instability
 from ..core.records import ExperimentResult, PredictionRecord
 from ..devices.os_sim import content_hash
-from ..devices.profiles import DeviceProfile, firebase_fleet
+from ..devices.profiles import firebase_fleet
 from ..devices.runtime import DeviceRuntime
 from ..nn.model import Model
 from ..scenes.dataset import build_dataset
@@ -103,26 +103,15 @@ class FirebaseOutcome:
 class FirebaseTestLab:
     """Run the fixed-photo-set experiment across a device fleet."""
 
-    def __init__(
-        self,
-        devices: Optional[Sequence[DeviceProfile]] = None,
-        model: Optional[Model] = None,
-        seed: int = 0,
-    ) -> None:
-        self.devices = list(devices) if devices is not None else firebase_fleet()
+    def __init__(self, model: Optional[Model] = None, seed: int = 0) -> None:
+        self.devices = firebase_fleet()
         self.runtime = DeviceRuntime(resolve_model(model))
         self.seed = seed
-
-    def build_photo_set(
-        self, num_photos: int = 40, image_format: str = "jpeg", quality: int = 85
-    ) -> List[dict]:
-        """The module-level :func:`build_photo_set`, at this lab's seed."""
-        return build_photo_set(num_photos, image_format, quality, seed=self.seed)
 
     def run(
         self, num_photos: int = 40, image_format: str = "jpeg", quality: int = 85
     ) -> FirebaseOutcome:
-        photos = self.build_photo_set(num_photos, image_format, quality)
+        photos = build_photo_set(num_photos, image_format, quality, seed=self.seed)
         result = ExperimentResult([], name=f"firebase/{image_format}")
         hashes: Dict[str, List[str]] = {}
         for profile in self.devices:

@@ -13,14 +13,14 @@ needed to build prediction records at evaluation time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 from zlib import crc32
 
 import numpy as np
 
 from ..codecs.registry import decode_any
 from ..devices.phone import Phone
-from ..devices.profiles import DeviceProfile, capture_fleet
+from ..devices.profiles import capture_fleet
 from ..nn.preprocess import to_model_input
 from ..scenes.dataset import build_dataset
 from ..scenes.screen import Screen
@@ -69,7 +69,6 @@ def build_stability_corpus(
     train_fraction: float = 0.6,
     angles: Sequence[float] = (-30.0, 0.0, 30.0),
     seed: int = 0,
-    phones: Optional[Tuple[DeviceProfile, DeviceProfile]] = None,
 ) -> StabilityCorpus:
     """Capture the Samsung/iPhone fine-tuning corpus.
 
@@ -77,12 +76,9 @@ def build_stability_corpus(
     fine-tuning, and both phones photograph every displayed image so the
     pairs stay aligned.
     """
-    if phones is None:
-        fleet = capture_fleet()
-        primary = next(p for p in fleet if p.name == "samsung_galaxy_s10")
-        secondary = next(p for p in fleet if p.name == "iphone_xr")
-    else:
-        primary, secondary = phones
+    fleet = capture_fleet()
+    primary = next(p for p in fleet if p.name == "samsung_galaxy_s10")
+    secondary = next(p for p in fleet if p.name == "iphone_xr")
 
     dataset = build_dataset(per_class=per_class, seed=seed)
     rig = CaptureRig(screen=Screen(seed=seed), angles=angles)

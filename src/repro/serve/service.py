@@ -66,7 +66,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..devices.runtime import DeviceRuntime
-from ..fleet.population import FleetSpec, SyntheticDevice, generate_devices
+from ..fleet.population import SyntheticDevice, generate_devices
 from ..imaging.image import ImageBuffer
 from ..lab.rig import CaptureRig, DisplayedImage
 from ..nn.model import Model, micro_mobilenet
@@ -269,9 +269,6 @@ class IngestService:
     cache:
         Optional shared :class:`CaptureCache`; also used for
         :meth:`warm` and by the rig's radiance cache.
-    spec:
-        Optional :class:`FleetSpec` overriding the default vendor
-        catalog.
     """
 
     def __init__(
@@ -279,12 +276,11 @@ class IngestService:
         config: ServeConfig,
         model: Optional[Model] = None,
         cache: Optional[CaptureCache] = None,
-        spec: Optional[FleetSpec] = None,
     ) -> None:
         self.config = config
         self.cache = cache
         self.devices: List[SyntheticDevice] = generate_devices(
-            config.fleet_size, seed=config.seed, spec=spec
+            config.fleet_size, seed=config.seed
         )
         dataset = build_dataset(
             per_class=max(1, math.ceil(config.scenes / 5)), seed=config.seed

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lab.firebase import FirebaseTestLab
+from repro.lab.firebase import FirebaseTestLab, build_photo_set
 
 
 @pytest.fixture(scope="module")
@@ -11,20 +11,20 @@ def lab(tiny_model):
 
 
 class TestPhotoSet:
-    def test_fixed_photo_set_is_deterministic(self, lab):
-        a = lab.build_photo_set(num_photos=5)
-        b = lab.build_photo_set(num_photos=5)
+    def test_fixed_photo_set_is_deterministic(self):
+        a = build_photo_set(num_photos=5)
+        b = build_photo_set(num_photos=5)
         assert [p["bytes"] for p in a] == [p["bytes"] for p in b]
 
-    def test_photo_set_size(self, lab):
-        photos = lab.build_photo_set(num_photos=10)
+    def test_photo_set_size(self):
+        photos = build_photo_set(num_photos=10)
         assert len(photos) == 10
 
-    def test_photo_formats(self, lab):
+    def test_photo_formats(self):
         from repro.codecs import sniff_format
 
-        jpegs = lab.build_photo_set(num_photos=5, image_format="jpeg")
-        pngs = lab.build_photo_set(num_photos=5, image_format="png")
+        jpegs = build_photo_set(num_photos=5, image_format="jpeg")
+        pngs = build_photo_set(num_photos=5, image_format="png")
         assert all(sniff_format(p["bytes"]) == "jpeg" for p in jpegs)
         assert all(sniff_format(p["bytes"]) == "png" for p in pngs)
 

@@ -1,31 +1,27 @@
 """generate_fleet() populations drop into the lab experiments.
 
 ROADMAP follow-up to the fleet package: the synthetic populations sample
-real ``DeviceProfile`` objects, so ``fleet_size=`` on an experiment must
-behave exactly like passing ``phones=generate_fleet(fleet_size, seed)``.
+real ``DeviceProfile`` objects, so ``phones=generate_fleet(n, seed)``
+photographs on a seeded synthetic population.
 """
 
 import pytest
 
 from repro.fleet.population import generate_fleet
 from repro.lab import EndToEndExperiment
-from repro.lab.experiments import RawCaptureBank, RawVsJpegExperiment
+from repro.lab.experiments import RawVsJpegExperiment
 
 
 class TestFleetSizeWiring:
-    def test_fleet_size_equals_explicit_population(self, tiny_model):
-        by_size = EndToEndExperiment(
-            fleet_size=5, model=tiny_model, angles=(0.0,), seed=3
+    def test_explicit_population_photographs(self, tiny_model):
+        population = generate_fleet(5, seed=3)
+        experiment = EndToEndExperiment(
+            phones=population, model=tiny_model, angles=(0.0,), seed=3
         )
-        explicit = EndToEndExperiment(
-            phones=generate_fleet(5, seed=3), model=tiny_model, angles=(0.0,), seed=3
-        )
-        assert [p.name for p in by_size.profiles] == [
-            p.name for p in explicit.profiles
-        ]
-        a = by_size.run(per_class=1)
-        b = explicit.run(per_class=1)
-        assert list(a.records) == list(b.records)
+        assert [p.name for p in experiment.profiles] == [p.name for p in population]
+        result = experiment.run(per_class=1)
+        assert result.environments() == [p.name for p in population]
+        assert len(result) == 5 * 5
 
     def test_default_is_paper_fleet(self, tiny_model):
         from repro.devices import capture_fleet
@@ -35,30 +31,14 @@ class TestFleetSizeWiring:
             p.name for p in capture_fleet()
         ]
 
-    def test_phones_and_fleet_size_are_exclusive(self, tiny_model):
-        with pytest.raises(ValueError):
-            EndToEndExperiment(
-                phones=generate_fleet(2), fleet_size=2, model=tiny_model
-            )
-
-    def test_raw_bank_filters_population_to_raw_capable(self):
-        population = generate_fleet(12, seed=1)
-        raw_capable = [p for p in population if p.supports_raw]
-        if not raw_capable:
-            with pytest.raises(ValueError):
-                RawCaptureBank.collect(per_class=1, seed=1, fleet_size=12)
-            return
-        bank = RawCaptureBank.collect(per_class=1, seed=1, fleet_size=12)
-        assert set(bank.phone_names) == {p.name for p in raw_capable}
-
     def test_raw_vs_jpeg_accepts_population(self, tiny_model):
         population = generate_fleet(12, seed=1)
         raw_capable = [p for p in population if p.supports_raw]
         if not raw_capable:
             with pytest.raises(ValueError):
-                RawVsJpegExperiment(model=tiny_model, seed=1, fleet_size=12)
+                RawVsJpegExperiment(model=tiny_model, seed=1, phones=population)
             return
-        experiment = RawVsJpegExperiment(model=tiny_model, seed=1, fleet_size=12)
+        experiment = RawVsJpegExperiment(model=tiny_model, seed=1, phones=population)
         assert [p.name for p in experiment.profiles] == [
             p.name for p in raw_capable
         ]
