@@ -155,7 +155,6 @@ def _cmd_fleet(args) -> None:
             repeats=args.repeats,
             workers=args.workers,
             cache=_make_cache(args),
-            spill_dir=args.spill_dir,
         )
         summary = out.summary
         payload["population"] = summary
@@ -196,7 +195,6 @@ def _cmd_fleet(args) -> None:
             steps=args.time_steps,
             photos=args.photos,
             image_format=args.format,
-            spill_dir=args.spill_dir,
         )
         payload["drift"] = {"steps": out.step_table, "summary": out.summary}
         print(f"drift over {args.time_steps} steps ({args.format}, {args.photos} photos):")
@@ -260,14 +258,11 @@ def _cmd_serve(args) -> None:
     if args.warm:
         if service.cache is None:
             raise SystemExit("repro serve: --warm needs --cache-dir")
-        warmed = service.warm(
-            shard_index=args.shard_index, shard_count=args.shard_count
-        )
+        warmed = service.warm()
         print(
-            f"warmed shard {args.shard_index}/{args.shard_count}: "
-            f"{warmed['warmed']} captured, {warmed['already_cached']} already "
-            f"cached ({warmed['shard_units']} of {warmed['candidates']} units "
-            "in shard)"
+            f"warmed cache: {warmed['warmed']} captured, "
+            f"{warmed['already_cached']} already cached "
+            f"({warmed['candidates']} units)"
         )
 
     def on_window(summary) -> None:
@@ -492,14 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="jpeg",
         help="drift-study corpus encoding",
     )
-    p.add_argument(
-        "--spill-dir",
-        type=str,
-        default=None,
-        dest="spill_dir",
-        help="spill record shards to this directory instead of holding "
-        "all records in memory",
-    )
     p.add_argument("--save", type=str, default=None, help="save summary JSON here")
     capture(p)
     observability(p)
@@ -586,22 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--warm",
         action="store_true",
-        help="pre-capture this replica's cache shard before accepting "
-        "traffic (needs --cache-dir)",
-    )
-    p.add_argument(
-        "--shard-index",
-        type=int,
-        default=0,
-        dest="shard_index",
-        help="this replica's shard for --warm (0-based)",
-    )
-    p.add_argument(
-        "--shard-count",
-        type=int,
-        default=1,
-        dest="shard_count",
-        help="total serve replicas sharing the cache for --warm",
+        help="pre-capture every (device, scene) into the cache before "
+        "accepting traffic (needs --cache-dir)",
     )
     p.add_argument(
         "--summary-out",

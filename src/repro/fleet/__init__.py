@@ -9,18 +9,17 @@ devices, and which devices are outliers? It has four parts:
   distributions that sample :class:`~repro.devices.profiles.DeviceSpec`
   records and feed them through the same :func:`build_profile` factory
   as the paper's fixed fleets.
-* :mod:`~repro.fleet.columnar` — a struct-array record store with JSONL
-  shard spill, so millions of capture records never become Python
-  objects.
-* :mod:`~repro.fleet.stats` — merge-associative (integer-sum)
-  population aggregation: consensus labels, per-device divergence,
-  percentiles, robust (MAD) outlier detection.
+* :mod:`~repro.fleet.columnar` — an in-memory struct-array record
+  store, so capture records never become Python objects.
+* :mod:`~repro.fleet.stats` — integer-sum population aggregation:
+  consensus labels, per-device divergence, percentiles, robust (MAD)
+  outlier detection.
 * :mod:`~repro.fleet.studies` — the studies themselves: population
   capture instability and OS-upgrade drift over simulated time, exposed
   on the CLI as ``python -m repro fleet``.
 """
 
-from .columnar import ColumnarStore, concat_tables, read_shard, write_shard
+from .columnar import ColumnarStore
 from .population import (
     DEFAULT_VENDORS,
     FleetSpec,
@@ -72,17 +71,14 @@ __all__ = [
     "VendorSpec",
     "Weighted",
     "aggregate_tables",
-    "concat_tables",
     "default_fleet_spec",
     "fixed_devices",
     "fleet_model",
     "generate_devices",
     "generate_fleet",
     "population_summary",
-    "read_shard",
     "robust_outliers",
     "run_drift_study",
     "run_population_study",
     "sample_device",
-    "write_shard",
 ]

@@ -1,25 +1,18 @@
-"""Columnar results store: NumPy struct-array chunks with JSONL spill.
+"""Columnar results store: NumPy struct-array chunks in memory.
 
-A million-device study produces millions of capture records; a Python
-object per record would dominate memory and GC time long before the
-capture pipeline does. :class:`ColumnarStore` keeps records as NumPy
-structured arrays end to end:
+A population study produces one capture record per (device, scene,
+repeat, step); a Python object per record would dominate memory and GC
+time long before the capture pipeline does. :class:`ColumnarStore`
+keeps records as NumPy structured arrays end to end:
 
 * **Append** is batch-only: callers hand whole column vectors (or a
   ready struct array); no per-record objects are ever created or held.
 * **Memory** is a list of struct-array chunks — ``rows * itemsize``
-  bytes, nothing else.
-* **Spill** writes full shards to column-oriented JSONL files once the
-  in-memory row count crosses ``shard_rows``, so a store can hold far
-  more records than RAM. Shards are self-describing (header line with
-  schema, one line per column) and byte-stable: the writer iterates
-  fields in dtype order and encodes floats via ``repr`` round-trip, so
-  shard bytes are independent of ``PYTHONHASHSEED`` and re-writes are
-  reproducible (``tests/fleet/test_columnar.py``).
-* **Aggregation** never needs the whole table at once:
-  :meth:`ColumnarStore.iter_tables` yields one struct array per shard /
-  chunk, which is what makes the two-pass population aggregation in
-  :mod:`repro.fleet.stats` shard-mergeable.
+  bytes, nothing else. The CLI's default drift study (1000 devices x
+  40 photos x 6 steps) is 240 000 rows, 6.7 MB at 28 bytes a row.
+* **Aggregation** streams the chunks: :meth:`ColumnarStore.iter_tables`
+  yields one struct array per append, in append order, which is what
+  :func:`repro.fleet.stats.aggregate_tables` folds.
 
 Object-dtype fields are rejected at construction: the store's whole
 point is that a record is a fixed-width row, not a boxed Python value.
@@ -27,151 +20,34 @@ point is that a record is a fixed-width row, not a boxed Python value.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List
 
 import numpy as np
 
 from .. import obs
 
-__all__ = ["ColumnarStore", "write_shard", "read_shard", "concat_tables"]
-
-_SHARD_FORMAT = "repro-columnar-v1"
+__all__ = ["ColumnarStore"]
 
 
-def _validate_dtype(dtype: np.dtype) -> np.dtype:
-    dtype = np.dtype(dtype)
-    if dtype.names is None:
-        raise ValueError("ColumnarStore needs a structured dtype with named fields")
-    if dtype.hasobject:
-        raise ValueError(
-            "object-dtype fields defeat the columnar layout; use fixed-width "
-            "numeric or unicode fields"
-        )
-    return dtype
-
-
-# ----------------------------------------------------------------------
-# JSONL shard serialization (column-oriented, byte-stable)
-# ----------------------------------------------------------------------
-def write_shard(table: np.ndarray, path: Union[str, Path]) -> Path:
-    """Write one struct array as a column-oriented JSONL shard.
-
-    Line 1 is the header (format tag, row count, field schema in dtype
-    order); each following line is one column: ``{"name": ..., "data":
-    [...]}``. Ints serialize exactly; floats via Python ``repr`` (the
-    shortest round-tripping decimal), and float32 columns are widened to
-    float64 (exact) before encoding, so the round trip is lossless.
-    """
-    table = np.ascontiguousarray(table)
-    dtype = _validate_dtype(table.dtype)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fields = [
-        {"name": name, "dtype": dtype.fields[name][0].str} for name in dtype.names
-    ]
-    with obs.span("fleet.shard_write", rows=int(table.shape[0])):
-        with path.open("w", encoding="utf-8") as fh:
-            header = {
-                "format": _SHARD_FORMAT,
-                "rows": int(table.shape[0]),
-                "fields": fields,
-            }
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for name in dtype.names:
-                column = table[name]
-                if column.dtype.kind == "f":
-                    data = [float(v) for v in column.astype(np.float64)]
-                elif column.dtype.kind in "iub":
-                    data = [int(v) for v in column]
-                elif column.dtype.kind == "U":
-                    data = [str(v) for v in column]
-                else:
-                    raise TypeError(
-                        f"unsupported column kind {column.dtype.kind!r} "
-                        f"for field {name!r}"
-                    )
-                fh.write(json.dumps({"name": name, "data": data}) + "\n")
-    obs.count("fleet.store.shards_written")
-    return path
-
-
-def read_shard(path: Union[str, Path]) -> np.ndarray:
-    """Read one shard written by :func:`write_shard` back to a struct array."""
-    path = Path(path)
-    with obs.span("fleet.shard_read"):
-        with path.open("r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("format") != _SHARD_FORMAT:
-                raise ValueError(
-                    f"{path} is not a {_SHARD_FORMAT} shard "
-                    f"(format={header.get('format')!r})"
-                )
-            rows = int(header["rows"])
-            dtype = np.dtype(
-                [(f["name"], f["dtype"]) for f in header["fields"]]
-            )
-            table = np.empty(rows, dtype=dtype)
-            seen = set()
-            for line in fh:
-                column = json.loads(line)
-                name = column["name"]
-                if name not in dtype.names or name in seen:
-                    raise ValueError(f"{path}: unexpected column {name!r}")
-                seen.add(name)
-                table[name] = np.asarray(
-                    column["data"], dtype=dtype.fields[name][0]
-                )
-    missing = set(dtype.names) - seen
-    if missing:
-        raise ValueError(f"{path}: shard missing columns {sorted(missing)}")
-    return table
-
-
-def concat_tables(tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate struct arrays with identical dtypes (empty-safe)."""
-    tables = [t for t in tables if t.shape[0]]
-    if not tables:
-        raise ValueError("no rows to concatenate")
-    return np.concatenate(tables)
-
-
-# ----------------------------------------------------------------------
-# The store
-# ----------------------------------------------------------------------
 class ColumnarStore:
-    """Append-only columnar record store with optional disk spill.
+    """Append-only in-memory store of struct-array record chunks.
 
-    Parameters
-    ----------
-    dtype:
-        Structured record dtype (object fields rejected).
-    spill_dir:
-        Directory for JSONL shards. ``None`` keeps everything in
-        memory (chunked struct arrays — still no per-record objects).
-    shard_rows:
-        Spill threshold: once the in-memory row count reaches this,
-        buffered chunks are flushed to one shard file.
+    ``dtype`` is the structured record dtype; object fields are
+    rejected.
     """
 
-    def __init__(
-        self,
-        dtype: np.dtype,
-        spill_dir: Optional[Union[str, Path]] = None,
-        shard_rows: int = 262144,
-    ) -> None:
-        if shard_rows < 1:
-            raise ValueError("shard_rows must be positive")
-        self.dtype = _validate_dtype(dtype)
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        if self.spill_dir is not None:
-            self.spill_dir.mkdir(parents=True, exist_ok=True)
-        self.shard_rows = shard_rows
+    def __init__(self, dtype: np.dtype) -> None:
+        dtype = np.dtype(dtype)
+        if dtype.names is None:
+            raise ValueError("ColumnarStore needs a structured dtype with named fields")
+        if dtype.hasobject:
+            raise ValueError(
+                "object-dtype fields defeat the columnar layout; use fixed-width "
+                "numeric or unicode fields"
+            )
+        self.dtype = dtype
         self._chunks: List[np.ndarray] = []
-        self._buffered_rows = 0
-        self._spilled_rows = 0
-        self._shards: List[Path] = []
+        self._rows = 0
 
     # -- append --------------------------------------------------------
     def append_table(self, table: np.ndarray) -> None:
@@ -186,11 +62,8 @@ class ColumnarStore:
         if not table.shape[0]:
             return
         self._chunks.append(np.ascontiguousarray(table))
-        self._buffered_rows += int(table.shape[0])
+        self._rows += int(table.shape[0])
         obs.count("fleet.store.rows_appended", int(table.shape[0]))
-        if self.spill_dir is not None:
-            while self._buffered_rows >= self.shard_rows:
-                self._spill_one_shard()
 
     def append_columns(self, **columns: np.ndarray) -> None:
         """Append records given as aligned column vectors.
@@ -217,98 +90,21 @@ class ColumnarStore:
             table[name] = arrays[name]
         self.append_table(table)
 
-    # -- spill ---------------------------------------------------------
-    def _spill_one_shard(self) -> None:
-        assert self.spill_dir is not None
-        take = min(self.shard_rows, self._buffered_rows)
-        head: List[np.ndarray] = []
-        remaining = take
-        while remaining:
-            chunk = self._chunks.pop(0)
-            if chunk.shape[0] <= remaining:
-                head.append(chunk)
-                remaining -= chunk.shape[0]
-            else:
-                head.append(chunk[:remaining])
-                self._chunks.insert(0, np.ascontiguousarray(chunk[remaining:]))
-                remaining = 0
-        table = concat_tables(head)
-        path = self.spill_dir / f"shard-{len(self._shards):06d}.jsonl"
-        write_shard(table, path)
-        self._shards.append(path)
-        self._buffered_rows -= take
-        self._spilled_rows += take
-        obs.count("fleet.store.rows_spilled", take)
-
-    def flush(self) -> None:
-        """Force-spill any buffered rows (no-op without a spill dir)."""
-        if self.spill_dir is not None and self._buffered_rows:
-            self._spill_one_shard()
-
     # -- read ----------------------------------------------------------
     @property
     def rows(self) -> int:
-        """Total record count across memory and spilled shards."""
-        return self._buffered_rows + self._spilled_rows
+        """Total record count."""
+        return self._rows
 
     def __len__(self) -> int:
-        return self.rows
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held in memory (spilled shards cost nothing resident)."""
-        return sum(chunk.nbytes for chunk in self._chunks)
-
-    @property
-    def shard_paths(self) -> List[Path]:
-        return list(self._shards)
-
-    @property
-    def memory_chunks(self) -> List[np.ndarray]:
-        """The in-memory struct-array chunks (read-only use)."""
-        return list(self._chunks)
+        return self._rows
 
     def iter_tables(self) -> Iterator[np.ndarray]:
-        """Yield every record batch: spilled shards first, then memory.
-
-        The order is deterministic (shard index order, then append
-        order); aggregation built on it must be merge-associative
-        anyway, which ``tests/fleet/test_stats.py`` proves.
-        """
-        for path in self._shards:
-            yield read_shard(path)
-        for chunk in self._chunks:
-            yield chunk
+        """Yield the record chunks, one per non-empty append, in order."""
+        return iter(self._chunks)
 
     def table(self) -> np.ndarray:
-        """Materialize all records as one struct array.
-
-        Convenient for small studies and tests; population-scale callers
-        should prefer :meth:`iter_tables`.
-        """
-        return concat_tables(list(self.iter_tables()))
-
-    def column_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-numeric-column min/max/mean over the full store (streamed)."""
-        totals: Dict[str, Dict[str, float]] = {}
-        count = 0
-        for table in self.iter_tables():
-            count += table.shape[0]
-            for name in self.dtype.names:
-                column = table[name]
-                if column.dtype.kind not in "iufb":
-                    continue
-                entry = totals.setdefault(
-                    name, {"min": np.inf, "max": -np.inf, "sum": 0.0}
-                )
-                entry["min"] = min(entry["min"], float(column.min()))
-                entry["max"] = max(entry["max"], float(column.max()))
-                entry["sum"] += float(column.astype(np.float64).sum())
-        return {
-            name: {
-                "min": entry["min"],
-                "max": entry["max"],
-                "mean": entry["sum"] / count if count else 0.0,
-            }
-            for name, entry in sorted(totals.items())
-        }
+        """Materialize all records as one struct array."""
+        if not self._chunks:
+            raise ValueError("no rows to concatenate")
+        return np.concatenate(self._chunks)

@@ -4,28 +4,25 @@ The paper reports one instability number over five phones; a population
 study needs the *distribution*: per-device divergence percentiles,
 outlier devices, accuracy spread. This module computes those from
 :class:`~repro.fleet.columnar.ColumnarStore` record batches in two
-shard-mergeable passes:
+passes:
 
 1. :class:`ConsensusCounts` — per ``(scene, repeat, step)`` presentation
    key, how often each label was predicted across the whole population.
-   Pure integer counts, so merging partial counts is exactly associative
-   and the fleet-consensus label (majority, ties to the lowest label)
-   is identical no matter how records were sharded.
+   The fleet-consensus label is the majority, ties to the lowest label.
 2. :class:`DeviceStats` — per device, how many records, how many agreed
    with the consensus, how many were correct, and fixed-point confidence
-   and byte totals. Integer sums again: merging shard-level stats in any
-   grouping or order gives bit-identical results
-   (``tests/fleet/test_stats.py`` proves associativity).
+   and byte totals.
 
-Confidence is accumulated in 2^24 fixed point rather than floating
-point — float addition is not associative, and shard-merge-equals-
-single-pass is the property the whole layer is built on.
+Every accumulator is an integer sum, with confidence in 2^24 fixed
+point rather than floating point: float addition is not associative,
+integer addition is, so the result does not depend on how the records
+were cut into batches (``tests/fleet/test_stats.py`` proves it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +36,7 @@ __all__ = [
 ]
 
 #: One capture record: who, what, when, and what the model said. Fixed
-#: width (32 bytes) — a million records is 32 MB, never a million
+#: width (28 bytes) — a million records is 28 MB, never a million
 #: Python objects.
 RECORD_DTYPE = np.dtype(
     [
@@ -101,7 +98,7 @@ class ConsensusCounts:
     """Population vote counts per presentation key (pass 1).
 
     ``counts[key, label]`` is how many records predicted ``label`` for
-    presentation ``key``. Integer counts merge exactly associatively.
+    presentation ``key``.
     """
 
     dims: TableDims
@@ -130,12 +127,6 @@ class ConsensusCounts:
             flat, minlength=self.dims.n_keys * self.dims.n_labels
         ).reshape(self.dims.n_keys, self.dims.n_labels)
 
-    def merge(self, other: "ConsensusCounts") -> "ConsensusCounts":
-        """Combine two partial counts (associative, commutative)."""
-        if other.dims != self.dims:
-            raise ValueError("cannot merge counts over different dims")
-        return ConsensusCounts(dims=self.dims, counts=self.counts + other.counts)
-
     def consensus_labels(self) -> np.ndarray:
         """Majority label per key; ties break to the lowest label.
 
@@ -159,7 +150,7 @@ class ConsensusCounts:
 class DeviceStats:
     """Per-device aggregates versus the fleet consensus (pass 2).
 
-    All fields are integer sums, so shard-level stats merge exactly.
+    All fields are integer sums, independent of batch boundaries.
     """
 
     dims: TableDims
@@ -217,19 +208,6 @@ class DeviceStats:
         self.bytes_total += np.bincount(
             devices, weights=table["encoded_size"].astype(np.int64), minlength=n
         ).astype(np.int64)
-
-    def merge(self, other: "DeviceStats") -> "DeviceStats":
-        """Combine two partial stats (associative, commutative)."""
-        if other.dims != self.dims:
-            raise ValueError("cannot merge stats over different dims")
-        return DeviceStats(
-            dims=self.dims,
-            records=self.records + other.records,
-            disagree=self.disagree + other.disagree,
-            correct=self.correct + other.correct,
-            confidence_q=self.confidence_q + other.confidence_q,
-            bytes_total=self.bytes_total + other.bytes_total,
-        )
 
     # -- derived (computed once, from exact integer sums) --------------
     def divergence(self) -> np.ndarray:
@@ -337,31 +315,21 @@ def population_summary(
 
 
 def aggregate_tables(
-    tables: Union[Callable[[], Iterable[np.ndarray]], Iterable[np.ndarray]],
-    dims: TableDims,
+    tables: Iterable[np.ndarray], dims: TableDims
 ) -> Tuple[ConsensusCounts, DeviceStats]:
     """Two-pass aggregation over record batches.
 
     Pass 1 folds every batch into :class:`ConsensusCounts`; pass 2
-    re-streams the batches against the frozen consensus. Both passes are
-    built from mergeable pieces, so the result is independent of how
-    records were split into batches — callers may hand shards from disk,
-    in-memory chunks, or any regrouping thereof.
-
-    Pass a *callable* (e.g. ``store.iter_tables``) to stream each pass
-    from disk without ever materializing the full table set in memory; a
-    plain iterable is cached in memory for the second pass.
+    folds them again against the frozen consensus. Both passes are
+    integer sums, so the result is independent of how records were
+    split into batches.
     """
-    if callable(tables):
-        factory = tables
-    else:
-        cached = list(tables)
-        factory = lambda: cached  # noqa: E731
+    tables = list(tables)
     consensus = ConsensusCounts.empty(dims)
-    for table in factory():
+    for table in tables:
         consensus.accumulate(table)
     labels = consensus.consensus_labels()
     stats = DeviceStats.empty(dims)
-    for table in factory():
+    for table in tables:
         stats.accumulate(table, labels)
     return consensus, stats

@@ -13,8 +13,8 @@ record tables aggregated by :mod:`repro.fleet.stats`:
   fixed photo corpus, a population whose devices take the OS decoder
   upgrade at sampled time steps, and per-step population instability as
   the decoder mix shifts. Decoding and inference run once per *decoder
-  family* and are expanded to per-device records columnar-ly, so the
-  study costs the same for 100 devices as for 100 000.
+  family* and are expanded to per-device records columnar-ly, so
+  decode and inference cost does not grow with the fleet size.
 
 Determinism: capture units reuse the executor's identity-derived seeds
 (``unit_entropy(seed, device_name, image_id, repeat)``), inference
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -137,8 +136,6 @@ def run_population_study(
     cache: Optional[CaptureCache] = None,
     model: Optional[Model] = None,
     devices: Optional[Sequence[SyntheticDevice]] = None,
-    spill_dir: Optional[Union[str, Path]] = None,
-    shard_rows: int = 262144,
 ) -> PopulationStudyOutcome:
     """Photograph ``scenes`` displayed scenes on every population device.
 
@@ -154,9 +151,6 @@ def run_population_study(
         Passed to :class:`FleetExecutor` — output-neutral as always.
     model:
         Fixed-weight classifier; defaults to :func:`fleet_model`.
-    spill_dir, shard_rows:
-        Columnar store spill configuration for populations whose record
-        tables outgrow memory.
 
     Returns
     -------
@@ -172,7 +166,7 @@ def run_population_study(
         model if model is not None else fleet_model(), batch_size=INFERENCE_BATCH
     )
     executor = FleetExecutor(workers=workers, cache=cache)
-    store = ColumnarStore(RECORD_DTYPE, spill_dir=spill_dir, shard_rows=shard_rows)
+    store = ColumnarStore(RECORD_DTYPE)
     dims = TableDims(
         n_devices=len(devices),
         n_scenes=scenes,
@@ -249,7 +243,7 @@ def run_population_study(
                 ),
             )
 
-        consensus, stats = aggregate_tables(store.iter_tables, dims)
+        consensus, stats = aggregate_tables(store.iter_tables(), dims)
         summary = population_summary(
             stats, consensus, device_names=[d.profile.name for d in devices]
         )
@@ -288,8 +282,6 @@ def run_drift_study(
     image_format: str = "jpeg",
     model: Optional[Model] = None,
     devices: Optional[Sequence[SyntheticDevice]] = None,
-    spill_dir: Optional[Union[str, Path]] = None,
-    shard_rows: int = 262144,
 ) -> DriftStudyOutcome:
     """Population instability as OS decoder upgrades roll out over time.
 
@@ -312,7 +304,7 @@ def run_drift_study(
     runtime = DeviceRuntime(
         model if model is not None else fleet_model(), batch_size=INFERENCE_BATCH
     )
-    store = ColumnarStore(RECORD_DTYPE, spill_dir=spill_dir, shard_rows=shard_rows)
+    store = ColumnarStore(RECORD_DTYPE)
     dims = TableDims(
         n_devices=len(devices),
         n_scenes=photos,
@@ -402,7 +394,7 @@ def run_drift_study(
                 }
             )
 
-        consensus, stats = aggregate_tables(store.iter_tables, dims)
+        consensus, stats = aggregate_tables(store.iter_tables(), dims)
         summary = population_summary(
             stats, consensus, device_names=[d.profile.name for d in devices]
         )

@@ -157,17 +157,10 @@ class RawCaptureBank:
         cls,
         per_class: int = 8,
         seed: int = 0,
-        phones: Optional[Sequence[DeviceProfile]] = None,
         workers: int = 0,
         cache: Optional[CaptureCache] = None,
     ) -> "RawCaptureBank":
-        profiles = (
-            list(phones)
-            if phones is not None
-            else [p for p in capture_fleet() if p.supports_raw]
-        )
-        if not profiles:
-            raise ValueError("no raw-capable phones supplied")
+        profiles = [p for p in capture_fleet() if p.supports_raw]
         dataset = build_dataset(per_class=per_class, seed=seed)
         rig = CaptureRig(screen=Screen(seed=seed), angles=(0.0,), cache=cache)
         displayed = rig.present(list(dataset))

@@ -30,7 +30,6 @@ from .service import (
     IngestService,
     ServeConfig,
     latency_summary,
-    shard_of_key,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "IngestService",
     "ServeConfig",
     "latency_summary",
-    "shard_of_key",
 ]

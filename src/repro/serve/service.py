@@ -86,7 +86,6 @@ __all__ = [
     "CaptureResponse",
     "IngestService",
     "latency_summary",
-    "shard_of_key",
 ]
 
 #: Terminal request statuses. Exactly one is attached to every submit().
@@ -120,14 +119,6 @@ def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
         "p99_ms": rank(99),
         "max_ms": data[-1] * 1e3,
     }
-
-
-def shard_of_key(key: str, shard_count: int) -> int:
-    """Map a capture-cache key to a shard, aligned with the cache's own
-    two-hex-character directory sharding (``<dir>/<key[:2]>/...``)."""
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
-    return int(key[:2], 16) % shard_count
 
 
 @dataclass(frozen=True)
@@ -686,48 +677,26 @@ class IngestService:
     # ------------------------------------------------------------------
     # Cache warming
     # ------------------------------------------------------------------
-    def warm(
-        self, shard_index: int = 0, shard_count: int = 1, repeats: int = 1
-    ) -> Dict[str, int]:
-        """Pre-populate the capture cache for this service's shard.
+    def warm(self) -> Dict[str, int]:
+        """Pre-populate the capture cache with every servable capture.
 
-        Enumerates every ``(device, scene, repeat < repeats)`` unit the
-        service can be asked for, keeps the ones whose cache key falls in
-        shard ``shard_index`` of ``shard_count`` (:func:`shard_of_key` —
-        aligned with the cache's own directory sharding, so *N* serve
-        replicas warming shards ``0..N-1`` of a shared ``--cache-dir``
-        partition the keyspace without overlap), and executes the
-        not-yet-cached ones through the executor, which writes them
-        back. Synchronous; call before :meth:`start`.
+        Enumerates repeat 0 of every ``(device, scene)`` the service can
+        be asked for and executes the not-yet-cached ones through the
+        executor, which writes them back. Synchronous; call before
+        :meth:`start`.
         """
         if self.cache is None:
             raise ValueError("cache warming needs an attached CaptureCache")
-        if not 0 <= shard_index < shard_count:
-            raise ValueError("shard_index must be in [0, shard_count)")
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        candidates = 0
-        mine: List[CaptureUnit] = []
-        already = 0
-        for device_idx in range(len(self.devices)):
-            for scene_idx in range(len(self.displayed)):
-                for repeat in range(repeats):
-                    candidates += 1
-                    unit = self.unit_for(
-                        CaptureRequest(-1, device_idx, scene_idx, repeat)
-                    )
-                    key = unit_cache_key(unit)
-                    if shard_of_key(key, shard_count) != shard_index:
-                        continue
-                    if key in self.cache:
-                        already += 1
-                    else:
-                        mine.append(unit)
-        if mine:
-            self.executor.run(mine)  # cache-attached: results written back
+        units = [
+            self.unit_for(CaptureRequest(-1, device_idx, scene_idx, 0))
+            for device_idx in range(len(self.devices))
+            for scene_idx in range(len(self.displayed))
+        ]
+        missing = [unit for unit in units if unit_cache_key(unit) not in self.cache]
+        if missing:
+            self.executor.run(missing)  # cache-attached: results written back
         return {
-            "candidates": candidates,
-            "shard_units": already + len(mine),
-            "already_cached": already,
-            "warmed": len(mine),
+            "candidates": len(units),
+            "already_cached": len(units) - len(missing),
+            "warmed": len(missing),
         }

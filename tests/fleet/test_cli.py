@@ -28,7 +28,6 @@ class TestParser:
         assert args.scenes == 4
         assert args.study == "capture"
         assert args.workers == 0
-        assert args.spill_dir is None
 
     def test_fleet_flags_parse(self):
         args = build_parser().parse_args(
@@ -43,7 +42,6 @@ class TestParser:
                 "--photos", "10",
                 "--format", "png",
                 "--workers", "2",
-                "--spill-dir", "/tmp/shards",
                 "--cache-dir", "/tmp/cache",
                 "--save", "/tmp/out.json",
             ]
@@ -53,6 +51,11 @@ class TestParser:
         assert args.time_steps == 4
         assert args.format == "png"
         assert args.cache_dir == "/tmp/cache"
+
+    def test_spill_dir_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fleet", "--spill-dir", "d"])
+        assert excinfo.value.code == 2
 
 
 class TestCaptureStudyCommand:

@@ -1,4 +1,4 @@
-"""Columnar store tests: round trips, spill, and the no-boxing claim.
+"""Columnar store tests: appends, chunk order, and the no-boxing claim.
 
 The acceptance-critical test here is
 ``test_million_records_without_python_objects``: the store must hold
@@ -6,19 +6,11 @@ The acceptance-critical test here is
 dtype rejected), never as per-record Python objects.
 """
 
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.fleet import ColumnarStore, read_shard, write_shard
+from repro.fleet import ColumnarStore
 from repro.fleet.stats import RECORD_DTYPE
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 MIXED_DTYPE = np.dtype(
     [("idx", "<i8"), ("score", "<f4"), ("count", "<u2"), ("wide", "<f8")]
@@ -33,88 +25,6 @@ def _mixed_table(n, seed=0):
     table["count"] = rng.integers(0, 2**16, n)
     table["wide"] = rng.normal(size=n)
     return table
-
-
-class TestShardRoundTrip:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        floats=st.lists(
-            st.floats(allow_nan=False, width=32), min_size=1, max_size=32
-        ),
-        ints=st.integers(min_value=-(2**60), max_value=2**60),
-    )
-    def test_lossless_for_arbitrary_values(self, tmp_path_factory, floats, ints):
-        """float32 extremes (subnormals, huge exponents) survive exactly."""
-        tmp = tmp_path_factory.mktemp("shards")
-        table = np.empty(len(floats), dtype=[("f", "<f4"), ("i", "<i8")])
-        table["f"] = np.array(floats, dtype=np.float32)
-        table["i"] = ints
-        path = write_shard(table, tmp / "t.jsonl")
-        back = read_shard(path)
-        assert back.dtype == table.dtype
-        assert np.array_equal(back["f"], table["f"])
-        assert np.array_equal(back["i"], table["i"])
-
-    def test_round_trip_mixed_dtype(self, tmp_path):
-        table = _mixed_table(257)
-        back = read_shard(write_shard(table, tmp_path / "m.jsonl"))
-        assert back.dtype == table.dtype
-        for name in table.dtype.names:
-            assert np.array_equal(back[name], table[name]), name
-
-    def test_empty_table_round_trips(self, tmp_path):
-        table = _mixed_table(0)
-        back = read_shard(write_shard(table, tmp_path / "e.jsonl"))
-        assert back.shape == (0,) and back.dtype == table.dtype
-
-    def test_foreign_file_rejected(self, tmp_path):
-        path = tmp_path / "bogus.jsonl"
-        path.write_text('{"format": "something-else"}\n')
-        with pytest.raises(ValueError, match="not a repro-columnar-v1"):
-            read_shard(path)
-
-    def test_object_dtype_rejected(self, tmp_path):
-        table = np.empty(2, dtype=[("x", "O")])
-        with pytest.raises(ValueError, match="object-dtype"):
-            write_shard(table, tmp_path / "o.jsonl")
-
-    def test_shard_bytes_stable_across_hash_seeds(self, tmp_path):
-        """Shard bytes are independent of PYTHONHASHSEED.
-
-        The writer iterates fields in dtype order, never in set/dict
-        order, so two interpreters with different hash seeds produce
-        byte-identical shards for the same table.
-        """
-        script = """
-import sys
-import numpy as np
-from repro.fleet import write_shard
-
-# Assemble the dtype by iterating a *set* so that, were shard layout
-# derived from iteration order anywhere, the bytes would vary.
-names = {"zeta", "alpha", "mid", "beta"}
-fields = [(n, "<f4") for n in sorted(names)]
-table = np.zeros(9, dtype=fields)
-for i, n in enumerate(sorted(names)):
-    table[n] = np.arange(9, dtype=np.float32) * (i + 1) / 7.0
-path = sys.argv[1]
-write_shard(table, path)
-"""
-        outputs = set()
-        for hashseed in ("0", "1", "42"):
-            out = tmp_path / f"shard-{hashseed}.jsonl"
-            subprocess.run(
-                [sys.executable, "-c", script, str(out)],
-                cwd=REPO_ROOT,
-                check=True,
-                env={
-                    "PYTHONPATH": str(REPO_ROOT / "src"),
-                    "PYTHONHASHSEED": hashseed,
-                    "PATH": "/usr/bin:/bin",
-                },
-            )
-            outputs.add(out.read_bytes())
-        assert len(outputs) == 1, "shard bytes depend on PYTHONHASHSEED"
 
 
 class TestStoreAppend:
@@ -151,44 +61,30 @@ class TestStoreAppend:
     def test_empty_append_is_noop(self):
         store = ColumnarStore(MIXED_DTYPE)
         store.append_table(_mixed_table(0))
-        assert store.rows == 0 and store.nbytes == 0
+        assert store.rows == 0 and list(store.iter_tables()) == []
 
     def test_object_dtype_store_rejected(self):
         with pytest.raises(ValueError, match="object-dtype"):
             ColumnarStore(np.dtype([("x", "O")]))
 
-
-class TestSpill:
-    def test_spill_preserves_content_and_order(self, tmp_path):
-        reference = ColumnarStore(MIXED_DTYPE)
-        spilling = ColumnarStore(MIXED_DTYPE, spill_dir=tmp_path, shard_rows=64)
-        rng = np.random.default_rng(9)
+    def test_iter_tables_yields_one_chunk_per_append_in_order(self):
+        store = ColumnarStore(MIXED_DTYPE)
+        sizes = (3, 1, 7)
         offset = 0
-        total = 0
-        # Odd-sized batches so shard boundaries split chunks mid-way.
-        for size in (1, 63, 64, 65, 130, 7, 200):
+        for size in sizes:
             batch = _mixed_table(size, seed=offset)
             batch["idx"] = np.arange(offset, offset + size)
             offset += size
-            total += size
-            reference.append_table(batch)
-            spilling.append_table(batch)
-            del rng
-            rng = np.random.default_rng(9)
-        assert spilling.rows == total
-        assert len(spilling.shard_paths) == total // 64
-        assert np.array_equal(reference.table(), spilling.table())
-        # Row order is append order even across the spill boundary.
-        assert np.array_equal(spilling.table()["idx"], np.arange(total))
+            store.append_table(batch)
+        store.append_table(_mixed_table(0))
+        chunks = list(store.iter_tables())
+        assert [c.shape[0] for c in chunks] == list(sizes)
+        assert len(store) == store.rows == sum(sizes)
+        assert np.array_equal(store.table()["idx"], np.arange(sum(sizes)))
 
-    def test_flush_forces_final_partial_shard(self, tmp_path):
-        store = ColumnarStore(MIXED_DTYPE, spill_dir=tmp_path, shard_rows=64)
-        store.append_table(_mixed_table(70))
-        assert len(store.shard_paths) == 1
-        store.flush()
-        assert len(store.shard_paths) == 2
-        assert store.nbytes == 0 and store.rows == 70
-        assert sum(t.shape[0] for t in store.iter_tables()) == 70
+    def test_table_of_empty_store_rejected(self):
+        with pytest.raises(ValueError, match="no rows"):
+            ColumnarStore(MIXED_DTYPE).table()
 
 
 class TestMillionRecords:
@@ -210,10 +106,12 @@ class TestMillionRecords:
             )
         assert store.rows == 1_000_000
         # Every chunk is a fixed-width struct array; nothing is boxed.
-        chunks = store.memory_chunks
+        chunks = list(store.iter_tables())
+        assert len(chunks) == 10
         assert all(not chunk.dtype.hasobject for chunk in chunks)
         assert all(chunk.dtype == RECORD_DTYPE for chunk in chunks)
-        assert store.nbytes == 1_000_000 * RECORD_DTYPE.itemsize
-        stats = store.column_stats()
-        assert stats["device"]["max"] == 999.0
-        assert stats["confidence"]["max"] <= 1.0
+        assert sum(chunk.nbytes for chunk in chunks) == (
+            1_000_000 * RECORD_DTYPE.itemsize
+        )
+        assert max(int(chunk["device"].max()) for chunk in chunks) == 999
+        assert max(float(chunk["confidence"].max()) for chunk in chunks) <= 1.0

@@ -2,12 +2,12 @@
 
 Two regression layers:
 
-* **Merge associativity** (Hypothesis): splitting a record table into
-  arbitrary shards, aggregating each, and merging gives bit-identical
-  integer count state to a single pass — the property that makes
-  spilled-shard aggregation and future distributed aggregation exact.
-  It holds because every accumulator is an integer sum (confidence in
-  2^24 fixed point), never a float running total.
+* **Chunking invariance** (Hypothesis): cutting a record table into
+  arbitrary consecutive chunks and aggregating them gives bit-identical
+  integer count state to aggregating the whole table — so the study's
+  per-append chunk boundaries never change a summary. It holds because
+  every accumulator is an integer sum (confidence in 2^24 fixed point),
+  never a float running total.
 * **Golden outputs** (``tests/data/fleet_population_golden.json``,
   refresh with ``pytest --regen-golden``): the full population summary
   for a fixed-seed 200-device fleet over a synthetic record table, plus
@@ -65,34 +65,24 @@ class TestMergeAssociativity:
     def test_sharded_equals_single_pass(self, seed, rows, cuts):
         table = _random_table(rows, seed)
         bounds = sorted({min(c, rows) for c in cuts} | {0, rows})
-        shards = [
+        chunks = [
             table[a:b] for a, b in zip(bounds, bounds[1:]) if b > a
         ]
-
-        whole = ConsensusCounts.from_table(table, DIMS)
-        merged = ConsensusCounts.empty(DIMS)
-        for shard in shards:
-            merged = merged.merge(ConsensusCounts.from_table(shard, DIMS))
-        assert np.array_equal(whole.counts, merged.counts)
-
-        labels = whole.consensus_labels()
-        stats_whole = DeviceStats.from_table(table, labels, DIMS)
-        stats_merged = DeviceStats.empty(DIMS)
-        for shard in shards:
-            stats_merged = stats_merged.merge(
-                DeviceStats.from_table(shard, labels, DIMS)
-            )
+        consensus_whole, stats_whole = aggregate_tables([table], DIMS)
+        consensus_cut, stats_cut = aggregate_tables(chunks, DIMS)
+        assert np.array_equal(consensus_whole.counts, consensus_cut.counts)
         for field in ("records", "disagree", "correct", "confidence_q", "bytes_total"):
             assert np.array_equal(
-                getattr(stats_whole, field), getattr(stats_merged, field)
+                getattr(stats_whole, field), getattr(stats_cut, field)
             ), field
 
     def test_aggregate_tables_matches_manual(self):
         table = _random_table(300, seed=4)
-        shards = [table[:100], table[100:150], table[150:]]
-        consensus_a, stats_a = aggregate_tables(lambda: iter(shards), DIMS)
-        consensus_b, stats_b = aggregate_tables([table], DIMS)
+        consensus_a, stats_a = aggregate_tables([table], DIMS)
+        consensus_b = ConsensusCounts.from_table(table, DIMS)
+        stats_b = DeviceStats.from_table(table, consensus_b.consensus_labels(), DIMS)
         assert np.array_equal(consensus_a.counts, consensus_b.counts)
+        assert np.array_equal(stats_a.disagree, stats_b.disagree)
         assert np.array_equal(stats_a.confidence_q, stats_b.confidence_q)
 
 

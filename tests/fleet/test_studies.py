@@ -70,22 +70,6 @@ class TestPopulationStudyDeterminism:
         assert 0.0 <= summary["population_instability"] <= 1.0
         assert len(out.device_names()) == 5
 
-    def test_spill_dir_equivalent_to_memory(self, study_model, tmp_path):
-        memory = run_population_study(
-            fleet_size=5, seed=6, scenes=2, model=study_model
-        )
-        spilled = run_population_study(
-            fleet_size=5,
-            seed=6,
-            scenes=2,
-            model=study_model,
-            spill_dir=tmp_path / "shards",
-            shard_rows=4,
-        )
-        assert len(spilled.store.shard_paths) >= 2
-        assert np.array_equal(memory.store.table(), spilled.store.table())
-        assert _summary_json(memory) == _summary_json(spilled)
-
     def test_paper_fleet_as_degenerate_population(self, study_model):
         out = run_population_study(
             devices=fixed_devices(CAPTURE_SPECS),

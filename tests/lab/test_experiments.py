@@ -68,10 +68,6 @@ class TestRawBank:
         assert set(small_bank.phone_names) == {"samsung_galaxy_s10", "iphone_xr"}
         assert len(small_bank) == 10  # 5 scenes x 2 phones
 
-    def test_rejects_empty_fleet(self):
-        with pytest.raises(ValueError):
-            RawCaptureBank.collect(phones=[])
-
 
 class TestCompressionExperiments:
     def test_quality_experiment(self, tiny_model, small_bank):

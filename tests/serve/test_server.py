@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from repro.__main__ import build_parser
 from repro.loadgen.client import run_loadgen
 from repro.serve.protocol import capture_message, decode_message, encode_message
@@ -156,8 +158,6 @@ class TestParser:
                 "--window", "2",
                 "--model", "untrained",
                 "--warm",
-                "--shard-index", "1",
-                "--shard-count", "4",
                 "--cache-dir", "/tmp/cache",
                 "--workers", "2",
                 "--summary-out", "summary.json",
@@ -165,8 +165,15 @@ class TestParser:
         )
         assert args.fleet_size == 64
         assert args.queue_capacity == 512
-        assert args.shard_count == 4
         assert args.warm
+
+    @pytest.mark.parametrize(
+        "flag", [["--shard-index", "1"], ["--shard-count", "2"]]
+    )
+    def test_removed_shard_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *flag])
+        assert excinfo.value.code == 2
 
     def test_loadgen_defaults(self):
         args = build_parser().parse_args(["loadgen"])

@@ -17,7 +17,6 @@ from repro.serve.service import (
     IngestService,
     ServeConfig,
     latency_summary,
-    shard_of_key,
 )
 from repro.runner.units import unit_cache_key
 
@@ -284,24 +283,17 @@ class TestWindowedMetrics:
 
 
 class TestCacheWarming:
-    def test_shards_partition_the_unit_keyspace(self, tmp_path):
+    def test_warm_caches_every_device_scene_unit(self, tmp_path):
         cache = CaptureCache(tmp_path / "cache")
-        config = make_config(fleet_size=4, scenes=2)
-        service = IngestService(config, cache=cache)
-        reports = [
-            service.warm(shard_index=i, shard_count=3, repeats=2) for i in range(3)
-        ]
-        # Every candidate unit lands in exactly one shard.
-        assert all(r["candidates"] == 4 * 2 * 2 for r in reports)
-        assert sum(r["shard_units"] for r in reports) == 4 * 2 * 2
-        assert sum(r["warmed"] + r["already_cached"] for r in reports) == 4 * 2 * 2
-        # After warming all shards, every unit the service can be asked
-        # for is a cache hit.
+        service = IngestService(make_config(fleet_size=4, scenes=2), cache=cache)
+        report = service.warm()
+        assert report == {"candidates": 4 * 2, "already_cached": 0, "warmed": 4 * 2}
+        # Every (device, scene) unit the service can be asked for is now
+        # a cache hit.
         for device in range(4):
             for scene in range(2):
-                for repeat in range(2):
-                    unit = service.unit_for(CaptureRequest(-1, device, scene, repeat))
-                    assert unit_cache_key(unit) in cache
+                unit = service.unit_for(CaptureRequest(-1, device, scene, 0))
+                assert unit_cache_key(unit) in cache
 
     def test_warm_is_idempotent(self, tmp_path):
         cache = CaptureCache(tmp_path / "cache")
@@ -310,19 +302,12 @@ class TestCacheWarming:
         second = service.warm()
         assert first["warmed"] > 0
         assert second["warmed"] == 0
-        assert second["already_cached"] == first["shard_units"]
+        assert second["already_cached"] == first["candidates"]
 
     def test_warm_requires_cache(self):
         service = IngestService(make_config())
         with pytest.raises(ValueError):
             service.warm()
-
-    def test_shard_of_key_matches_disk_layout(self):
-        # Same prefix → same shard dir → same warm shard.
-        assert shard_of_key("ff" + "0" * 62, 4) == 0xFF % 4
-        assert shard_of_key("00" + "0" * 62, 4) == 0
-        with pytest.raises(ValueError):
-            shard_of_key("ab", 0)
 
 
 class TestConfigValidation:
