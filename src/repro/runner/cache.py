@@ -11,7 +11,10 @@ JSON-encoded metadata strings).
 
 The disk layer shards by key prefix (``ab/abcdef....npz``) and writes
 atomically (temp file + ``os.replace``), so concurrent runs sharing a
-``--cache-dir`` never observe torn files.
+``--cache-dir`` never observe torn files. Entries are uncompressed
+(``ZIP_STORED``) zip files: a hit skips zlib at ~5x the bytes, and
+zipfile still checks each member's CRC-32, so a damaged entry reads as
+a miss. Older deflated entries load unchanged under the same keys.
 """
 
 from __future__ import annotations
@@ -263,9 +266,10 @@ class CaptureCache:
         payload:
             Flat ``{name: ndarray}`` mapping; values are normalized with
             ``np.asarray`` and copied, so later mutation of the caller's
-            arrays cannot corrupt the cache. The disk write is atomic
-            (temp file + ``os.replace``) and shard directories are
-            created race-safely, so concurrent runs may share a
+            arrays cannot corrupt the cache. The disk entry is an
+            uncompressed ``.npz`` (cheap to read back); the write is
+            atomic (temp file + ``os.replace``) and shard directories
+            are created race-safely, so concurrent runs may share a
             ``cache_dir``.
         """
         normalized = {name: np.asarray(value) for name, value in payload.items()}
@@ -281,7 +285,7 @@ class CaptureCache:
             try:
                 with obs.span("cache.disk_write"):
                     with os.fdopen(fd, "wb") as fh:
-                        np.savez_compressed(fh, **normalized)
+                        np.savez(fh, **normalized)
                     os.replace(tmp, path)
             except BaseException:
                 if os.path.exists(tmp):

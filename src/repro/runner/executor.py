@@ -149,7 +149,9 @@ class FleetExecutor:
 
         if self.cache is not None:
             with obs.span("fleet.cache_probe", units=len(units)):
-                keys = [unit_cache_key(unit) for unit in units]
+                # Per run only: ``units`` keeps the memo's objects alive.
+                prefixes: Dict = {}
+                keys = [unit_cache_key(unit, prefixes) for unit in units]
                 pending = []
                 for i, key in enumerate(keys):
                     payload = self.cache.get(key)

@@ -26,6 +26,7 @@ Unit kinds
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -40,7 +41,7 @@ from ..devices.profiles import DeviceProfile
 from ..imaging.image import ImageBuffer, RawImage
 from ..isp.profiles import build_isp
 from ..isp.stages import Resize
-from .cache import fingerprint
+from .cache import _feed, fingerprint
 from .seeds import unit_entropy  # noqa: F401  (re-exported convenience)
 
 __all__ = [
@@ -137,13 +138,20 @@ class CaptureUnit:
                 raise ValueError(f"{self.kind} units need seed entropy")
 
 
-def unit_cache_key(unit: CaptureUnit) -> str:
+def unit_cache_key(unit: CaptureUnit, prefixes: Optional[Dict] = None) -> str:
     """Content-addressed cache key for one unit.
 
     Parameters
     ----------
     unit:
         The :class:`CaptureUnit` to key.
+    prefixes:
+        Optional caller-owned memo of the hash state after kind, profile,
+        radiance and raw, keyed by their identities, so repeat shots of
+        one scene hash its pixels once. Identity keys hold only while
+        every keyed object is alive and unmodified: share one dict within
+        one batch of units (the executor makes one per ``run``), never
+        across batches. The digest is the same with or without it.
 
     Returns
     -------
@@ -154,17 +162,19 @@ def unit_cache_key(unit: CaptureUnit) -> str:
     keys produce bit-identical payloads, which is what makes the cache
     output-neutral.
     """
-    return fingerprint(
-        (
-            _CACHE_VERSION,
-            unit.kind,
-            unit.profile,
-            unit.radiance,
-            unit.raw,
-            tuple(unit.entropy),
-            sorted(unit.options.items(), key=lambda kv: kv[0]),
-        )
-    )
+    prefixes = {} if prefixes is None else prefixes
+    memo = (unit.kind, id(unit.profile), id(unit.radiance), id(unit.raw))
+    prefix = prefixes.get(memo)
+    if prefix is None:
+        # fingerprint((_CACHE_VERSION, kind, profile, radiance, raw,
+        # entropy, sorted options)), fed up to and including raw.
+        prefix = prefixes[memo] = hashlib.sha256(b"L7")
+        for part in (_CACHE_VERSION, unit.kind, unit.profile, unit.radiance, unit.raw):
+            _feed(prefix, part)
+    hasher = prefix.copy()
+    _feed(hasher, tuple(unit.entropy))
+    _feed(hasher, sorted(unit.options.items(), key=lambda kv: kv[0]))
+    return hasher.hexdigest()
 
 
 # ----------------------------------------------------------------------

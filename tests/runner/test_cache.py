@@ -1,6 +1,7 @@
 """Unit tests for content-addressed fingerprinting and the capture cache."""
 
 import dataclasses
+import zipfile
 
 import numpy as np
 import pytest
@@ -153,6 +154,47 @@ class TestCaptureCache:
         path.write_bytes(b"PK\x03\x04 truncated garbage")
         assert cache.get(key) is None
         assert cache.stats.misses == 1
+
+    def test_disk_entries_are_stored_uncompressed(self, tmp_path):
+        cache = CaptureCache(tmp_path / "c")
+        key = "ab" * 32
+        cache.put(key, _payload())
+        with zipfile.ZipFile(tmp_path / "c" / key[:2] / f"{key}.npz") as archive:
+            infos = archive.infolist()
+        assert infos and all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+
+    def test_legacy_deflated_entry_is_a_hit(self, tmp_path):
+        cache = CaptureCache(tmp_path / "c")
+        key = "cd" * 32
+        payload = _payload()
+        path = tmp_path / "c" / key[:2] / f"{key}.npz"
+        path.parent.mkdir(parents=True)
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **payload)
+        out = cache.get(key)
+        assert cache.stats.hits == 1 and cache.stats.misses == 0
+        assert sorted(out) == sorted(payload)
+        for name, value in payload.items():
+            value = np.asarray(value)
+            assert out[name].dtype == value.dtype and out[name].shape == value.shape
+            assert out[name].tobytes() == value.tobytes()
+
+    def test_flipped_byte_in_stored_entry_is_a_miss(self, tmp_path):
+        """zipfile's CRC-32 check turns silent pixel damage into a miss."""
+        cache = CaptureCache(tmp_path / "c")
+        key = "ef" * 32
+        payload = _payload()
+        cache.put(key, payload)
+        cache.clear_memory()
+        path = tmp_path / "c" / key[:2] / f"{key}.npz"
+        data = bytearray(path.read_bytes())
+        start = bytes(data).find(payload["pixels"].tobytes())
+        assert start > 0  # stored: the pixel bytes appear verbatim
+        data[start + 17] ^= 0x01
+        path.write_bytes(bytes(data))
+        misses = cache.stats.misses
+        assert cache.get(key) is None
+        assert cache.stats.misses == misses + 1 and cache.stats.hits == 0
 
     def test_lru_eviction(self):
         cache = CaptureCache(max_memory_items=2)

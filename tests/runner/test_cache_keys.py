@@ -20,7 +20,13 @@ import numpy as np
 import pytest
 
 from repro.devices import capture_fleet
-from repro.runner import CaptureCache, CaptureUnit, FleetExecutor, execute_unit, unit_entropy
+from repro.runner import (
+    CaptureCache,
+    CaptureUnit,
+    FleetExecutor,
+    execute_unit,
+    unit_entropy,
+)
 from repro.runner.units import unit_cache_key
 
 from .test_golden_captures import golden_units
@@ -43,15 +49,15 @@ def shared_input_units(small_radiance):
     """Units whose profiles, radiance and raw payloads are shared objects.
 
     Covers repeat shots sharing one radiance array, an equal-content but
-    distinct radiance array, develop units sharing one raw payload plus
-    one carrying an equal-content copy, and units that differ only in
-    their options.
+    distinct array, a different scene, develop units sharing one raw
+    payload beside an equal-content copy and a different frame, and
+    units that differ only in their options.
     """
     first, second = capture_fleet()[:2]
-    twin = small_radiance.copy()
+    scenes = (small_radiance, small_radiance.copy(), small_radiance * np.float32(0.5))
     units = []
     for profile in (first, second):
-        for radiance in (small_radiance, twin):
+        for radiance in scenes:
             for repeat in range(3):
                 units.append(
                     CaptureUnit(
@@ -78,9 +84,9 @@ def shared_input_units(small_radiance):
                 entropy=unit_entropy(0, profile.name, "shared", 0),
             )
         )
-    raw = execute_unit(units[-1])
-    raw_copy = {name: np.array(value, copy=True) for name, value in raw.items()}
-    for payload in (raw, raw, raw_copy):
+    first_raw, second_raw = (execute_unit(u) for u in units if u.kind == "raw")
+    raw_copy = {name: np.array(value, copy=True) for name, value in first_raw.items()}
+    for payload in (first_raw, first_raw, raw_copy, second_raw):
         for options in ({"isp": "adobe"}, {"isp": "adobe", "codec": "jpeg"}):
             units.append(CaptureUnit(kind="develop", raw=payload, options=dict(options)))
     return units
@@ -100,3 +106,15 @@ def test_executor_keys_match_per_unit_keys(small_radiance):
     for a, b in zip(first, second):
         assert sorted(a) == sorted(b)
         assert all(np.array_equal(a[name], b[name]) for name in a)
+
+
+def test_shared_prefixes_keep_every_key(small_radiance):
+    """One prefix memo reused across a batch yields the per-unit keys."""
+    units = shared_input_units(small_radiance)
+    prefixes = {}
+    assert [unit_cache_key(u, prefixes) for u in units] == [
+        unit_cache_key(u) for u in units
+    ]
+    # Repeats of one (kind, profile, radiance object) share one prefix:
+    # 2 profiles x (photograph on 3 arrays + raw) + develop on 3 payloads.
+    assert len(prefixes) == 2 * 4 + 3
