@@ -106,8 +106,10 @@ def test_fleet_executor_warm_cache_speedup(tmp_path):
     cold = _fleet_run(model, workers=4, cache=cache)
     t_parallel_cold = time.perf_counter() - parallel_exp_time
 
+    # A fresh cache object over the same directory: every hit is read
+    # from disk, not from the cold run's in-memory layer.
     start = time.perf_counter()
-    warm = _fleet_run(model, workers=4, cache=cache)
+    warm = _fleet_run(model, workers=4, cache=CaptureCache(tmp_path / "fleet-cache"))
     t_warm = time.perf_counter() - start
 
     assert serial.records == cold.records == warm.records

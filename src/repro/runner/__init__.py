@@ -21,9 +21,8 @@ guaranteed bit-identical either way:
   fusing each (kind, phone, options) triple's captures — all its scenes
   and their repeats, in chunks of at most ``MAX_GROUP_UNITS`` — into
   vectorized group passes
-  (:func:`~repro.runner.units.execute_unit_group`);
-* :mod:`~repro.runner.shm` ships fused groups to pooled workers as
-  pixel-free shared-memory descriptors instead of pickled buffers.
+  (:func:`~repro.runner.units.execute_unit_group`); pooled workers
+  receive each group as its pickled unit list.
 
 The determinism contract — parallel output equals serial output
 bit-for-bit for every experiment — is enforced by

@@ -17,15 +17,10 @@
    ``photograph``, ``raw`` and ``raw_vs_jpeg`` captures fuse, and each
    ``develop`` unit is a group of one. With ``workers > 1`` the groups
    fan out across a ``ProcessPoolExecutor`` in one submit-and-collect
-   loop. Capture groups ship as pixel-free
-   :class:`~repro.runner.shm.GroupTask` descriptors — each distinct
-   radiance travels once through a shared-memory input slab, units name
-   it by index, and photograph pixels come back through a preallocated
-   output slab,
-   so only scalar metadata crosses the pickle boundary (``raw`` and
-   ``raw_vs_jpeg`` payloads, and photographs from an ISP without a
-   Resize stage, come back pickled). ``develop`` units, which carry
-   their raw frame, are pickled whole.
+   loop: each group ships as its pickled unit list and its payloads
+   come back pickled. Pickle's memo carries a radiance once per group
+   however many repeats name it, and :func:`run_unit_group` marks the
+   worker's radiances read-only before the fused pass.
 3. **Reassembly** — results return in input order, and fresh results
    are written back to the cache.
 
@@ -49,19 +44,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from .cache import CaptureCache
-from .shm import GroupTask, SharedArrayRef, run_group_task, run_unit_group
 from .units import (
     CaptureUnit,
     execute_unit_group,
+    execute_unit_group_observed,
     group_signature,
-    photograph_output_shape,
     unit_cache_key,
 )
 
@@ -192,150 +185,54 @@ class FleetExecutor:
     def _execute_groups_pooled(
         self, units: List[CaptureUnit], groups: List[List[int]]
     ) -> List[Dict[str, np.ndarray]]:
-        """Fan fused groups across the pool via shared-memory slabs.
+        """Fan fused groups across the pool as pickled unit lists.
 
-        Capture groups ship as pixel-free :class:`GroupTask` descriptors;
-        ``develop`` units (groups of one) ship pickled. Every group is
-        submitted in one loop and collected in submission order, and
-        results are scattered back to pending order, so callers see the
-        same alignment as every other execution mode.
+        Every group is submitted in one loop and collected in submission
+        order, and results are scattered back to pending order, so
+        callers see the same alignment as every other execution mode.
         """
         results: List[Optional[Dict[str, np.ndarray]]] = [None] * len(units)
         observer = obs.active()
         observed = observer is not None
-
-        # Input slab: each distinct radiance buffer is written once, no
-        # matter how many groups (phones x repeats) reference it. Each
-        # capture group also records its distinct buffers' ids, in first
-        # use order; a unit names its buffer by position in that list.
-        radiance_refs: Dict[int, Tuple[int, np.ndarray]] = {}
-        group_slots: List[Dict[int, int]] = []
-        input_bytes = 0
-        # Output slab: one (N, H, W, 3) float32 region per photograph
-        # group whose decoded shape is statically known; every other
-        # group pickles its payloads back.
-        out_specs: List[Optional[Tuple[int, Tuple[int, int, int, int]]]] = []
-        output_bytes = 0
-        for indices in groups:
-            first = units[indices[0]]
-            shape = None
-            slots: Dict[int, int] = {}
-            group_slots.append(slots)
-            if first.kind != "develop":
-                for i in indices:
-                    radiance = units[i].radiance
-                    slots.setdefault(id(radiance), len(slots))
-                    if id(radiance) not in radiance_refs:
-                        contiguous = np.ascontiguousarray(radiance)
-                        radiance_refs[id(radiance)] = (input_bytes, contiguous)
-                        input_bytes += contiguous.nbytes
-                if first.kind == "photograph":
-                    shape = photograph_output_shape(first.profile)
-            if shape is None:
-                out_specs.append(None)
-                continue
-            region = (len(indices),) + shape + (3,)
-            out_specs.append((output_bytes, region))
-            output_bytes += int(np.prod(region)) * 4
-
-        slabs: List[shared_memory.SharedMemory] = []
-        try:
-            input_slab = output_slab = None
-            if input_bytes:
-                input_slab = shared_memory.SharedMemory(
-                    create=True, size=input_bytes
-                )
-                slabs.append(input_slab)
-                for offset, contiguous in radiance_refs.values():
-                    view = np.ndarray(
-                        contiguous.shape,
-                        dtype=contiguous.dtype,
-                        buffer=input_slab.buf,
-                        offset=offset,
-                    )
-                    view[...] = contiguous
-                    del view
-            if output_bytes:
-                output_slab = shared_memory.SharedMemory(
-                    create=True, size=output_bytes
-                )
-                slabs.append(output_slab)
-
-            max_workers = min(self.workers, max(1, len(groups)))
-            with ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=_pool_context()
-            ) as pool:
-                futures = []
-                for indices, out_spec, slots in zip(groups, out_specs, group_slots):
-                    first = units[indices[0]]
-                    if first.kind == "develop":
-                        futures.append(
-                            pool.submit(run_unit_group, [first], observed)
-                        )
-                        continue
-                    refs = [
-                        SharedArrayRef(
-                            input_slab.name,
-                            offset,
-                            contiguous.shape,
-                            str(contiguous.dtype),
-                        )
-                        for offset, contiguous in (radiance_refs[k] for k in slots)
-                    ]
-                    out_ref = None
-                    if out_spec is not None:
-                        out_offset, region = out_spec
-                        out_ref = SharedArrayRef(
-                            output_slab.name, out_offset, region, "float32"
-                        )
-                    task = GroupTask(
-                        profile=first.profile,
-                        radiances=refs,
-                        radiance_index=[slots[id(units[i].radiance)] for i in indices],
-                        entropies=[tuple(units[i].entropy) for i in indices],
-                        options=dict(first.options),
-                        kind=first.kind,
-                        out=out_ref,
-                        observed=observed,
-                    )
-                    futures.append(pool.submit(run_group_task, task))
-                # Collect in submission order: the assembled trace (and
-                # the scatter below) is deterministic in structure even
-                # though worker timing is not.
-                for future, indices, out_spec in zip(futures, groups, out_specs):
-                    metas, span_dicts, metrics_snapshot = future.result()
-                    if observed:
-                        observer.tracer.absorb(span_dicts)
-                        observer.metrics.merge(metrics_snapshot)
-                    if out_spec is None:
-                        for i, payload in zip(indices, metas):
-                            results[i] = payload
-                        continue
-                    out_offset, region = out_spec
-                    view = np.ndarray(
-                        region,
-                        dtype=np.float32,
-                        buffer=output_slab.buf,
-                        offset=out_offset,
-                    )
-                    for j, i in enumerate(indices):
-                        results[i] = {
-                            "pixels": view[j].copy(),
-                            "encoded_size": metas[j]["encoded_size"],
-                        }
-                    del view
-        finally:
-            for slab in slabs:
-                try:
-                    slab.close()
-                except BufferError:  # pragma: no cover - view outlived scatter
-                    pass
-                try:
-                    slab.unlink()
-                except FileNotFoundError:  # pragma: no cover - double clean
-                    pass
-
+        max_workers = min(self.workers, max(1, len(groups)))
+        with ProcessPoolExecutor(
+            max_workers=max_workers, mp_context=_pool_context()
+        ) as pool:
+            futures = [
+                pool.submit(run_unit_group, [units[i] for i in indices], observed)
+                for indices in groups
+            ]
+            # Collect in submission order: the assembled trace (and the
+            # scatter below) is deterministic in structure even though
+            # worker timing is not.
+            for future, indices in zip(futures, groups):
+                payloads, span_dicts, metrics_snapshot = future.result()
+                if observed:
+                    observer.tracer.absorb(span_dicts)
+                    observer.metrics.merge(metrics_snapshot)
+                for i, payload in zip(indices, payloads):
+                    results[i] = payload
         return results  # type: ignore[return-value]
+
+
+def run_unit_group(units: List[CaptureUnit], observed: bool = False):
+    """Pool worker entry point: run one pickled group in one fused pass.
+
+    Pickle's memo ships each distinct radiance once per group, and every
+    unit naming it unpickles to the same array, so the sensor's per-buffer
+    front end still runs once per scene. The radiances are marked
+    read-only first: a stage that wrote into its input would otherwise
+    hand the group's later units a changed frame, and only in pooled runs.
+
+    Returns ``(payloads, span_dicts, metrics_snapshot)``; the last two
+    are ``None`` unless ``observed``.
+    """
+    for unit in units:
+        if unit.radiance is not None:
+            unit.radiance.flags.writeable = False
+    if observed:
+        return execute_unit_group_observed(units)
+    return execute_unit_group(units), None, None
 
 
 def _group_pending(units: List[CaptureUnit]) -> List[List[int]]:

@@ -40,7 +40,6 @@ from ..devices.phone import Phone
 from ..devices.profiles import DeviceProfile
 from ..imaging.image import ImageBuffer, RawImage
 from ..isp.profiles import build_isp
-from ..isp.stages import Resize
 from .cache import _feed, fingerprint
 from .seeds import unit_entropy  # noqa: F401  (re-exported convenience)
 
@@ -50,7 +49,6 @@ __all__ = [
     "execute_unit_group",
     "execute_unit_group_observed",
     "group_signature",
-    "photograph_output_shape",
     "unit_cache_key",
     "raw_to_payload",
     "payload_to_raw",
@@ -292,21 +290,6 @@ def group_signature(unit: CaptureUnit) -> Optional[Tuple]:
         return None
     options = fingerprint(sorted(unit.options.items(), key=lambda kv: kv[0]))
     return (unit.kind, unit.profile, options)
-
-
-def photograph_output_shape(profile: DeviceProfile) -> Optional[Tuple[int, int]]:
-    """The ``(H, W)`` of a photograph unit's decoded pixels, if static.
-
-    Derived from the profile ISP's Resize stage; the shared-memory
-    fan-out uses it to preallocate output slabs. ``None`` when the ISP
-    has no Resize stage (output then depends on the radiance size, and
-    the fan-out pickles the payloads back instead).
-    """
-    phone = _phone_for(profile)
-    for stage in reversed(phone.isp.stages):
-        if isinstance(stage, Resize):
-            return (stage.height, stage.width)
-    return None
 
 
 def _check_group(units: Sequence[CaptureUnit]) -> None:

@@ -9,8 +9,8 @@ produce: a batch of N equals N batches of 1. ``execute_unit`` is the
 independent per-unit reference (it parses every encoded file back), and
 ``tests/runner/test_golden_captures.py`` pins both to golden hashes. The
 hypothesis suite drives random unit mixes through every combination; the
-shared-memory regression tests pin that the pooled fan-out does not ship
-pixel buffers through pickle.
+pickled-group tests pin that a pooled group carries each distinct
+radiance once.
 """
 
 import pickle
@@ -30,9 +30,8 @@ from repro.runner import (
     unit_entropy,
 )
 from repro.runner import executor as executor_module
-from repro.runner.shm import GroupTask, SharedArrayRef
 from repro.runner.executor import MAX_GROUP_UNITS, _group_pending
-from repro.runner.units import execute_unit_group, photograph_output_shape
+from repro.runner.units import execute_unit_group
 
 
 @pytest.fixture(scope="module")
@@ -297,78 +296,34 @@ class TestGrouping:
             _assert_payloads_equal(payload, exp)
 
 
-class TestSharedMemoryFanout:
+class TestPickledGroups:
+    """A pooled group ships as one pickled unit list (one ``submit``)."""
+
     @staticmethod
-    def _task(group):
-        """The pooled descriptor for ``group``, as the executor builds it."""
-        first = group[0]
-        slots = {}
-        refs = []
-        for unit in group:
-            if id(unit.radiance) not in slots:
-                slots[id(unit.radiance)] = len(refs)
-                radiance = np.ascontiguousarray(unit.radiance)
-                refs.append(
-                    SharedArrayRef(
-                        "psm_test",
-                        len(refs) * radiance.nbytes,
-                        radiance.shape,
-                        str(radiance.dtype),
-                    )
-                )
-        return GroupTask(
-            profile=first.profile,
-            radiances=refs,
-            radiance_index=[slots[id(u.radiance)] for u in group],
-            entropies=[tuple(u.entropy) for u in group],
-            options=dict(first.options),
-            out=SharedArrayRef(
-                "psm_test_out",
-                0,
-                (len(group),) + photograph_output_shape(first.profile) + (3,),
-                "float32",
-            ),
-        )
+    def _roundtrip(group, scenes):
+        blob = pickle.dumps(list(group))
+        # Pickle's memo writes a radiance once, however many units name
+        # it: the scenes' pixels plus well under one radiance of overhead.
+        assert len(blob) < (len(scenes) + 1) * scenes[0].nbytes
+        return pickle.loads(blob)
 
-    def test_group_task_is_pixel_free(self, unit_pool, scenes):
-        """The pooled fan-out descriptor must not embed pixel buffers.
+    def test_repeats_pickle_one_radiance(self, unit_pool, scenes):
+        group = unit_pool[:8]  # phone 0: 8 repeats of scene 0
+        loaded = self._roundtrip(group, scenes[:1])
+        assert len({id(u.radiance) for u in loaded}) == 1
+        assert loaded[0].radiance.tobytes() == scenes[0].tobytes()
 
-        This is the regression test for the shared-memory refactor: the
-        per-unit IPC payload is bounded regardless of radiance size, and
-        the raw pixel bytes never appear in the pickle stream.
-        """
-        group = unit_pool[:8]
-        first = group[0]
-        radiance = np.ascontiguousarray(first.radiance)
-        task = self._task(group)
-        assert len(task.radiances) == 1
-        blob = pickle.dumps(task)
-        # Bounded per-unit IPC payload: a few hundred bytes per unit,
-        # not the tens of KB a pickled radiance buffer would add.
-        assert len(blob) < 8192
-        assert len(blob) < radiance.nbytes // 10
-        assert radiance.tobytes() not in blob
-        # The legacy pickled unit demonstrates what the bound prevents.
-        assert len(pickle.dumps(first)) > radiance.nbytes
-
-    def test_group_task_over_distinct_scenes_is_pixel_free(self, unit_pool, scenes):
-        """One device's scenes ship one ref per scene and one index per unit."""
+    def test_scenes_pickle_one_radiance_each(self, unit_pool, scenes):
         group = unit_pool[:16]  # phone 0: 2 scenes x 8 repeats
-        task = self._task(group)
-        assert len(task.radiances) == 2
-        assert task.radiance_index == [0] * 8 + [1] * 8
-        blob = pickle.dumps(task)
-        assert len(blob) // len(group) < 256
-        assert len(blob) < 8192
-        for radiance in scenes:
-            assert np.ascontiguousarray(radiance).tobytes() not in blob
-
-    def test_shared_ref_nbytes(self):
-        ref = SharedArrayRef("psm_x", 64, (2, 3, 4), "float32")
-        assert ref.nbytes == 2 * 3 * 4 * 4
+        loaded = self._roundtrip(group, scenes)
+        for k, radiance in enumerate(scenes):
+            members = loaded[8 * k : 8 * (k + 1)]
+            assert len({id(u.radiance) for u in members}) == 1
+            assert members[0].radiance.tobytes() == radiance.tobytes()
+        assert loaded[0].radiance is not loaded[8].radiance
 
     def test_pooled_run_returns_fresh_buffers(self, unit_pool, reference):
-        """Scattered payloads are private copies, not live slab views."""
+        """Scattered payloads are the caller's own, shared with nothing."""
         executor = FleetExecutor(workers=2)
         payloads = executor.run(unit_pool[:8])
         for payload, exp in zip(payloads, reference[:8]):

@@ -8,8 +8,8 @@ every golden capture unit read-only and runs them through
 :func:`execute_unit`, the serial fused executor and a two-worker pool:
 
 * a stage that writes into a read-only input raises on the spot, in
-  process and in pool workers (which map the shared radiance slab
-  read-only; ``test_shm_read_only.py`` pins that);
+  process and in pool workers (which mark their unpickled radiances
+  read-only; ``test_worker_inputs.py`` pins that);
 * every payload must still hash to the writable-input reference, so a
   stage that copies defensively but computes from a mutated alias
   shows up as drift;

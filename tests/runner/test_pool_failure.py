@@ -1,17 +1,15 @@
 """Failure path: a pool worker dies in the middle of a fused group.
 
-The pool forks, so replacing ``run_group_task`` in the executor module
+The pool forks, so replacing ``run_unit_group`` in the executor module
 before ``run`` makes every forked worker call the replacement. It kills
 the worker process outright (no exception, no cleanup), which is how an
 OOM kill or a segfault in a native kernel looks to the parent. The run
-must fail loudly, leave no shared-memory slab behind, write nothing to
-the cache, and leave the executor usable.
+must fail loudly, write nothing to the cache, and leave the executor
+usable.
 """
 
 import os
-import types
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -20,22 +18,9 @@ from repro.devices import capture_fleet
 from repro.runner import CaptureCache, CaptureUnit, FleetExecutor, unit_entropy
 from repro.runner import executor
 
-SHM_DIR = "/dev/shm"
 
-
-def _die_in_worker(task):
+def _die_in_worker(units, observed=False):
     os._exit(1)
-
-
-class _RecordingSharedMemory(shared_memory.SharedMemory):
-    """``SharedMemory`` that remembers the name of every slab it creates."""
-
-    created = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if kwargs.get("create"):
-            self.created.append(self.name)
 
 
 def _units(radiance):
@@ -51,25 +36,14 @@ def _units(radiance):
     ]
 
 
-@pytest.mark.skipif(not os.path.isdir(SHM_DIR), reason="needs POSIX /dev/shm")
 def test_worker_death_mid_group_fails_cleanly(small_radiance, tmp_path, monkeypatch):
     units = _units(small_radiance)
     cache = CaptureCache(tmp_path / "cache")
-    _RecordingSharedMemory.created = []
     with monkeypatch.context() as patch:
-        patch.setattr(executor, "run_group_task", _die_in_worker)
-        patch.setattr(
-            executor,
-            "shared_memory",
-            types.SimpleNamespace(SharedMemory=_RecordingSharedMemory),
-        )
+        patch.setattr(executor, "run_unit_group", _die_in_worker)
         with pytest.raises(BrokenProcessPool):
             FleetExecutor(workers=2, cache=cache).run(units)
 
-    slabs = _RecordingSharedMemory.created
-    assert slabs, "the pooled run created no shared-memory slab"
-    leaked = [name for name in slabs if os.path.exists(os.path.join(SHM_DIR, name))]
-    assert not leaked, f"slabs left in {SHM_DIR}: {leaked}"
     assert len(cache) == 0
     assert not list((tmp_path / "cache").rglob("*.npz"))
 
