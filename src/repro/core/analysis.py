@@ -8,12 +8,12 @@ confidence (Fig. 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .instability import image_stability_breakdown, instability
-from .records import ExperimentResult, PredictionRecord
+from .instability import image_flags, instability_by, key_codes
+from .records import ExperimentResult
 
 __all__ = [
     "per_angle_instability",
@@ -27,16 +27,19 @@ def per_angle_instability(result: ExperimentResult, k: int = 1) -> Dict[float, f
     """Cross-environment instability computed separately per rig angle.
 
     Records must carry ``angle``; images are compared across environments
-    *within* the same angle (Fig. 3c).
+    *within* the same angle (Fig. 3c), so each image is keyed by
+    (angle, image). Records without an angle are left out.
     """
-    angles = sorted({r.angle for r in result if r.angle is not None})
-    if not angles:
+    flags = image_flags(result, k)
+    angle = np.array([np.nan if r.angle is None else r.angle for r in result])
+    has = ~np.isnan(angle)
+    if not has.any():
         raise ValueError("records carry no angle information")
-    out: Dict[float, float] = {}
-    for angle in angles:
-        subset = result.filter(lambda r, a=angle: r.angle == a)
-        out[float(angle)] = instability(subset, k)
-    return out
+    angles, group = np.unique(angle[has], return_inverse=True)
+    return instability_by(
+        group, angles.tolist(), flags.image[has], flags.environment[has],
+        flags.correct[has],
+    )
 
 
 def within_environment_instability(
@@ -46,29 +49,17 @@ def within_environment_instability(
 
     For one phone, the same object photographed at different angles (or
     repeat shots) counts as the set of nearly-identical inputs; divergence
-    among them is the phone's self-instability (Fig. 3d). Implemented by
-    relabeling each environment's records as pseudo-environments keyed by
-    angle/repeat and reusing the cross-environment metric.
+    among them is the phone's self-instability (Fig. 3d). Within each
+    environment, the ``object_key`` metadata (default: the image id) is
+    the image and each (angle, repeat) pair is an environment of the
+    cross-environment metric.
     """
-    out: Dict[str, float] = {}
-    for env in result.environments():
-        subset = result.for_environment(env)
-        relabeled = [
-            PredictionRecord(
-                environment=f"{r.angle}/{r.metadata.get('repeat', 0)}",
-                image_id=r.metadata.get("object_key", r.image_id),
-                true_label=r.true_label,
-                predicted_label=r.predicted_label,
-                confidence=r.confidence,
-                class_name=r.class_name,
-                ranking=r.ranking,
-                angle=r.angle,
-                metadata=r.metadata,
-            )
-            for r in subset
-        ]
-        out[env] = instability(ExperimentResult(relabeled), k)
-    return out
+    flags = image_flags(result, k)
+    image, _ = key_codes(r.metadata.get("object_key", r.image_id) for r in result)
+    shot, _ = key_codes((r.angle, r.metadata.get("repeat", 0)) for r in result)
+    return instability_by(
+        flags.environment, flags.environments, image, shot, flags.correct
+    )
 
 
 @dataclass(frozen=True)
@@ -101,27 +92,18 @@ def confidence_analysis(result: ExperimentResult, k: int = 1) -> ConfidenceSplit
     For stable images all records share correctness, so the stable groups
     collect all their confidences. For unstable images the records are
     divided into the correct and the incorrect side — the paper's Fig. 4b
-    compares exactly those two distributions.
+    compares exactly those two distributions. Each group keeps record
+    order.
     """
-    breakdown = image_stability_breakdown(result, k)
-    stable_correct_ids = set(breakdown["stable_correct"])
-    stable_incorrect_ids = set(breakdown["stable_incorrect"])
-    unstable_ids = set(breakdown["unstable"])
-
-    sc: List[float] = []
-    si: List[float] = []
-    uc: List[float] = []
-    ui: List[float] = []
-    for r in result:
-        if r.image_id in stable_correct_ids:
-            sc.append(r.confidence)
-        elif r.image_id in stable_incorrect_ids:
-            si.append(r.confidence)
-        elif r.image_id in unstable_ids:
-            (uc if r.is_correct(k) else ui).append(r.confidence)
+    flags = image_flags(result, k)
+    confidence = np.array([r.confidence for r in result])
+    eligible = flags.eligible[flags.image]
+    any_correct = flags.any_correct[flags.image]
+    any_incorrect = flags.any_incorrect[flags.image]
+    unstable = eligible & any_correct & any_incorrect
     return ConfidenceSplit(
-        stable_correct=np.array(sc),
-        stable_incorrect=np.array(si),
-        unstable_correct=np.array(uc),
-        unstable_incorrect=np.array(ui),
+        stable_correct=confidence[eligible & any_correct & ~any_incorrect],
+        stable_incorrect=confidence[eligible & ~any_correct],
+        unstable_correct=confidence[unstable & flags.correct],
+        unstable_incorrect=confidence[unstable & ~flags.correct],
     )

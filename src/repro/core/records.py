@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 __all__ = ["PredictionRecord", "ExperimentResult"]
 
 
@@ -91,40 +89,8 @@ class ExperimentResult:
             seen.setdefault(r.environment, None)
         return list(seen)
 
-    def classes(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.class_name, None)
-        return list(seen)
-
     def for_environment(self, environment: str) -> "ExperimentResult":
         return ExperimentResult(
             [r for r in self.records if r.environment == environment],
             name=f"{self.name}/{environment}",
-        )
-
-    def for_class(self, class_name: str) -> "ExperimentResult":
-        return ExperimentResult(
-            [r for r in self.records if r.class_name == class_name],
-            name=f"{self.name}/{class_name}",
-        )
-
-    def by_image(self) -> Dict[int, List[PredictionRecord]]:
-        """Group records by displayed image."""
-        groups: Dict[int, List[PredictionRecord]] = {}
-        for r in self.records:
-            groups.setdefault(r.image_id, []).append(r)
-        return groups
-
-    def confidences(self) -> np.ndarray:
-        return np.array([r.confidence for r in self.records], dtype=np.float64)
-
-    def filter(self, predicate) -> "ExperimentResult":
-        return ExperimentResult(
-            [r for r in self.records if predicate(r)], name=self.name
-        )
-
-    def merged_with(self, other: "ExperimentResult") -> "ExperimentResult":
-        return ExperimentResult(
-            self.records + other.records, name=self.name or other.name
         )

@@ -11,9 +11,12 @@ devices, and which devices are outliers? It has four parts:
   as the paper's fixed fleets.
 * :mod:`~repro.fleet.columnar` — an in-memory struct-array record
   store, so capture records never become Python objects.
-* :mod:`~repro.fleet.stats` — integer-sum population aggregation:
-  consensus labels, per-device divergence, percentiles, robust (MAD)
-  outlier detection.
+* :mod:`~repro.fleet.stats` — one-pass integer counts over a study's
+  record table: consensus labels, per-device divergence, percentiles,
+  robust (MAD) outlier detection. Its ``population_instability`` counts
+  split votes (any two devices disagree), not the paper's §2.2 metric
+  (:func:`repro.core.instability.instability`); the two differ when
+  every device is wrong, in different ways.
 * :mod:`~repro.fleet.studies` — the studies themselves: population
   capture instability and OS-upgrade drift over simulated time, exposed
   on the CLI as ``python -m repro fleet``.
@@ -37,8 +40,7 @@ from .stats import (
     CONF_SCALE,
     RECORD_DTYPE,
     SUMMARY_PERCENTILES,
-    ConsensusCounts,
-    DeviceStats,
+    PopulationCounts,
     TableDims,
     aggregate_tables,
     population_summary,
@@ -56,13 +58,12 @@ from .studies import (
 __all__ = [
     "CONF_SCALE",
     "ColumnarStore",
-    "ConsensusCounts",
     "DEFAULT_VENDORS",
-    "DeviceStats",
     "DriftStudyOutcome",
     "FLEET_PRETRAIN",
     "FleetSpec",
     "ParamRange",
+    "PopulationCounts",
     "PopulationStudyOutcome",
     "RECORD_DTYPE",
     "SUMMARY_PERCENTILES",

@@ -10,9 +10,10 @@ keeps records as NumPy structured arrays end to end:
 * **Memory** is a list of struct-array chunks — ``rows * itemsize``
   bytes, nothing else. The CLI's default drift study (1000 devices x
   40 photos x 6 steps) is 240 000 rows, 6.7 MB at 28 bytes a row.
-* **Aggregation** streams the chunks: :meth:`ColumnarStore.iter_tables`
-  yields one struct array per append, in append order, which is what
-  :func:`repro.fleet.stats.aggregate_tables` folds.
+* **Aggregation** reads one table: :meth:`ColumnarStore.table`
+  concatenates the chunks, and :func:`repro.fleet.stats.aggregate_tables`
+  counts it in one pass. :meth:`ColumnarStore.iter_tables` yields the
+  chunks themselves, one per append, in append order.
 
 Object-dtype fields are rejected at construction: the store's whole
 point is that a record is a fixed-width row, not a boxed Python value.

@@ -1,36 +1,42 @@
-"""Population-level instability statistics over columnar record tables.
+"""Population-level instability statistics over one columnar record table.
 
 The paper reports one instability number over five phones; a population
 study needs the *distribution*: per-device divergence percentiles,
-outlier devices, accuracy spread. This module computes those from
-:class:`~repro.fleet.columnar.ColumnarStore` record batches in two
-passes:
+outlier devices, accuracy spread. :func:`aggregate_tables` computes the
+counts behind those in one pass over a study's record table
+(:meth:`~repro.fleet.columnar.ColumnarStore.table`):
 
-1. :class:`ConsensusCounts` — per ``(scene, repeat, step)`` presentation
-   key, how often each label was predicted across the whole population.
-   The fleet-consensus label is the majority, ties to the lowest label.
-2. :class:`DeviceStats` — per device, how many records, how many agreed
-   with the consensus, how many were correct, and fixed-point confidence
-   and byte totals.
+* the population's votes per ``(scene, repeat, step)`` presentation key
+  and label, and the fleet-consensus label per key: the majority, ties
+  to the lowest label;
+* per device: records, disagreements with the consensus, correct
+  predictions, and the confidence sum in 2^24 fixed point.
 
-Every accumulator is an integer sum, with confidence in 2^24 fixed
-point rather than floating point: float addition is not associative,
-integer addition is, so the result does not depend on how the records
-were cut into batches (``tests/fleet/test_stats.py`` proves it).
+Every count is an integer, confidence included, so the summary does not
+depend on float summation order. :func:`population_summary` turns them
+into percentiles and outliers.
+
+Two instability definitions live in this package. The summary's
+``population_instability`` and the drift study's per-step
+``instability`` count a *split vote*: a presentation is unstable when
+any two devices predict different labels.
+:func:`repro.core.instability.instability` is the paper's §2.2: one
+environment right and one wrong. They differ when every device is
+wrong, in different ways: a split vote here, stable under §2.2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "RECORD_DTYPE",
     "TableDims",
-    "ConsensusCounts",
-    "DeviceStats",
+    "PopulationCounts",
+    "aggregate_tables",
     "robust_outliers",
     "population_summary",
 ]
@@ -93,133 +99,52 @@ class TableDims:
         return (scene * self.n_repeats + repeat) * self.n_steps + step
 
 
-@dataclass
-class ConsensusCounts:
-    """Population vote counts per presentation key (pass 1).
-
-    ``counts[key, label]`` is how many records predicted ``label`` for
-    presentation ``key``.
-    """
+@dataclass(frozen=True)
+class PopulationCounts:
+    """The integer sums of one record table (see :func:`aggregate_tables`)."""
 
     dims: TableDims
-    counts: np.ndarray  # (n_keys, n_labels) int64
-
-    @classmethod
-    def empty(cls, dims: TableDims) -> "ConsensusCounts":
-        return cls(dims=dims, counts=np.zeros((dims.n_keys, dims.n_labels), np.int64))
-
-    @classmethod
-    def from_table(cls, table: np.ndarray, dims: TableDims) -> "ConsensusCounts":
-        out = cls.empty(dims)
-        out.accumulate(table)
-        return out
-
-    def accumulate(self, table: np.ndarray) -> None:
-        """Fold one record batch into the counts."""
-        if not table.shape[0]:
-            return
-        keys = self.dims.key_of(table)
-        labels = table["predicted"].astype(np.int64)
-        if int(labels.min()) < 0 or int(labels.max()) >= self.dims.n_labels:
-            raise ValueError("predicted label out of range")
-        flat = keys * self.dims.n_labels + labels
-        self.counts += np.bincount(
-            flat, minlength=self.dims.n_keys * self.dims.n_labels
-        ).reshape(self.dims.n_keys, self.dims.n_labels)
-
-    def consensus_labels(self) -> np.ndarray:
-        """Majority label per key; ties break to the lowest label.
-
-        Keys nobody recorded get ``-1`` (no record can match it, and no
-        device has a record there to be judged against it either).
-        """
-        labels = np.argmax(self.counts, axis=1).astype(np.int64)
-        labels[self.counts.sum(axis=1) == 0] = -1
-        return labels
-
-    def disagreement_keys(self) -> np.ndarray:
-        """Boolean mask of keys where the population split its vote.
-
-        The population analogue of the paper's per-image instability:
-        a presentation is unstable iff at least two devices disagreed.
-        """
-        return (self.counts > 0).sum(axis=1) > 1
-
-
-@dataclass
-class DeviceStats:
-    """Per-device aggregates versus the fleet consensus (pass 2).
-
-    All fields are integer sums, independent of batch boundaries.
-    """
-
-    dims: TableDims
-    records: np.ndarray  # (n_devices,) int64
+    votes: np.ndarray  # (n_keys, n_labels): records predicting label at key
+    consensus: np.ndarray  # (n_keys,): majority label, ties to the lowest
+    records: np.ndarray  # (n_devices,) records per device
     disagree: np.ndarray  # records whose prediction != consensus
     correct: np.ndarray  # records whose prediction == true label
     confidence_q: np.ndarray  # fixed-point confidence sum (CONF_SCALE)
-    bytes_total: np.ndarray  # encoded_size sum
 
-    @classmethod
-    def empty(cls, dims: TableDims) -> "DeviceStats":
-        zeros = lambda: np.zeros(dims.n_devices, np.int64)  # noqa: E731
-        return cls(
-            dims=dims,
-            records=zeros(),
-            disagree=zeros(),
-            correct=zeros(),
-            confidence_q=zeros(),
-            bytes_total=zeros(),
-        )
 
-    @classmethod
-    def from_table(
-        cls, table: np.ndarray, consensus: np.ndarray, dims: TableDims
-    ) -> "DeviceStats":
-        out = cls.empty(dims)
-        out.accumulate(table, consensus)
-        return out
-
-    def accumulate(self, table: np.ndarray, consensus: np.ndarray) -> None:
-        """Fold one record batch, judged against the global consensus."""
-        if not table.shape[0]:
-            return
-        devices = table["device"].astype(np.int64)
-        if int(devices.max()) >= self.dims.n_devices:
+def aggregate_tables(table: np.ndarray, dims: TableDims) -> PopulationCounts:
+    """Votes, consensus and per-device sums of one record table, in one pass."""
+    keys = dims.key_of(table)
+    devices = table["device"].astype(np.int64)
+    predicted = table["predicted"].astype(np.int64)
+    if table.shape[0]:
+        if int(predicted.min()) < 0 or int(predicted.max()) >= dims.n_labels:
+            raise ValueError("predicted label out of range")
+        if int(devices.max()) >= dims.n_devices:
             raise ValueError("device index out of range")
-        keys = self.dims.key_of(table)
-        predicted = table["predicted"].astype(np.int64)
-        n = self.dims.n_devices
-        self.records += np.bincount(devices, minlength=n)
-        self.disagree += np.bincount(
-            devices, weights=(predicted != consensus[keys]), minlength=n
-        ).astype(np.int64)
-        self.correct += np.bincount(
-            devices,
-            weights=(predicted == table["true_label"].astype(np.int64)),
-            minlength=n,
-        ).astype(np.int64)
-        conf_fixed = np.round(
-            table["confidence"].astype(np.float64) * CONF_SCALE
-        ).astype(np.int64)
-        self.confidence_q += np.bincount(devices, weights=conf_fixed, minlength=n).astype(
-            np.int64
-        )
-        self.bytes_total += np.bincount(
-            devices, weights=table["encoded_size"].astype(np.int64), minlength=n
+    votes = np.bincount(
+        keys * dims.n_labels + predicted, minlength=dims.n_keys * dims.n_labels
+    ).reshape(dims.n_keys, dims.n_labels)
+    consensus = np.argmax(votes, axis=1)
+
+    def per_device(weights=None) -> np.ndarray:
+        # Float weights sum exactly: every partial sum is an integer < 2^53.
+        return np.bincount(
+            devices, weights=weights, minlength=dims.n_devices
         ).astype(np.int64)
 
-    # -- derived (computed once, from exact integer sums) --------------
-    def divergence(self) -> np.ndarray:
-        """Per-device fraction of records disagreeing with the consensus."""
-        return self.disagree / np.maximum(self.records, 1)
-
-    def accuracy(self) -> np.ndarray:
-        """Per-device top-1 accuracy."""
-        return self.correct / np.maximum(self.records, 1)
-
-    def mean_confidence(self) -> np.ndarray:
-        return self.confidence_q / (CONF_SCALE * np.maximum(self.records, 1))
+    confidence_q = np.round(
+        table["confidence"].astype(np.float64) * CONF_SCALE
+    ).astype(np.int64)
+    return PopulationCounts(
+        dims=dims,
+        votes=votes,
+        consensus=consensus,
+        records=per_device(),
+        disagree=per_device(predicted != consensus[keys]),
+        correct=per_device(predicted == table["true_label"].astype(np.int64)),
+        confidence_q=per_device(confidence_q),
+    )
 
 
 def robust_outliers(
@@ -257,8 +182,7 @@ def _percentile_row(values: np.ndarray, qs: Sequence[int]) -> Dict[str, float]:
 
 
 def population_summary(
-    stats: DeviceStats,
-    consensus: ConsensusCounts,
+    counts: PopulationCounts,
     device_names: Sequence[str] = (),
     percentiles: Sequence[int] = SUMMARY_PERCENTILES,
     outlier_threshold: float = 3.5,
@@ -271,10 +195,11 @@ def population_summary(
     presentation-level instability (fraction of presentations with a
     split vote), and the outlier devices by robust z-score.
     """
-    measured = stats.records > 0
-    divergence = stats.divergence()[measured]
-    accuracy = stats.accuracy()[measured]
-    confidence = stats.mean_confidence()[measured]
+    measured = counts.records > 0
+    n_records = np.maximum(counts.records, 1)
+    divergence = (counts.disagree / n_records)[measured]
+    accuracy = (counts.correct / n_records)[measured]
+    confidence = (counts.confidence_q / (CONF_SCALE * n_records))[measured]
     measured_indices = np.flatnonzero(measured)
     if not divergence.size:
         raise ValueError("no measured devices to summarize")
@@ -296,12 +221,12 @@ def population_summary(
             }
         )
 
-    keyed = consensus.counts.sum(axis=1) > 0
-    split = consensus.disagreement_keys()[keyed]
+    keyed = counts.votes.sum(axis=1) > 0
+    split = ((counts.votes > 0).sum(axis=1) > 1)[keyed]
     return {
-        "devices": int(stats.dims.n_devices),
+        "devices": int(counts.dims.n_devices),
         "devices_measured": int(measured.sum()),
-        "records": int(stats.records.sum()),
+        "records": int(counts.records.sum()),
         "presentations": int(keyed.sum()),
         "population_instability": float(split.mean()) if split.size else 0.0,
         "mean_divergence": float(divergence.mean()),
@@ -313,23 +238,3 @@ def population_summary(
         "outliers": outliers,
     }
 
-
-def aggregate_tables(
-    tables: Iterable[np.ndarray], dims: TableDims
-) -> Tuple[ConsensusCounts, DeviceStats]:
-    """Two-pass aggregation over record batches.
-
-    Pass 1 folds every batch into :class:`ConsensusCounts`; pass 2
-    folds them again against the frozen consensus. Both passes are
-    integer sums, so the result is independent of how records were
-    split into batches.
-    """
-    tables = list(tables)
-    consensus = ConsensusCounts.empty(dims)
-    for table in tables:
-        consensus.accumulate(table)
-    labels = consensus.consensus_labels()
-    stats = DeviceStats.empty(dims)
-    for table in tables:
-        stats.accumulate(table, labels)
-    return consensus, stats

@@ -11,8 +11,9 @@ record tables aggregated by :mod:`repro.fleet.stats`:
   outlier-device detection.
 * :func:`run_drift_study` — the §7 experiment over simulated time: a
   fixed photo corpus, a population whose devices take the OS decoder
-  upgrade at sampled time steps, and per-step population instability as
-  the decoder mix shifts. Decoding and inference run once per *decoder
+  upgrade at sampled time steps, and per-step split-vote instability
+  (any two devices disagree; see :mod:`repro.fleet.stats`) as the
+  decoder mix shifts. Decoding and inference run once per *decoder
   family* and are expanded to per-device records columnar-ly, so
   decode and inference cost does not grow with the fleet size.
 
@@ -243,9 +244,9 @@ def run_population_study(
                 ),
             )
 
-        consensus, stats = aggregate_tables(store.iter_tables(), dims)
         summary = population_summary(
-            stats, consensus, device_names=[d.profile.name for d in devices]
+            aggregate_tables(store.table(), dims),
+            device_names=[d.profile.name for d in devices],
         )
     obs.count("fleet.population_records", store.rows)
     return PopulationStudyOutcome(
@@ -394,9 +395,9 @@ def run_drift_study(
                 }
             )
 
-        consensus, stats = aggregate_tables(store.iter_tables(), dims)
         summary = population_summary(
-            stats, consensus, device_names=[d.profile.name for d in devices]
+            aggregate_tables(store.table(), dims),
+            device_names=[d.profile.name for d in devices],
         )
     obs.count("fleet.drift_records", store.rows)
     return DriftStudyOutcome(

@@ -11,7 +11,6 @@ from .experiments import (
     RawVsJpegExperiment,
     RepeatShotOutcome,
     repeat_shot_demo,
-    topk_comparison,
 )
 from .extensions import LensVariationExperiment, LightingVariationExperiment
 from .firebase import FirebaseOutcome, FirebaseTestLab
@@ -36,5 +35,4 @@ __all__ = [
     "SIZE_SCALE_TO_12MP",
     "repeat_shot_demo",
     "scaled_mb",
-    "topk_comparison",
 ]

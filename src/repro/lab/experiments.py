@@ -10,7 +10,7 @@ Paper section                     Class here
 §5.2 formats (Table 3)            :class:`CompressionFormatExperiment`
 §6  ISPs (Table 4)                :class:`ISPComparisonExperiment`
 §9.2 raw vs JPEG (Fig. 8)         :class:`RawVsJpegExperiment`
-§9.3 top-3 (Fig. 9)               :func:`topk_comparison`
+§9.3 top-3 (Fig. 9)               :func:`repro.mitigation.simplify_task`
 Fig. 1 repeat shots               :func:`repeat_shot_demo`
 ================================  =====================================
 
@@ -36,7 +36,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..codecs.registry import decode_any
-from ..core.instability import accuracy, instability, per_class_instability
+from ..core.instability import (
+    instability,
+    per_class_instability,
+    per_environment_accuracy,
+)
 from ..core.records import ExperimentResult
 from ..devices.phone import Phone
 from ..devices.profiles import DeviceProfile, capture_fleet
@@ -64,7 +68,6 @@ __all__ = [
     "RawVsJpegExperiment",
     "CompressionResult",
     "RawCaptureBank",
-    "topk_comparison",
     "repeat_shot_demo",
     "RepeatShotOutcome",
 ]
@@ -204,10 +207,7 @@ class CompressionResult:
             }
 
     def accuracy_by_environment(self) -> Dict[str, float]:
-        return {
-            env: accuracy(self.result.for_environment(env))
-            for env in self.result.environments()
-        }
+        return per_environment_accuracy(self.result)
 
     def instability(self) -> float:
         return instability(self.result)
@@ -309,10 +309,7 @@ class ISPComparisonOutcome:
     result: ExperimentResult
 
     def accuracy_by_isp(self) -> Dict[str, float]:
-        return {
-            env: accuracy(self.result.for_environment(env))
-            for env in self.result.environments()
-        }
+        return per_environment_accuracy(self.result)
 
     def instability(self) -> float:
         return instability(self.result)
@@ -369,12 +366,11 @@ class RawVsJpegOutcome:
 
     def accuracy_table(self) -> Dict[str, float]:
         """Fig. 8c: accuracy per phone per path."""
-        out = {}
-        for env in self.jpeg_result.environments():
-            out[f"{env}/jpeg"] = accuracy(self.jpeg_result.for_environment(env))
-        for env in self.raw_result.environments():
-            out[f"{env}/raw"] = accuracy(self.raw_result.for_environment(env))
-        return out
+        return {
+            f"{env}/{arm}": value
+            for arm, result in (("jpeg", self.jpeg_result), ("raw", self.raw_result))
+            for env, value in per_environment_accuracy(result).items()
+        }
 
     def relative_improvement(self) -> float:
         """Fractional instability reduction from going raw (~11.5% in paper)."""
@@ -449,25 +445,6 @@ class RawVsJpegExperiment:
                 self.runtime, "raw_vs_jpeg/raw", payloads, chunks, key="raw_pixels"
             ),
         )
-
-
-# ======================================================================
-# §9.3 — top-k task simplification
-# ======================================================================
-def topk_comparison(result: ExperimentResult, k: int = 3) -> Dict[str, float]:
-    """Fig. 9: accuracy and instability at top-1 vs top-k.
-
-    Re-scores an existing experiment's records — no new captures, exactly
-    like the paper reuses its end-to-end setup.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2 to be a simplification")
-    return {
-        "accuracy_top1": accuracy(result, k=1),
-        f"accuracy_top{k}": accuracy(result, k=k),
-        "instability_top1": instability(result, k=1),
-        f"instability_top{k}": instability(result, k=k),
-    }
 
 
 # ======================================================================

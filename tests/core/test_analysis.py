@@ -1,5 +1,7 @@
 """Tests for the secondary analyses (angle, within-env, confidence)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,16 @@ class TestWithinEnvironment:
         out = within_environment_instability(ExperimentResult(records))
         assert out["a"] == 1.0
         assert out["b"] == 0.0
+
+    def test_acceptable_labels_count_as_correct(self):
+        # Label 2 is an accepted alias of label 1, so both shots are right.
+        records = [
+            make_record("a", 0, 1, 1, angle=0.0, object_key=7),
+            make_record("a", 1, 1, 2, angle=15.0, object_key=7),
+        ]
+        assert within_environment_instability(ExperimentResult(records))["a"] == 1.0
+        aliased = [replace(r, acceptable_labels=(2,)) for r in records]
+        assert within_environment_instability(ExperimentResult(aliased))["a"] == 0.0
 
 
 class TestConfidenceAnalysis:

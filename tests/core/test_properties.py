@@ -42,6 +42,14 @@ def results(draw, min_images=1, max_images=12, min_envs=2, max_envs=4):
     return ExperimentResult(records)
 
 
+def _eligible_ids(result):
+    """Sorted ids of the images two or more environments saw."""
+    environments = {}
+    for r in result:
+        environments.setdefault(r.image_id, set()).add(r.environment)
+    return sorted(i for i, envs in environments.items() if len(envs) >= 2)
+
+
 @given(results())
 @settings(max_examples=60, deadline=None)
 def test_breakdown_partitions_eligible_images(result):
@@ -51,12 +59,7 @@ def test_breakdown_partitions_eligible_images(result):
         + breakdown["stable_incorrect"]
         + breakdown["unstable"]
     )
-    eligible = sorted(
-        image_id
-        for image_id, records in result.by_image().items()
-        if len({r.environment for r in records}) >= 2
-    )
-    assert all_ids == eligible
+    assert all_ids == _eligible_ids(result)
     # No id in two groups.
     assert len(all_ids) == len(set(all_ids))
 
@@ -64,13 +67,8 @@ def test_breakdown_partitions_eligible_images(result):
 @given(results())
 @settings(max_examples=60, deadline=None)
 def test_instability_consistent_with_unstable_ids(result):
-    eligible = [
-        image_id
-        for image_id, records in result.by_image().items()
-        if len({r.environment for r in records}) >= 2
-    ]
     assert instability(result) == pytest.approx(
-        len(unstable_image_ids(result)) / len(eligible)
+        len(unstable_image_ids(result)) / len(_eligible_ids(result))
     )
 
 

@@ -1,6 +1,5 @@
 """Tests for prediction records and result containers."""
 
-import numpy as np
 import pytest
 
 from repro.core.records import ExperimentResult, PredictionRecord
@@ -52,34 +51,6 @@ class TestExperimentResult:
         sub = two_env_result.for_environment("a")
         assert len(sub) == 4
         assert all(r.environment == "a" for r in sub)
-
-    def test_for_class_filters(self):
-        result = ExperimentResult(
-            [make_record(class_name="purse"), make_record(class_name="backpack")]
-        )
-        assert len(result.for_class("purse")) == 1
-
-    def test_by_image_groups(self, two_env_result):
-        groups = two_env_result.by_image()
-        assert set(groups) == {0, 1, 2, 3}
-        assert len(groups[0]) == 2
-        assert len(groups[3]) == 1
-
-    def test_confidences(self, two_env_result):
-        confs = two_env_result.confidences()
-        assert confs.shape == (7,)
-        assert confs.max() == 0.95
-
-    def test_filter(self, two_env_result):
-        high = two_env_result.filter(lambda r: r.confidence > 0.7)
-        assert len(high) == 3
-
-    def test_merged_with(self):
-        a = ExperimentResult([make_record("a")], name="first")
-        b = ExperimentResult([make_record("b")])
-        merged = a.merged_with(b)
-        assert len(merged) == 2
-        assert merged.name == "first"
 
     def test_extend(self):
         result = ExperimentResult([])

@@ -1,13 +1,12 @@
-"""Statistical aggregation tests: associativity, outliers, and goldens.
+"""Statistical aggregation tests: a per-record reference, outliers, goldens.
 
 Two regression layers:
 
-* **Chunking invariance** (Hypothesis): cutting a record table into
-  arbitrary consecutive chunks and aggregating them gives bit-identical
-  integer count state to aggregating the whole table — so the study's
-  per-append chunk boundaries never change a summary. It holds because
-  every accumulator is an integer sum (confidence in 2^24 fixed point),
-  never a float running total.
+* **Per-record reference** (Hypothesis): :func:`aggregate_tables` counts
+  a table in one vectorized pass; ``_reference`` walks it one row at a
+  time in Python (votes per presentation key, the majority label with
+  ties to the lowest, per-device integer sums with confidence in 2^24
+  fixed point). Small label and device counts make ties common.
 * **Golden outputs** (``tests/data/fleet_population_golden.json``,
   refresh with ``pytest --regen-golden``): the full population summary
   for a fixed-seed 200-device fleet over a synthetic record table, plus
@@ -25,8 +24,6 @@ from hypothesis import strategies as st
 
 from repro.fleet import (
     CONF_SCALE,
-    ConsensusCounts,
-    DeviceStats,
     TableDims,
     aggregate_tables,
     generate_devices,
@@ -55,35 +52,56 @@ def _random_table(rows, seed, dims=DIMS):
     return table
 
 
-class TestMergeAssociativity:
-    @settings(max_examples=20, deadline=None)
+def _reference(table, dims):
+    """Votes, consensus and per-device sums, one row at a time."""
+    votes = {}
+    for row in table:
+        key = (int(row["scene"]), int(row["repeat"]), int(row["step"]))
+        votes.setdefault(key, [0] * dims.n_labels)[int(row["predicted"])] += 1
+    # list.index finds the first maximum: ties go to the lowest label.
+    consensus = {key: counts.index(max(counts)) for key, counts in votes.items()}
+    sums = {
+        name: [0] * dims.n_devices
+        for name in ("records", "disagree", "correct", "confidence_q")
+    }
+    for row in table:
+        device, predicted = int(row["device"]), int(row["predicted"])
+        key = (int(row["scene"]), int(row["repeat"]), int(row["step"]))
+        sums["records"][device] += 1
+        sums["disagree"][device] += predicted != consensus[key]
+        sums["correct"][device] += predicted == int(row["true_label"])
+        sums["confidence_q"][device] += int(
+            round(float(row["confidence"]) * CONF_SCALE)
+        )
+    return votes, consensus, sums
+
+
+class TestReference:
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
-        rows=st.integers(1, 400),
-        cuts=st.lists(st.integers(0, 400), max_size=5),
+        rows=st.integers(0, 300),
+        n_devices=st.integers(1, 6),
+        n_labels=st.integers(1, 4),
     )
-    def test_sharded_equals_single_pass(self, seed, rows, cuts):
-        table = _random_table(rows, seed)
-        bounds = sorted({min(c, rows) for c in cuts} | {0, rows})
-        chunks = [
-            table[a:b] for a, b in zip(bounds, bounds[1:]) if b > a
-        ]
-        consensus_whole, stats_whole = aggregate_tables([table], DIMS)
-        consensus_cut, stats_cut = aggregate_tables(chunks, DIMS)
-        assert np.array_equal(consensus_whole.counts, consensus_cut.counts)
-        for field in ("records", "disagree", "correct", "confidence_q", "bytes_total"):
-            assert np.array_equal(
-                getattr(stats_whole, field), getattr(stats_cut, field)
-            ), field
-
-    def test_aggregate_tables_matches_manual(self):
-        table = _random_table(300, seed=4)
-        consensus_a, stats_a = aggregate_tables([table], DIMS)
-        consensus_b = ConsensusCounts.from_table(table, DIMS)
-        stats_b = DeviceStats.from_table(table, consensus_b.consensus_labels(), DIMS)
-        assert np.array_equal(consensus_a.counts, consensus_b.counts)
-        assert np.array_equal(stats_a.disagree, stats_b.disagree)
-        assert np.array_equal(stats_a.confidence_q, stats_b.confidence_q)
+    def test_matches_per_record_reference(self, seed, rows, n_devices, n_labels):
+        dims = TableDims(
+            n_devices=n_devices, n_scenes=3, n_repeats=2, n_steps=2, n_labels=n_labels
+        )
+        table = _random_table(rows, seed, dims)
+        counts = aggregate_tables(table, dims)
+        votes, consensus, sums = _reference(table, dims)
+        for scene in range(dims.n_scenes):
+            for repeat in range(dims.n_repeats):
+                for step in range(dims.n_steps):
+                    k = (scene * dims.n_repeats + repeat) * dims.n_steps + step
+                    key = (scene, repeat, step)
+                    expected = votes.get(key, [0] * n_labels)
+                    assert counts.votes[k].tolist() == expected, key
+                    if key in consensus:
+                        assert int(counts.consensus[k]) == consensus[key], key
+        for name, expected in sums.items():
+            assert getattr(counts, name).tolist() == expected, name
 
 
 class TestConsensus:
@@ -92,43 +110,38 @@ class TestConsensus:
         table = np.zeros(3, dtype=RECORD_DTYPE)
         table["device"] = [0, 1, 2]
         table["predicted"] = [2, 2, 1]
-        counts = ConsensusCounts.from_table(table, dims)
-        assert counts.consensus_labels().tolist() == [2]
-        assert counts.disagreement_keys().tolist() == [True]
+        counts = aggregate_tables(table, dims)
+        assert counts.consensus.tolist() == [2]
+        assert counts.disagree.tolist() == [0, 0, 1]
+        assert population_summary(counts)["population_instability"] == 1.0
 
     def test_tie_breaks_to_lowest_label(self):
         dims = TableDims(n_devices=2, n_scenes=1, n_repeats=1, n_steps=1, n_labels=4)
         table = np.zeros(2, dtype=RECORD_DTYPE)
         table["device"] = [0, 1]
         table["predicted"] = [3, 1]
-        counts = ConsensusCounts.from_table(table, dims)
-        assert counts.consensus_labels().tolist() == [1]
-
-    def test_unseen_key_is_minus_one(self):
-        dims = TableDims(n_devices=2, n_scenes=2, n_repeats=1, n_steps=1, n_labels=4)
-        table = np.zeros(1, dtype=RECORD_DTYPE)
-        counts = ConsensusCounts.from_table(table, dims)
-        assert counts.consensus_labels().tolist() == [0, -1]
+        assert aggregate_tables(table, dims).consensus.tolist() == [1]
 
     def test_out_of_range_fields_rejected(self):
         dims = TableDims(n_devices=2, n_scenes=1, n_repeats=1, n_steps=1, n_labels=4)
-        table = np.zeros(1, dtype=RECORD_DTYPE)
-        table["scene"] = 5
-        with pytest.raises(ValueError):
-            ConsensusCounts.from_table(table, dims)
+        cases = (("scene", 5), ("device", 2), ("predicted", 4), ("predicted", -1))
+        for field, value in cases:
+            table = np.zeros(1, dtype=RECORD_DTYPE)
+            table[field] = value
+            with pytest.raises(ValueError):
+                aggregate_tables(table, dims)
 
 
 class TestConfidenceFixedPoint:
     def test_quantized_sum_is_exact_integer_state(self):
         table = _random_table(1000, seed=1)
-        labels = ConsensusCounts.from_table(table, DIMS).consensus_labels()
-        stats = DeviceStats.from_table(table, labels, DIMS)
+        counts = aggregate_tables(table, DIMS)
         expected = np.zeros(DIMS.n_devices, dtype=np.int64)
         for row in table:
             expected[row["device"]] += int(
                 round(float(row["confidence"]) * CONF_SCALE)
             )
-        assert np.array_equal(stats.confidence_q, expected)
+        assert np.array_equal(counts.confidence_q, expected)
 
 
 class TestRobustOutliers:
@@ -182,9 +195,9 @@ class TestGolden:
                     )
                 )
         table = np.array(rows, dtype=RECORD_DTYPE)
-        consensus, stats = aggregate_tables([table], dims)
         summary = population_summary(
-            stats, consensus, device_names=[d.profile.name for d in devices]
+            aggregate_tables(table, dims),
+            device_names=[d.profile.name for d in devices],
         )
         params = {
             "full_well_percentiles": {

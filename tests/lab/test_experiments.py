@@ -19,9 +19,9 @@ from repro.lab import (
     RawVsJpegExperiment,
     repeat_shot_demo,
     scaled_mb,
-    topk_comparison,
 )
 from repro.lab.common import SIZE_SCALE_TO_12MP
+from repro.mitigation import simplify_task
 
 
 @pytest.fixture(scope="module")
@@ -126,13 +126,13 @@ class TestRawVsJpeg:
 
 class TestTopK:
     def test_topk_never_worse(self, end_to_end_result):
-        out = topk_comparison(end_to_end_result, k=3)
-        assert out["accuracy_top3"] >= out["accuracy_top1"]
-        assert out["instability_top3"] <= 1.0
+        report = simplify_task(end_to_end_result, k=3)
+        assert report.accuracy_topk >= report.accuracy_top1
+        assert report.instability_topk <= 1.0
 
     def test_rejects_k1(self, end_to_end_result):
         with pytest.raises(ValueError):
-            topk_comparison(end_to_end_result, k=1)
+            simplify_task(end_to_end_result, k=1)
 
 
 class TestRepeatShot:
