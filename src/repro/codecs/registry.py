@@ -3,7 +3,8 @@
 Everything downstream (device models, experiments, mitigation) talks to
 codecs through :class:`Codec` so that "compress the same raw image into
 JPEG / PNG / WebP / HEIF" — the paper's Table 3 experiment — is a loop
-over registry entries, and new codecs can be registered by extensions.
+over registry entries. The four built-in codecs are registered once, at
+import time.
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ def _instrumented(codec: Codec) -> Codec:
     ``functools.wraps`` (so content fingerprints of callables are
     unchanged), and never alter the bytes or pixels flowing through.
     """
-    if getattr(codec.encode, "_obs_instrumented", False):
-        return codec  # already wrapped (e.g. re-registered with overwrite)
     encode_fn, decode_fn = codec.encode, codec.decode
 
     @functools.wraps(encode_fn)
@@ -101,14 +100,12 @@ def _instrumented(codec: Codec) -> Codec:
         ob.metrics.count("codec.bytes_decoded", len(data))
         return image
 
-    encode._obs_instrumented = True
-    decode._obs_instrumented = True
     return dataclasses.replace(codec, encode=encode, decode=decode)
 
 
-def register_codec(codec: Codec, overwrite: bool = False) -> None:
+def register_codec(codec: Codec) -> None:
     """Add a codec to the global registry (instrumented; see above)."""
-    if codec.name in _REGISTRY and not overwrite:
+    if codec.name in _REGISTRY:
         raise ValueError(f"codec {codec.name!r} already registered")
     _REGISTRY[codec.name] = _instrumented(codec)
 

@@ -4,7 +4,7 @@ A :class:`PredictionRecord` is one inference outcome of one *displayed
 image* (an object staged on the rig's screen, at one angle) in one
 *environment* (a phone model, a compression setting, an ISP, an OS — the
 paper's §2.2 notion of environment). Experiments return an
-:class:`ExperimentResult`, a queryable collection of records, which the
+:class:`ExperimentResult`, an ordered collection of records, which the
 metric layer (:mod:`repro.core.instability`) consumes.
 """
 
@@ -65,7 +65,7 @@ class PredictionRecord:
 
 
 class ExperimentResult:
-    """An ordered, queryable collection of prediction records."""
+    """An ordered collection of prediction records."""
 
     def __init__(self, records: Sequence[PredictionRecord], name: str = "") -> None:
         self.records: List[PredictionRecord] = list(records)
@@ -79,18 +79,3 @@ class ExperimentResult:
 
     def extend(self, records: Iterable[PredictionRecord]) -> None:
         self.records.extend(records)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def environments(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.environment, None)
-        return list(seen)
-
-    def for_environment(self, environment: str) -> "ExperimentResult":
-        return ExperimentResult(
-            [r for r in self.records if r.environment == environment],
-            name=f"{self.name}/{environment}",
-        )

@@ -1,12 +1,9 @@
 """On-device inference runtime.
 
 Wraps a model the way a mobile inference engine does: decoded image in,
-top-k predictions out. The ``numerics`` option lets experiments probe the
-hardware axis the paper's §7 investigates — ``"float32"`` is the
-reference; ``"float16"`` simulates half-precision accumulation by
-rounding activations at the input. The paper (and our reproduction)
-finds the decoded *pixels*, not the arithmetic, are what differ across
-devices: with identical inputs, every runtime here is bit-deterministic.
+top-k predictions out. The paper's §7 (and our reproduction) finds the
+decoded *pixels*, not the arithmetic, are what differ across devices:
+with identical inputs, every runtime here is bit-deterministic.
 """
 
 from __future__ import annotations
@@ -44,6 +41,14 @@ class Prediction:
     def topk(self, k: int) -> tuple:
         return self.ranking[:k]
 
+    @classmethod
+    def from_probabilities(cls, row: np.ndarray) -> "Prediction":
+        """The prediction for one row of class probabilities."""
+        return cls(
+            ranking=tuple(int(i) for i in np.argsort(-row)),
+            probabilities=tuple(float(p) for p in row),
+        )
+
 
 class DeviceRuntime:
     """A deterministic inference engine bound to one model.
@@ -57,26 +62,16 @@ class DeviceRuntime:
     parallel experiment runs (which assemble identical frame orders).
     """
 
-    def __init__(
-        self,
-        model: Model,
-        numerics: str = "float32",
-        batch_size: Optional[int] = None,
-    ) -> None:
-        if numerics not in ("float32", "float16"):
-            raise ValueError(f"unknown numerics mode {numerics!r}")
+    def __init__(self, model: Model, batch_size: Optional[int] = None) -> None:
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive")
         self.model = model
-        self.numerics = numerics
         self.batch_size = batch_size
 
     def predict(self, images: Sequence[ImageBuffer] | ImageBuffer) -> List[Prediction]:
         """Run inference on decoded image(s), in deterministic batches."""
         x = to_model_input(images)
-        with obs.span("inference.predict", frames=len(x), numerics=self.numerics):
-            if self.numerics == "float16":
-                x = x.astype(np.float16).astype(np.float32)
+        with obs.span("inference.predict", frames=len(x)):
             if self.batch_size is None or len(x) <= self.batch_size:
                 proba = self.model.predict_proba(x)
             else:
@@ -88,13 +83,7 @@ class DeviceRuntime:
                     axis=0,
                 )
         obs.count("inference.frames", len(x))
-        results = []
-        for row in proba:
-            ranking = tuple(int(i) for i in np.argsort(-row))
-            results.append(
-                Prediction(ranking=ranking, probabilities=tuple(float(p) for p in row))
-            )
-        return results
+        return [Prediction.from_probabilities(row) for row in proba]
 
     def predict_one(self, image: ImageBuffer) -> Prediction:
         return self.predict([image])[0]

@@ -35,22 +35,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..codecs.registry import decode_any
 from ..core.instability import (
     instability,
     per_class_instability,
     per_environment_accuracy,
 )
 from ..core.records import ExperimentResult
-from ..devices.phone import Phone
 from ..devices.profiles import DeviceProfile, capture_fleet
 from ..devices.runtime import DeviceRuntime
-from ..imaging.image import RawImage
+from ..imaging.image import ImageBuffer, RawImage
 from ..imaging.metrics import PixelDiffStats, pixel_diff_map
 from ..nn.model import Model
 from ..runner.cache import CaptureCache
 from ..runner.executor import FleetExecutor
-from ..runner.seeds import derive_rng, unit_entropy
+from ..runner.seeds import unit_entropy
 from ..runner.units import CaptureUnit, payload_to_raw, raw_to_payload
 from ..scenes.dataset import build_dataset
 from ..scenes.screen import Screen
@@ -477,28 +475,39 @@ def repeat_shot_demo(
     Takes ``pairs_per_scene`` repeat-capture pairs per scene (identical
     display, fresh sensor noise) until a pair yields different top-1
     labels; returns the last pair examined if none diverges (the stats
-    still show the sub-5% pixel difference the paper highlights).
+    still show the sub-5% pixel difference the paper highlights). Each
+    scene's shots are one executor run of photograph units seeded by
+    ``unit_entropy(seed, device, image_id, shot)``; shots ``2p`` and
+    ``2p + 1`` form pair ``p``.
     """
     profile = capture_fleet()[0]  # Galaxy S10, as in the paper
-    phone = Phone(profile)
     runtime = DeviceRuntime(resolve_model(model))
     dataset = build_dataset(per_class=max(1, max_scenes // 5), seed=seed)
     rig = CaptureRig(screen=Screen(seed=seed), angles=(0.0,))
-    rng = derive_rng(seed, profile.name, "repeat_shot")
+    executor = FleetExecutor()
 
     outcome = None
     for shown in rig.present(list(dataset))[:max_scenes]:
-        for _ in range(pairs_per_scene):
-            img_a = decode_any(phone.photograph(shown.radiance, rng))
-            img_b = decode_any(phone.photograph(shown.radiance, rng))
-            pred_a, pred_b = runtime.predict([img_a, img_b])
+        units = [
+            CaptureUnit(
+                kind="photograph",
+                profile=profile,
+                radiance=shown.radiance.pixels,
+                entropy=unit_entropy(seed, profile.name, shown.image_id, shot),
+            )
+            for shot in range(2 * pairs_per_scene)
+        ]
+        pixels = [payload["pixels"] for payload in executor.run(units)]
+        predictions = runtime.predict([ImageBuffer(p) for p in pixels])
+        for first in range(0, len(units), 2):
+            pred_a, pred_b = predictions[first : first + 2]
             outcome = RepeatShotOutcome(
                 first_label=pred_a.top1,
                 second_label=pred_b.top1,
                 first_confidence=pred_a.confidence,
                 second_confidence=pred_b.confidence,
                 true_label=shown.item.label,
-                diff=pixel_diff_map(img_a.pixels, img_b.pixels, threshold=0.05),
+                diff=pixel_diff_map(pixels[first], pixels[first + 1], threshold=0.05),
             )
             if outcome.diverged:
                 return outcome

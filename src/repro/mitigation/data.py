@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence
-from zlib import crc32
 
 import numpy as np
 
-from ..codecs.registry import decode_any
-from ..devices.phone import Phone
 from ..devices.profiles import capture_fleet
+from ..imaging.image import ImageBuffer
 from ..nn.preprocess import to_model_input
+from ..runner.executor import FleetExecutor
+from ..runner.seeds import unit_entropy
+from ..runner.units import CaptureUnit
 from ..scenes.dataset import build_dataset
 from ..scenes.screen import Screen
 from ..lab.rig import CaptureRig, DisplayedImage
@@ -74,7 +75,8 @@ def build_stability_corpus(
 
     Splitting is by object so test scenes show objects unseen during
     fine-tuning, and both phones photograph every displayed image so the
-    pairs stay aligned.
+    pairs stay aligned. Every capture is one photograph unit through the
+    fleet executor, seeded by ``unit_entropy(seed, device, image_id)``.
     """
     fleet = capture_fleet()
     primary = next(p for p in fleet if p.name == "samsung_galaxy_s10")
@@ -84,15 +86,19 @@ def build_stability_corpus(
     rig = CaptureRig(screen=Screen(seed=seed), angles=angles)
     displayed = rig.present(list(dataset))
 
-    # Photograph everything on both phones.
-    tensors = {}
-    for profile in (primary, secondary):
-        phone = Phone(profile)
-        rng = np.random.default_rng((seed, crc32(profile.name.encode())))
-        images = [
-            decode_any(phone.photograph(shown.radiance, rng)) for shown in displayed
-        ]
-        tensors[profile.name] = to_model_input(images)
+    # Photograph everything on both phones, primary first.
+    units = [
+        CaptureUnit(
+            kind="photograph",
+            profile=profile,
+            radiance=shown.radiance.pixels,
+            entropy=unit_entropy(seed, profile.name, shown.image_id),
+        )
+        for profile in (primary, secondary)
+        for shown in displayed
+    ]
+    x = to_model_input([ImageBuffer(p["pixels"]) for p in FleetExecutor().run(units)])
+    x_primary, x_secondary = x[: len(displayed)], x[len(displayed) :]
 
     labels = np.array([shown.item.label for shown in displayed], dtype=np.int64)
 
@@ -108,11 +114,11 @@ def build_stability_corpus(
 
     test_displayed = [s for s, m in zip(displayed, train_mask) if not m]
     return StabilityCorpus(
-        x_train_primary=tensors[primary.name][train_mask],
-        x_train_secondary=tensors[secondary.name][train_mask],
+        x_train_primary=x_primary[train_mask],
+        x_train_secondary=x_secondary[train_mask],
         y_train=labels[train_mask],
-        x_test_primary=tensors[primary.name][~train_mask],
-        x_test_secondary=tensors[secondary.name][~train_mask],
+        x_test_primary=x_primary[~train_mask],
+        x_test_secondary=x_secondary[~train_mask],
         y_test=labels[~train_mask],
         test_displayed=test_displayed,
         primary_name=primary.name,

@@ -28,7 +28,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.instability import instability
-from ..core.records import ExperimentResult, PredictionRecord
+from ..core.records import ExperimentResult
+from ..devices.runtime import Prediction
+from ..lab.common import make_record
 from ..nn.losses import (
     cross_entropy,
     embedding_stability_loss,
@@ -36,7 +38,6 @@ from ..nn.losses import (
 )
 from ..nn.model import Model
 from ..nn.optim import Adam
-from ..scenes.objects import ALL_CLASSES
 from .data import StabilityCorpus
 from .noise import NoiseGenerator
 
@@ -151,28 +152,10 @@ def evaluate_cross_device_instability(
         (corpus.primary_name, corpus.x_test_primary),
         (corpus.secondary_name, corpus.x_test_secondary),
     ):
-        proba = model.predict_proba(x)
-        for i, row in enumerate(proba):
-            shown = corpus.test_displayed[i]
-            top1 = int(np.argmax(row))
-            result.extend(
-                [
-                    PredictionRecord(
-                        environment=env,
-                        image_id=shown.image_id,
-                        true_label=int(corpus.y_test[i]),
-                        predicted_label=top1,
-                        confidence=float(row[top1]),
-                        class_name=shown.item.class_name,
-                        ranking=tuple(int(j) for j in np.argsort(-row)),
-                        angle=shown.angle,
-                        metadata={
-                            "probabilities": tuple(float(p) for p in row),
-                            "predicted_class": ALL_CLASSES[top1],
-                        },
-                    )
-                ]
-            )
+        result.extend(
+            make_record(Prediction.from_probabilities(row), shown, environment=env)
+            for row, shown in zip(model.predict_proba(x), corpus.test_displayed)
+        )
     return result
 
 

@@ -7,9 +7,8 @@ serial path and every worker derive the same generator for the same
 worker count, and cache hits cannot change a single output bit.
 
 Components are folded into a ``numpy`` ``SeedSequence`` entropy tuple:
-integers pass through (masked to non-negative), strings hash via CRC-32
-(matching the ``crc32(phone.name)`` convention the serial experiments
-already used), floats hash via their exact ``repr``.
+integers pass through (masked to non-negative), strings hash via CRC-32,
+floats hash via their exact ``repr``.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from repro.codecs import (
     register_codec,
     sniff_format,
 )
+from repro.codecs.registry import _REGISTRY
 from repro.imaging import ImageBuffer, RawImage
 
 
@@ -39,11 +40,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_codec(codec)
 
-    def test_register_overwrite_allowed(self):
-        codec = get_codec("png")
-        register_codec(codec, overwrite=True)  # no error
-        assert get_codec("png") is codec
-
     def test_register_custom(self):
         dummy = Codec(
             name="test-dummy",
@@ -51,8 +47,11 @@ class TestRegistry:
             decode=lambda data: ImageBuffer.full(1, 1, 0.0),
             lossless=False,
         )
-        register_codec(dummy, overwrite=True)
-        assert "test-dummy" in available_codecs()
+        register_codec(dummy)
+        try:
+            assert "test-dummy" in available_codecs()
+        finally:
+            _REGISTRY.pop("test-dummy")
 
 
 class TestSniff:

@@ -61,6 +61,11 @@ def make_record(
     )
 
 
+def environments(result):
+    """The environments of ``result``'s records, in first-seen order."""
+    return list(dict.fromkeys(r.environment for r in result))
+
+
 @pytest.fixture
 def record_factory():
     return make_record

@@ -84,7 +84,7 @@ def test_instability_invariant_under_record_order(result, rnd):
 @settings(max_examples=40, deadline=None)
 def test_duplicating_an_environment_changes_nothing(result):
     """A clone device that predicts identically adds no instability."""
-    env = result.environments()[0]
+    env = result.records[0].environment
     clones = [
         PredictionRecord(
             environment="clone-of-" + env,
@@ -95,7 +95,8 @@ def test_duplicating_an_environment_changes_nothing(result):
             class_name=r.class_name,
             ranking=r.ranking,
         )
-        for r in result.for_environment(env)
+        for r in result
+        if r.environment == env
     ]
     extended = ExperimentResult(result.records + clones)
     assert instability(extended) == instability(result)

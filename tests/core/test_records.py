@@ -41,17 +41,6 @@ class TestPredictionRecord:
 
 
 class TestExperimentResult:
-    def test_environments_preserve_insertion_order(self):
-        result = ExperimentResult(
-            [make_record("z"), make_record("a"), make_record("z")]
-        )
-        assert result.environments() == ["z", "a"]
-
-    def test_for_environment_filters(self, two_env_result):
-        sub = two_env_result.for_environment("a")
-        assert len(sub) == 4
-        assert all(r.environment == "a" for r in sub)
-
     def test_extend(self):
         result = ExperimentResult([])
         result.extend([make_record(), make_record()])

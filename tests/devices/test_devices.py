@@ -152,12 +152,3 @@ class TestRuntime:
         a = runtime.predict_one(radiance)
         b = runtime.predict_one(radiance)
         assert a.probabilities == b.probabilities
-
-    def test_float16_mode_differs_slightly(self, tiny_model, radiance):
-        full = DeviceRuntime(tiny_model, numerics="float32").predict_one(radiance)
-        half = DeviceRuntime(tiny_model, numerics="float16").predict_one(radiance)
-        assert np.allclose(full.probabilities, half.probabilities, atol=0.05)
-
-    def test_rejects_unknown_numerics(self, tiny_model):
-        with pytest.raises(ValueError):
-            DeviceRuntime(tiny_model, numerics="bfloat16")

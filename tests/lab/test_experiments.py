@@ -22,6 +22,7 @@ from repro.lab import (
 )
 from repro.lab.common import SIZE_SCALE_TO_12MP
 from repro.mitigation import simplify_task
+from tests.conftest import environments
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,7 @@ class TestEndToEnd:
     def test_record_counts(self, end_to_end_result):
         # 5 classes x 1 object x 2 angles x 5 phones.
         assert len(end_to_end_result) == 50
-        assert len(end_to_end_result.environments()) == 5
+        assert len(environments(end_to_end_result)) == 5
 
     def test_records_carry_probabilities(self, end_to_end_result):
         r = end_to_end_result.records[0]
@@ -103,7 +104,7 @@ class TestCompressionExperiments:
 class TestISPComparison:
     def test_runs_both_isps(self, tiny_model, small_bank):
         out = ISPComparisonExperiment(model=tiny_model).run(small_bank)
-        assert set(out.result.environments()) == {"imagemagick", "adobe"}
+        assert set(environments(out.result)) == {"imagemagick", "adobe"}
         assert 0.0 <= out.instability() <= 1.0
 
     def test_requires_two_isps(self, tiny_model):
@@ -116,7 +117,7 @@ class TestRawVsJpeg:
         out = RawVsJpegExperiment(model=tiny_model, seed=0).run(per_class=1)
         assert len(out.jpeg_result) == 10  # 5 scenes x 2 phones
         assert len(out.raw_result) == 10
-        assert set(out.jpeg_result.environments()) == {
+        assert set(environments(out.jpeg_result)) == {
             "samsung_galaxy_s10",
             "iphone_xr",
         }

@@ -4,12 +4,13 @@ import pytest
 
 from repro.core import instability
 from repro.lab import LensVariationExperiment, LightingVariationExperiment
+from tests.conftest import environments
 
 
 class TestLightingVariation:
     def test_environments_are_conditions(self, tiny_model):
         result = LightingVariationExperiment(model=tiny_model, seed=0).run(per_class=1)
-        assert result.environments() == ["dim_warm", "nominal", "bright_cool"]
+        assert environments(result) == ["dim_warm", "nominal", "bright_cool"]
         assert len(result) == 15  # 5 scenes x 3 conditions
 
     def test_instability_defined(self, tiny_model):
@@ -36,5 +37,5 @@ class TestLensVariation:
 
     def test_run_produces_cross_unit_records(self, tiny_model):
         result = LensVariationExperiment(model=tiny_model, units=2, seed=0).run(per_class=1)
-        assert len(result.environments()) == 2
+        assert len(environments(result)) == 2
         assert 0.0 <= instability(result) <= 1.0

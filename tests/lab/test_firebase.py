@@ -3,6 +3,7 @@
 import pytest
 
 from repro.lab.firebase import FirebaseTestLab, build_photo_set
+from tests.conftest import environments
 
 
 @pytest.fixture(scope="module")
@@ -54,4 +55,4 @@ class TestRun:
     def test_records_cover_all_devices(self, lab):
         out = lab.run(num_photos=4)
         assert len(out.result) == 4 * 5
-        assert len(out.result.environments()) == 5
+        assert len(environments(out.result)) == 5

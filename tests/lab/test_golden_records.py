@@ -9,7 +9,11 @@ each compression experiment, are pinned in
 * end-to-end — two angles x two repeat shots on the paper's fleet;
 * JPEG quality, formats and ISP comparison — one shared raw bank;
 * raw vs JPEG — the JPEG arm and the raw arm;
-* lighting and lens variation.
+* lighting and lens variation;
+* Fig. 1 — every :func:`repeat_shot_demo` outcome field (``max_scenes=5``);
+* the stability corpus — SHA-256 of its tensors and labels
+  (``per_class=1``, one angle) — and the ``save_result`` digest of
+  :func:`evaluate_cross_device_instability` on it.
 
 This is the tripwire for the record-building layer above the capture
 path (chunking payloads per environment, inference batching,
@@ -23,6 +27,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.serialize import save_result
@@ -35,7 +40,9 @@ from repro.lab import (
     LightingVariationExperiment,
     RawCaptureBank,
     RawVsJpegExperiment,
+    repeat_shot_demo,
 )
+from repro.mitigation import build_stability_corpus, evaluate_cross_device_instability
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_records.json"
 
@@ -44,6 +51,38 @@ def _digest(result, tmp_path) -> str:
     path = tmp_path / f"{result.name.replace('/', '_')}.json"
     save_result(result, path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _corpus_digest(corpus) -> str:
+    digest = hashlib.sha256()
+    for name in (
+        "x_train_primary",
+        "x_train_secondary",
+        "y_train",
+        "x_test_primary",
+        "x_test_secondary",
+        "y_test",
+    ):
+        array = np.ascontiguousarray(getattr(corpus, name))
+        digest.update(f"{name} {array.dtype.str} {array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _repeat_shot_fields(outcome) -> dict:
+    diff = outcome.diff
+    return {
+        "first_label": outcome.first_label,
+        "second_label": outcome.second_label,
+        "first_confidence": outcome.first_confidence,
+        "second_confidence": outcome.second_confidence,
+        "true_label": outcome.true_label,
+        "divergent_fraction": diff.divergent_fraction,
+        "threshold": diff.threshold,
+        "mean_abs_diff": diff.mean_abs_diff,
+        "max_abs_diff": diff.max_abs_diff,
+        "mask_sha256": hashlib.sha256(np.packbits(diff.mask).tobytes()).hexdigest(),
+    }
 
 
 def run_experiments(model):
@@ -75,9 +114,16 @@ def run_experiments(model):
 
 def test_golden_record_hashes(tiny_model, tmp_path, regen_golden):
     results, sizes = run_experiments(tiny_model)
+    corpus = build_stability_corpus(per_class=1, angles=(0.0,), seed=0)
+    outcome = repeat_shot_demo(model=tiny_model, seed=0, max_scenes=5)
     current = {
         "records": {name: _digest(r, tmp_path) for name, r in sorted(results.items())},
         "avg_size_bytes": sizes,
+        "repeat_shot": _repeat_shot_fields(outcome),
+        "stability_corpus": _corpus_digest(corpus),
+        "stability_eval": _digest(
+            evaluate_cross_device_instability(tiny_model, corpus), tmp_path
+        ),
     }
     if regen_golden:
         GOLDEN_PATH.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
@@ -91,3 +137,6 @@ def test_golden_record_hashes(tiny_model, tmp_path, regen_golden):
     ]
     assert not drifted, f"experiment records drifted: {drifted}"
     assert current["avg_size_bytes"] == golden["avg_size_bytes"]
+    assert current["repeat_shot"] == golden["repeat_shot"]
+    assert current["stability_corpus"] == golden["stability_corpus"]
+    assert current["stability_eval"] == golden["stability_eval"]

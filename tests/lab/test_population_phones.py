@@ -10,6 +10,7 @@ import pytest
 from repro.fleet.population import generate_fleet
 from repro.lab import EndToEndExperiment
 from repro.lab.experiments import RawVsJpegExperiment
+from tests.conftest import environments
 
 
 class TestFleetSizeWiring:
@@ -20,7 +21,7 @@ class TestFleetSizeWiring:
         )
         assert [p.name for p in experiment.profiles] == [p.name for p in population]
         result = experiment.run(per_class=1)
-        assert result.environments() == [p.name for p in population]
+        assert environments(result) == [p.name for p in population]
         assert len(result) == 5 * 5
 
     def test_default_is_paper_fleet(self, tiny_model):

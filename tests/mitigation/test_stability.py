@@ -14,7 +14,7 @@ from repro.mitigation.stability import (
 )
 from repro.mitigation.topk import simplify_task
 from repro.nn.model import micro_mobilenet
-from tests.conftest import make_record
+from tests.conftest import environments, make_record
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ class TestTrainer:
 class TestEvaluation:
     def test_records_cover_both_phones(self, corpus, tiny_model):
         result = evaluate_cross_device_instability(tiny_model, corpus)
-        assert set(result.environments()) == {
+        assert set(environments(result)) == {
             corpus.primary_name,
             corpus.secondary_name,
         }
