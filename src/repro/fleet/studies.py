@@ -5,10 +5,12 @@ record tables aggregated by :mod:`repro.fleet.stats`:
 
 * :func:`run_population_study` — every synthetic device photographs the
   same displayed scenes through the real capture path (sensor → vendor
-  ISP → codec → decode → model), fanned out through
-  :class:`~repro.runner.executor.FleetExecutor` in bounded device
-  chunks. Output: instability percentiles across the population and
-  outlier-device detection.
+  ISP → codec → decode → model). One
+  :class:`~repro.runner.executor.FleetExecutor` pool serves the whole
+  study; each device chunk streams through it, and every
+  ``INFERENCE_BATCH`` payloads are labelled as soon as they arrive while
+  the workers keep capturing. Output: instability percentiles across
+  the population and outlier-device detection.
 * :func:`run_drift_study` — the §7 experiment over simulated time: a
   fixed photo corpus, a population whose devices take the OS decoder
   upgrade at sampled time steps, and per-step split-vote instability
@@ -33,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import obs
-from ..devices.runtime import DeviceRuntime
+from ..devices.runtime import DeviceRuntime, Prediction
 from ..devices.os_sim import DECODER_FAMILIES
 from ..imaging.image import ImageBuffer
 from ..lab.firebase import build_photo_set
@@ -68,9 +70,10 @@ __all__ = [
 #: Inference chunk size (matches the lab experiments' DeviceRuntime use).
 INFERENCE_BATCH = 64
 
-#: Devices whose capture units are in flight at once. Bounds peak payload
-#: memory to ``DEVICE_CHUNK * scenes * repeats`` decoded frames while
-#: still giving the process pool large unit batches. Chunk boundaries
+#: Devices per executor stream and per ``store.append_columns`` call.
+#: Peak payload memory is the executor's in-flight window plus one chunk
+#: (a chunk's cache hits are read when its stream starts; fresh payloads
+#: are dropped once their inference batch is labelled). Chunk boundaries
 #: depend only on device index, so the chunking is output-neutral across
 #: worker counts (not across *chunk sizes*: inference batch composition
 #: is part of the study's identity, like INFERENCE_BATCH itself).
@@ -166,7 +169,6 @@ def run_population_study(
     runtime = DeviceRuntime(
         model if model is not None else fleet_model(), batch_size=INFERENCE_BATCH
     )
-    executor = FleetExecutor(workers=workers, cache=cache)
     store = ColumnarStore(RECORD_DTYPE)
     dims = TableDims(
         n_devices=len(devices),
@@ -193,29 +195,36 @@ def run_population_study(
         scenes=scenes,
         repeats=repeats,
         workers=workers,
-    ):
+    ), FleetExecutor(workers=workers, cache=cache) as executor:
         for start in range(0, len(devices), DEVICE_CHUNK):
             chunk = devices[start : start + DEVICE_CHUNK]
-            units: List[CaptureUnit] = []
-            for device in chunk:
-                for scene_idx, shown in enumerate(displayed):
-                    for repeat in range(repeats):
-                        units.append(
-                            CaptureUnit(
-                                kind="photograph",
-                                profile=device.profile,
-                                radiance=shown.radiance.pixels,
-                                entropy=unit_entropy(
-                                    seed,
-                                    device.profile.name,
-                                    shown.image_id,
-                                    repeat,
-                                ),
-                            )
-                        )
-            payloads = executor.run(units)
-            images = [ImageBuffer(payload["pixels"]) for payload in payloads]
-            predictions = runtime.predict(images)
+            units = [
+                CaptureUnit(
+                    kind="photograph",
+                    profile=device.profile,
+                    radiance=shown.radiance.pixels,
+                    entropy=unit_entropy(
+                        seed, device.profile.name, shown.image_id, repeat
+                    ),
+                )
+                for device in chunk
+                for shown in displayed
+                for repeat in range(repeats)
+            ]
+            # Label each INFERENCE_BATCH as soon as it has streamed in,
+            # while the pool keeps capturing: the same cuts
+            # DeviceRuntime.predict makes over the whole chunk.
+            predictions: List[Prediction] = []
+            sizes: List[int] = []
+            batch: List[ImageBuffer] = []
+            for payload in executor.stream(units):
+                batch.append(ImageBuffer(payload["pixels"]))
+                sizes.append(int(payload["encoded_size"]))
+                if len(batch) == INFERENCE_BATCH:
+                    predictions.extend(runtime.predict(batch))
+                    batch = []
+            if batch:
+                predictions.extend(runtime.predict(batch))
 
             per_device = scenes * repeats
             rows = len(chunk) * per_device
@@ -238,10 +247,7 @@ def run_population_study(
                 confidence=np.array(
                     [p.confidence for p in predictions], dtype=np.float32
                 ),
-                encoded_size=np.array(
-                    [int(payload["encoded_size"]) for payload in payloads],
-                    dtype=np.int64,
-                ),
+                encoded_size=np.array(sizes, dtype=np.int64),
             )
 
         summary = population_summary(

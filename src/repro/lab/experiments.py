@@ -30,7 +30,7 @@ output bit-identical for every worker count — the invariant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -487,7 +487,10 @@ def repeat_shot_demo(
     executor = FleetExecutor()
 
     outcome = None
-    for shown in rig.present(list(dataset))[:max_scenes]:
+    for index, item in enumerate(list(dataset)[:max_scenes]):
+        # Render scene by scene: the demo stops at the first divergent
+        # pair. With one angle a scene's image_id is its dataset index.
+        shown = replace(rig.present([item])[0], image_id=index)
         units = [
             CaptureUnit(
                 kind="photograph",

@@ -62,6 +62,15 @@ def test_studies_match_golden(study_model, regen_golden):
     assert payload == json.loads(GOLDEN_PATH.read_text())
 
 
+def test_pooled_population_matches_golden(study_model):
+    """Two workers stream across the chunk boundary into a partial chunk."""
+    pooled = run_population_study(
+        fleet_size=70, scenes=2, seed=0, workers=2, model=study_model
+    )
+    payload = json.loads(json.dumps(_fingerprint(pooled), sort_keys=True))
+    assert payload == json.loads(GOLDEN_PATH.read_text())["population"]
+
+
 def test_golden_spans_two_device_chunks():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert golden["population"]["chunk_rows"] == [128, 12]

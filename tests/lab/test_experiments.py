@@ -6,6 +6,8 @@ depend on model quality, and the benchmark harness covers the calibrated
 results.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from repro.lab import (
     scaled_mb,
 )
 from repro.lab.common import SIZE_SCALE_TO_12MP
+from repro.lab.rig import CaptureRig
 from repro.mitigation import simplify_task
+from repro.runner import FleetExecutor
 from tests.conftest import environments
 
 
@@ -142,6 +146,37 @@ class TestRepeatShot:
         assert 0.0 <= out.diff.divergent_fraction <= 1.0
         assert out.diff.threshold == 0.05
         assert isinstance(out.diverged, bool)
+
+    def test_demo_renders_only_the_scenes_it_photographs(self, monkeypatch):
+        """It stops at the first divergent pair, so renders stop there too."""
+
+        class HashLabels:
+            """Labels a frame by a checksum of its bytes: shots disagree."""
+
+            def predict_proba(self, x):
+                proba = np.zeros((len(x), 8), dtype=np.float32)
+                for row, frame in enumerate(x):
+                    proba[row, zlib.crc32(frame.tobytes()) % 8] = 1.0
+                return proba
+
+        renders, photographed = [], []
+        render_base = CaptureRig._render_base
+        run = FleetExecutor.run
+
+        def counting_render(rig, item):
+            renders.append(item)
+            return render_base(rig, item)
+
+        def counting_run(executor, units):
+            photographed.append(units[0].radiance)
+            return run(executor, units)
+
+        monkeypatch.setattr(CaptureRig, "_render_base", counting_render)
+        monkeypatch.setattr(FleetExecutor, "run", counting_run)
+        outcome = repeat_shot_demo(model=HashLabels(), seed=0, max_scenes=5)
+        assert outcome.diverged
+        assert 1 <= len(photographed) < 5
+        assert len(renders) == len(photographed)
 
     def test_demo_is_a_function_of_its_seed(self, tiny_model):
         runs = [
