@@ -43,9 +43,13 @@ class Prediction:
 
     @classmethod
     def from_probabilities(cls, row: np.ndarray) -> "Prediction":
-        """The prediction for one row of class probabilities."""
+        """The prediction for one row of class probabilities.
+
+        Ties rank the lower class first: a stable sort, whose order does
+        not depend on which SIMD loop NumPy dispatches on the host.
+        """
         return cls(
-            ranking=tuple(int(i) for i in np.argsort(-row)),
+            ranking=tuple(int(i) for i in np.argsort(-row, kind="stable")),
             probabilities=tuple(float(p) for p in row),
         )
 
@@ -69,20 +73,23 @@ class DeviceRuntime:
         self.batch_size = batch_size
 
     def predict(self, images: Sequence[ImageBuffer] | ImageBuffer) -> List[Prediction]:
-        """Run inference on decoded image(s), in deterministic batches."""
-        x = to_model_input(images)
-        with obs.span("inference.predict", frames=len(x)):
-            if self.batch_size is None or len(x) <= self.batch_size:
-                proba = self.model.predict_proba(x)
-            else:
-                proba = np.concatenate(
-                    [
-                        self.model.predict_proba(x[start : start + self.batch_size])
-                        for start in range(0, len(x), self.batch_size)
-                    ],
-                    axis=0,
-                )
-        obs.count("inference.frames", len(x))
+        """Run inference on decoded image(s), in deterministic batches.
+
+        Each batch is preprocessed on its own, so the stacked frames
+        never exceed one batch.
+        """
+        if isinstance(images, ImageBuffer):
+            images = [images]
+        step = self.batch_size or len(images) or 1
+        with obs.span("inference.predict", frames=len(images)):
+            proba = np.concatenate(
+                [
+                    self.model.predict_proba(to_model_input(images[i : i + step]))
+                    for i in range(0, len(images), step)
+                ],
+                axis=0,
+            )
+        obs.count("inference.frames", len(images))
         return [Prediction.from_probabilities(row) for row in proba]
 
     def predict_one(self, image: ImageBuffer) -> Prediction:

@@ -21,11 +21,11 @@ without re-checking invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ImageBuffer", "RawImage", "BAYER_PATTERNS"]
+__all__ = ["ImageBuffer", "RawImage", "BAYER_PATTERNS", "quantize_uint8"]
 
 #: Supported color-filter-array layouts, mapping pattern name to the 2x2 cell
 #: of channel indices (0=R, 1=G, 2=B), row-major.  ``RGGB`` means the top-left
@@ -36,6 +36,20 @@ BAYER_PATTERNS = {
     "GRBG": np.array([[1, 0], [2, 1]], dtype=np.int64),
     "GBRG": np.array([[1, 2], [0, 1]], dtype=np.int64),
 }
+
+
+def quantize_uint8(pixels: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Quantize to 8-bit with round-half-away rounding, clipping first.
+
+    Elementwise, so quantizing a subset of pixels gives the same values
+    as quantizing the whole image and then taking that subset. ``out``
+    (a float array of ``pixels``' shape, ``pixels`` itself included)
+    holds the scaled intermediate instead of a new temporary.
+    """
+    scaled = np.clip(pixels, 0.0, 1.0, out=out)
+    scaled *= 255.0
+    scaled += 0.5
+    return scaled.astype(np.uint8)
 
 
 def _as_float32(array: np.ndarray) -> np.ndarray:
@@ -105,9 +119,8 @@ class ImageBuffer:
         return tuple(self.pixels.shape)  # type: ignore[return-value]
 
     def to_uint8(self) -> np.ndarray:
-        """Quantize to 8-bit with round-half-away rounding, clipping first."""
-        clipped = np.clip(self.pixels, 0.0, 1.0)
-        return (clipped * 255.0 + 0.5).astype(np.uint8)
+        """Quantize to 8-bit (:func:`quantize_uint8`)."""
+        return quantize_uint8(self.pixels)
 
     def clipped(self) -> "ImageBuffer":
         """Return a copy with values clipped into ``[0, 1]``."""

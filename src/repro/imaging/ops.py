@@ -6,10 +6,14 @@ Everything here works on bare float32 arrays — either ``(H, W)`` planes or
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import ndimage
 
 __all__ = [
+    "bilinear_corners",
+    "bilinear_lerp",
     "bilinear_resize",
     "bilinear_resize_batch",
     "gaussian_kernel1d",
@@ -21,19 +25,18 @@ __all__ = [
 ]
 
 
-def bilinear_resize(image: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Resize an ``(H, W)`` or ``(H, W, C)`` image with bilinear sampling.
+@functools.lru_cache(maxsize=16)
+def _bilinear_grid(src_h: int, src_w: int, height: int, width: int):
+    """The sample grid of a half-pixel-center bilinear resize.
 
-    Uses the half-pixel-center convention (align_corners=False), matching
-    common image libraries.
+    Returns ``(taps, wy, wx)``. ``taps`` is an ``(4, height, width)`` int64
+    array of flat source indices ``y * src_w + x`` at (y0, x0), (y0, x1),
+    (y1, x0) and (y1, x1); ``wy`` ``(height, 1)`` and ``wx`` ``(1, width)``
+    are the float32 weights of y1 and x1. The grid depends only on the
+    geometry, so it is computed once per geometry and returned read-only.
     """
-    image = np.asarray(image, dtype=np.float32)
     if height <= 0 or width <= 0:
         raise ValueError("target size must be positive")
-    src_h, src_w = image.shape[:2]
-    if (src_h, src_w) == (height, width):
-        return image.copy()
-
     ys = (np.arange(height, dtype=np.float32) + 0.5) * (src_h / height) - 0.5
     xs = (np.arange(width, dtype=np.float32) + 0.5) * (src_w / width) - 0.5
     ys = np.clip(ys, 0.0, src_h - 1.0)
@@ -43,23 +46,75 @@ def bilinear_resize(image: np.ndarray, height: int, width: int) -> np.ndarray:
     x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, src_h - 1)
     x1 = np.minimum(x0 + 1, src_w - 1)
-    wy = (ys - y0).astype(np.float32)
-    wx = (xs - x0).astype(np.float32)
+    wy = (ys - y0).astype(np.float32)[:, None]
+    wx = (xs - x0).astype(np.float32)[None, :]
+    taps = np.stack(
+        [(yy * src_w)[:, None] + xx[None, :] for yy in (y0, y1) for xx in (x0, x1)]
+    )
+    for array in (taps, wy, wx):
+        array.flags.writeable = False
+    return taps, wy, wx
 
-    if image.ndim == 2:
-        flat = image
-        gather = lambda yy, xx: flat[yy[:, None], xx[None, :]]  # noqa: E731
-        wy_b = wy[:, None]
-        wx_b = wx[None, :]
-    else:
-        flat = image
-        gather = lambda yy, xx: flat[yy[:, None], xx[None, :], :]  # noqa: E731
-        wy_b = wy[:, None, None]
-        wx_b = wx[None, :, None]
 
-    top = gather(y0, x0) * (1 - wx_b) + gather(y0, x1) * wx_b
-    bot = gather(y1, x0) * (1 - wx_b) + gather(y1, x1) * wx_b
-    return (top * (1 - wy_b) + bot * wy_b).astype(np.float32)
+def bilinear_corners(images, height: int, width: int):
+    """Gather the four corner samples of a bilinear resize of each image.
+
+    ``images`` is a sequence (or stack) of equal-shape ``(H, W, ...)``
+    arrays. Returns ``(corners, wy, wx)``: ``corners`` is
+    ``(4, N, height, width, ...)``, the samples at (y0, x0), (y0, x1),
+    (y1, x0) and (y1, x1), and the weights broadcast against one
+    ``(N, height, width, ...)`` corner. :func:`bilinear_lerp` blends
+    them. Any elementwise map (such as quantization) may run on the
+    corners before the blend: it gives the same bits as running it on
+    the whole image first.
+    """
+    first = images[0]
+    src_h, src_w = first.shape[:2]
+    taps, wy, wx = _bilinear_grid(src_h, src_w, height, width)
+    corners = np.empty((4, len(images), height, width) + first.shape[2:], first.dtype)
+    for i, image in enumerate(images):
+        flat = image.reshape((src_h * src_w,) + image.shape[2:])
+        np.take(flat, taps, axis=0, out=corners[:, i])
+    trail = first.shape[2:]
+    ones = (1,) * len(trail)
+    # x weights repeated over the trailing axes: the blend then runs
+    # whole contiguous rows instead of a broadcast inner loop of length C.
+    wx = np.broadcast_to(wx.reshape(wx.shape + ones), (1, width) + trail)
+    return corners, wy.reshape(wy.shape + ones), np.ascontiguousarray(wx)
+
+
+def bilinear_lerp(corners: np.ndarray, wy: np.ndarray, wx: np.ndarray) -> np.ndarray:
+    """Blend :func:`bilinear_corners`' samples: across x, then across y.
+
+    ``top = c00 * (1 - wx) + c01 * wx``, ``bot`` likewise from c10 and c11,
+    then ``top * (1 - wy) + bot * wy``: the same operations in the same
+    order as the textbook form, run in place on ``corners``. Returns a
+    view into ``corners``.
+    """
+    top, c01, bot, c11 = corners
+    wx_rest = 1 - wx
+    top *= wx_rest
+    c01 *= wx
+    top += c01
+    bot *= wx_rest
+    c11 *= wx
+    bot += c11
+    top *= 1 - wy
+    bot *= wy
+    top += bot
+    return top
+
+
+def bilinear_resize(image: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Resize an ``(H, W)`` or ``(H, W, C)`` image with bilinear sampling.
+
+    Uses the half-pixel-center convention (align_corners=False), matching
+    common image libraries.
+    """
+    image = np.asarray(image, dtype=np.float32)
+    if image.shape[:2] == (height, width):
+        return image.copy()
+    return bilinear_lerp(*bilinear_corners([image], height, width))[0].copy()
 
 
 def bilinear_resize_batch(images: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -73,33 +128,9 @@ def bilinear_resize_batch(images: np.ndarray, height: int, width: int) -> np.nda
     images = np.asarray(images, dtype=np.float32)
     if images.ndim != 4:
         raise ValueError(f"expected (N, H, W, C), got shape {images.shape}")
-    if height <= 0 or width <= 0:
-        raise ValueError("target size must be positive")
-    src_h, src_w = images.shape[1:3]
-    if (src_h, src_w) == (height, width):
+    if images.shape[1:3] == (height, width):
         return images.copy()
-
-    ys = (np.arange(height, dtype=np.float32) + 0.5) * (src_h / height) - 0.5
-    xs = (np.arange(width, dtype=np.float32) + 0.5) * (src_w / width) - 0.5
-    ys = np.clip(ys, 0.0, src_h - 1.0)
-    xs = np.clip(xs, 0.0, src_w - 1.0)
-
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, src_h - 1)
-    x1 = np.minimum(x0 + 1, src_w - 1)
-    wy = (ys - y0).astype(np.float32)
-    wx = (xs - x0).astype(np.float32)
-
-    wy_b = wy[None, :, None, None]
-    wx_b = wx[None, None, :, None]
-
-    def gather(yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
-        return images[:, yy[:, None], xx[None, :], :]
-
-    top = gather(y0, x0) * (1 - wx_b) + gather(y0, x1) * wx_b
-    bot = gather(y1, x0) * (1 - wx_b) + gather(y1, x1) * wx_b
-    return (top * (1 - wy_b) + bot * wy_b).astype(np.float32)
+    return bilinear_lerp(*bilinear_corners(images, height, width)).copy()
 
 
 def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:

@@ -174,12 +174,12 @@ class BatchNorm2D(Layer):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        x_hat = x - mean[None, :, None, None]
+        x_hat *= inv_std[None, :, None, None]
         self._cache = (x_hat, inv_std, training, x.shape)
-        return (
-            self.params["gamma"][None, :, None, None] * x_hat
-            + self.params["beta"][None, :, None, None]
-        )
+        y = x_hat * self.params["gamma"][None, :, None, None]
+        y += self.params["beta"][None, :, None, None]
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x_hat, inv_std, training, x_shape = self._cache

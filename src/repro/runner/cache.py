@@ -12,18 +12,32 @@ JSON-encoded metadata strings).
 The disk layer shards by key prefix (``ab/abcdef....npz``) and writes
 atomically (temp file + ``os.replace``), so concurrent runs sharing a
 ``--cache-dir`` never observe torn files. Entries are uncompressed
-(``ZIP_STORED``) zip files: a hit skips zlib at ~5x the bytes, and
-zipfile still checks each member's CRC-32, so a damaged entry reads as
-a miss. Older deflated entries load unchanged under the same keys.
+(``ZIP_STORED``) zip files written by ``np.savez``: a hit skips zlib at
+~5x the bytes. Older deflated entries load unchanged under the same keys.
+
+A disk hit reads the entry in one ``read`` and parses it from memory
+rather than through ``np.load``. ``zipfile`` still checks every member's
+CRC-32. Each member's ``.npy`` header goes through NumPy's own parser,
+memoized on the header's raw bytes (the parser runs ``ast.literal_eval``,
+and one study's entries share a handful of headers). Object dtypes are
+refused, as ``allow_pickle=False`` does, each member must hold exactly
+its header's byte count, and the zip's end record must count as many
+members as its central directory lists (``np.load`` returns a subset of
+an entry whose directory is damaged). Anything damaged or unexpected
+reads as a miss.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import io
+import math
 import os
 import tempfile
 import zipfile
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -113,6 +127,80 @@ def fingerprint(obj) -> str:
     hasher = hashlib.sha256()
     _feed(hasher, obj)
     return hasher.hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Reading an entry
+# ----------------------------------------------------------------------
+#: Distinct ``.npy`` headers whose parse is remembered. A study's entries
+#: share a few (one per member name, dtype and shape), so this is ample.
+_HEADER_MEMO_SIZE = 64
+
+#: Everything a damaged or foreign entry can raise while it is parsed.
+_UNREADABLE = (
+    OSError,
+    ValueError,
+    EOFError,
+    zipfile.BadZipFile,
+    zlib.error,
+    NotImplementedError,
+    RuntimeError,
+)
+
+
+@functools.lru_cache(maxsize=_HEADER_MEMO_SIZE)
+def _npy_header(header: bytes):
+    """``(shape, fortran_order, dtype)`` of one raw ``.npy`` header."""
+    fp = io.BytesIO(header)
+    version = np.lib.format.read_magic(fp)
+    if version == (1, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fp)
+    elif version == (2, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(fp)
+    else:
+        raise ValueError(f"unsupported .npy version {version}")
+    if dtype.hasobject:
+        raise ValueError("object arrays are never read from the cache")
+    return shape, fortran_order, dtype
+
+
+def _npy_array(member: bytes) -> np.ndarray:
+    """The array one ``.npy`` member holds, as a read-only view of it."""
+    length_bytes = {b"\x01": 2, b"\x02": 4}.get(member[6:7])
+    if length_bytes is None:
+        raise ValueError("not a version 1 or 2 .npy member")
+    start = 8 + length_bytes
+    end = start + int.from_bytes(member[8:start], "little")
+    shape, fortran_order, dtype = _npy_header(member[:end])
+    count = math.prod(shape)
+    if len(member) - end != count * dtype.itemsize:
+        raise ValueError("member length does not match its header")
+    if count * dtype.itemsize:
+        array = np.frombuffer(member, dtype=dtype, count=count, offset=end)
+    else:  # np.frombuffer refuses zero-size items; there are no bytes to read
+        array = np.ndarray(count, dtype=dtype)
+    if fortran_order:
+        return array.reshape(shape[::-1]).transpose()
+    return array.reshape(shape)
+
+
+def _read_npz(data: bytes) -> Payload:
+    """Parse a whole ``np.savez`` entry held in memory."""
+    payload: Payload = {}
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        infos = archive.infolist()
+        # np.savez writes no archive comment, so the end record is the
+        # last 22 bytes. Its entry count must match the central
+        # directory's: a damaged directory can otherwise hide members.
+        if data[-22:-18] != b"PK\x05\x06" or int.from_bytes(
+            data[-12:-10], "little"
+        ) != len(infos):
+            raise ValueError("central directory does not match its end record")
+        for info in infos:
+            if not info.filename.endswith(".npy"):
+                raise ValueError(f"unexpected member {info.filename!r}")
+            payload[info.filename[:-4]] = _npy_array(archive.read(info))
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -236,13 +324,15 @@ class CaptureCache:
             obs.count("capture_cache.memory_hit")
             return self._copy(cached)
         if self.cache_dir is not None:
-            path = self._disk_path(key)
-            if path.exists():
+            try:
+                entry = open(self._disk_path(key), "rb")
+            except OSError:
+                entry = None
+            if entry is not None:
                 try:
-                    with obs.span("cache.disk_read"):
-                        with np.load(path, allow_pickle=False) as data:
-                            payload = {name: data[name] for name in data.files}
-                except (OSError, ValueError, zipfile.BadZipFile):
+                    with entry, obs.span("cache.disk_read"):
+                        payload = _read_npz(entry.read())
+                except _UNREADABLE:
                     # A torn or stale file is a miss, never an error.
                     self.stats.misses += 1
                     obs.count("capture_cache.miss")

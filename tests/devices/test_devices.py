@@ -8,6 +8,7 @@ from repro.devices import (
     DECODER_FAMILIES,
     DeviceRuntime,
     Phone,
+    Prediction,
     capture_fleet,
     content_hash,
     firebase_fleet,
@@ -146,6 +147,18 @@ class TestRuntime:
         assert sum(pred.probabilities) == pytest.approx(1.0, abs=1e-5)
         assert pred.confidence == max(pred.probabilities)
         assert pred.topk(3) == pred.ranking[:3]
+
+    def test_ties_rank_the_lower_class_first(self):
+        """Tied probabilities never take their order from NumPy's SIMD sort.
+
+        The default ``argsort`` kind orders ties differently under
+        AVX2/AVX-512 dispatch than on a baseline x86-64 host.
+        """
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, 3, size=(2000, 8)).astype(np.float32) / 4
+        for row in rows:
+            expected = tuple(sorted(range(8), key=lambda i: (-row[i], i)))
+            assert Prediction.from_probabilities(row).ranking == expected
 
     def test_deterministic_across_calls(self, tiny_model, radiance):
         runtime = DeviceRuntime(tiny_model)

@@ -1,6 +1,7 @@
 """Unit tests for content-addressed fingerprinting and the capture cache."""
 
 import dataclasses
+import io
 import zipfile
 
 import numpy as np
@@ -262,3 +263,126 @@ class TestCaptureCache:
             0,
             0,
         )
+
+
+# ----------------------------------------------------------------------
+# Damaged and foreign disk entries
+# ----------------------------------------------------------------------
+def _small_payload():
+    """Every member kind the executor stores, small enough to damage byte by byte."""
+    return {
+        "pixels": np.arange(18, dtype=np.float32).reshape(2, 3, 3) / 7,
+        "encoded_size": np.int64(1234),
+        "meta_json": np.array('{"a": 1}'),
+        "empty": np.zeros((0, 3), dtype=np.uint8),
+    }
+
+
+def _entry_bytes(payload, compressed=False):
+    buf = io.BytesIO()
+    (np.savez_compressed if compressed else np.savez)(buf, **payload)
+    return buf.getvalue()
+
+
+def _assert_exact(out, payload):
+    assert list(out) == list(payload)
+    for name, value in payload.items():
+        value = np.asarray(value)
+        assert out[name].dtype == value.dtype and out[name].shape == value.shape
+        assert out[name].tobytes() == value.tobytes()
+
+
+class TestDiskEntryFaults:
+    """A disk entry reads back exactly, or counts as exactly one miss.
+
+    ``get`` never raises on a damaged file and never returns bytes other
+    than the ones stored.
+    """
+
+    KEY = "5a" * 32
+
+    def _read(self, cache, data):
+        path = cache._disk_path(self.KEY)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(bytes(data))
+        cache.clear_memory()
+        hits, misses = cache.stats.hits, cache.stats.misses
+        out = cache.get(self.KEY)
+        if out is None:
+            assert (cache.stats.hits, cache.stats.misses) == (hits, misses + 1)
+        else:
+            assert (cache.stats.hits, cache.stats.misses) == (hits + 1, misses)
+        return out
+
+    @pytest.mark.parametrize("compressed", [False, True], ids=["stored", "deflated"])
+    def test_every_single_byte_flip(self, tmp_path, compressed):
+        payload = _small_payload()
+        data = _entry_bytes(payload, compressed)
+        cache = CaptureCache(tmp_path / "c")
+        _assert_exact(self._read(cache, data), payload)
+        masks = np.random.default_rng(31).integers(1, 256, size=len(data))
+        outcomes = {"exact": 0, "miss": 0}
+        for offset, mask in enumerate(masks):
+            damaged = bytearray(data)
+            damaged[offset] ^= int(mask)
+            out = self._read(cache, damaged)
+            if out is None:
+                outcomes["miss"] += 1
+            else:
+                _assert_exact(out, payload)
+                outcomes["exact"] += 1
+        # Flips in the members' bytes (CRC-checked) are misses; flips in
+        # fields the reader never uses (timestamps, say) read back exactly.
+        assert outcomes["miss"] > len(data) // 2 and outcomes["exact"] > 0
+
+    @pytest.mark.parametrize("compressed", [False, True], ids=["stored", "deflated"])
+    def test_every_truncation(self, tmp_path, compressed):
+        payload = _small_payload()
+        data = _entry_bytes(payload, compressed)
+        cache = CaptureCache(tmp_path / "c")
+        for length in range(len(data)):
+            out = self._read(cache, data[:length])
+            if out is not None:
+                _assert_exact(out, payload)
+
+    def test_object_array_entry_is_a_miss(self, tmp_path):
+        cache = CaptureCache(tmp_path / "c")
+        pickled = _entry_bytes({"meta": np.array([{"a": 1}, None], dtype=object)})
+        assert self._read(cache, pickled) is None
+        # An empty object array has no bytes to misread: only the dtype refuses it.
+        member = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            member, {"descr": "|O", "fortran_order": False, "shape": (0,)}
+        )
+        entry = io.BytesIO()
+        with zipfile.ZipFile(entry, "w") as archive:
+            archive.writestr("meta.npy", member.getvalue())
+        assert self._read(cache, entry.getvalue()) is None
+
+    def test_member_longer_than_its_header_is_a_miss(self, tmp_path):
+        member = io.BytesIO()
+        np.save(member, np.arange(4, dtype=np.int32))
+        entry = io.BytesIO()
+        with zipfile.ZipFile(entry, "w") as archive:
+            archive.writestr("pixels.npy", member.getvalue() + b"\0\0\0\0")
+        cache = CaptureCache(tmp_path / "c")
+        assert self._read(cache, entry.getvalue()) is None
+
+    def test_member_names_sharing_across_dtypes_and_shapes(self, tmp_path):
+        """The header memo is keyed by the header bytes, never by member name."""
+        cache = CaptureCache(tmp_path / "c")
+        grid = np.arange(12)
+        variants = [
+            {"pixels": grid.astype(np.float32).reshape(2, 2, 3), "n": np.int64(1)},
+            {"pixels": grid.astype(np.int16).reshape(3, 4), "n": np.float64(1)},
+            {"pixels": grid.astype(np.float32).reshape(4, 3), "n": np.int64(2)},
+            {"pixels": np.asfortranarray(grid.reshape(3, 4) / 2), "n": np.int8(3)},
+        ]
+        keys = [f"{i:02x}" * 32 for i in range(len(variants))]
+        for key, payload in zip(keys, variants):
+            cache.put(key, payload)
+        for _ in range(2):
+            cache.clear_memory()
+            for key, payload in zip(keys, variants):
+                _assert_exact(cache.get(key), payload)
+        assert cache.stats.misses == 0
