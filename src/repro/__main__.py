@@ -13,8 +13,6 @@ Usage::
     python -m repro fleet --study drift --fleet-size 200 --time-steps 8
     python -m repro end-to-end --trace-out trace.jsonl --metrics-out metrics.json
     python -m repro report --trace trace.jsonl --metrics metrics.json
-    python -m repro serve --port 7070 --fleet-size 64 --scenes 4
-    python -m repro loadgen --port 7070 --count 500 --rate 50 --drain
 
 ``--workers N`` fans capture work across N processes and ``--cache-dir``
 reuses captured frames across runs; both are output-neutral — results
@@ -236,136 +234,6 @@ def _cmd_stability(args) -> None:
     )
 
 
-def _cmd_serve(args) -> None:
-    import asyncio
-    import json
-    import signal
-
-    from .serve import IngestService, ServeConfig, ServeServer
-
-    config = ServeConfig(
-        fleet_size=args.fleet_size,
-        scenes=args.scenes,
-        seed=args.seed,
-        queue_capacity=args.queue_capacity,
-        batch_max=args.batch_max,
-        request_timeout_s=args.request_timeout,
-        workers=args.workers,
-        window_s=args.window,
-        model=args.model,
-    )
-    service = IngestService(config, cache=_make_cache(args))
-    if args.warm:
-        if service.cache is None:
-            raise SystemExit("repro serve: --warm needs --cache-dir")
-        warmed = service.warm()
-        print(
-            f"warmed cache: {warmed['warmed']} captured, "
-            f"{warmed['already_cached']} already cached "
-            f"({warmed['candidates']} units)"
-        )
-
-    def on_window(summary) -> None:
-        latency = summary["latency"]
-        p95 = f"{latency['p95_ms']:.1f}" if latency.get("count") else "-"
-        print(
-            f"window {summary['window']}: "
-            f"{summary['captures_per_sec']:.1f} captures/s, "
-            f"accepted {summary['accepted']}, shed {summary['shed']}, "
-            f"p95 {p95} ms",
-            flush=True,
-        )
-
-    service.on_window = on_window
-    server = ServeServer(service, host=args.host, port=args.port)
-
-    async def run() -> None:
-        await server.start()
-        print(
-            f"serving {config.fleet_size} devices x {config.scenes} scenes "
-            f"on {args.host}:{server.port} (seed {config.seed}, "
-            f"queue {config.queue_capacity}, model {config.model})",
-            flush=True,
-        )
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, server.request_stop)
-        await server.run()
-
-    asyncio.run(run())
-    summary = service.run_summary()
-    accounting = summary["accounting"]
-    latency = summary["latency"]
-    print(
-        f"drained: accepted {accounting['accepted']}, "
-        f"completed {accounting['completed']}, shed {accounting['shed']}, "
-        f"timed out {accounting['timed_out']}, "
-        f"balanced={accounting['balanced']}"
-    )
-    if "captures_per_sec" in summary:
-        print(f"sustained: {summary['captures_per_sec']:.1f} captures/s")
-    if latency.get("count"):
-        print(
-            "latency p50/p95/p99: "
-            f"{latency['p50_ms']:.1f} / {latency['p95_ms']:.1f} / "
-            f"{latency['p99_ms']:.1f} ms"
-        )
-    if args.summary_out:
-        with open(args.summary_out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"summary saved to {args.summary_out}")
-    if not accounting["balanced"]:
-        raise SystemExit("repro serve: accounting imbalance after drain")
-
-
-def _cmd_loadgen(args) -> None:
-    import asyncio
-    import json
-
-    from .loadgen import run_loadgen
-
-    report = asyncio.run(
-        run_loadgen(
-            host=args.host,
-            port=args.port,
-            count=args.count,
-            rate=args.rate,
-            seed=args.seed,
-            repeats=args.repeats,
-            drain=args.drain,
-            connect_timeout_s=args.connect_timeout,
-        )
-    )
-    statuses = ", ".join(f"{k}: {v}" for k, v in report["by_status"].items())
-    print(f"answered {report['answered']}/{report['planned']} ({statuses})")
-    print(f"throughput: {report['captures_per_sec']:.1f} captures/s")
-    latency = report["latency"]
-    if latency.get("count"):
-        print(
-            "latency p50/p95/p99: "
-            f"{latency['p50_ms']:.1f} / {latency['p95_ms']:.1f} / "
-            f"{latency['p99_ms']:.1f} ms"
-        )
-    if args.drain:
-        accounting = report.get("server_accounting", {})
-        print(
-            f"server drained: accepted {accounting.get('accepted')}, "
-            f"completed {accounting.get('completed')}, "
-            f"balanced={accounting.get('balanced')}"
-        )
-    if args.save:
-        with open(args.save, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report saved to {args.save}")
-    if report["answered"] < report["planned"]:
-        raise SystemExit(
-            f"repro loadgen: {report['planned'] - report['answered']} "
-            "requests unanswered"
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -510,124 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON metrics snapshot written by --metrics-out",
     )
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser(
-        "serve",
-        help="streaming capture-ingestion service (runbook in SERVING.md)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--host", type=str, default="127.0.0.1")
-    p.add_argument(
-        "--port",
-        type=int,
-        default=7070,
-        help="TCP port to listen on (0 = pick a free port and print it)",
-    )
-    p.add_argument(
-        "--fleet-size",
-        type=int,
-        default=16,
-        dest="fleet_size",
-        help="devices in the served population (same sampling as `fleet`)",
-    )
-    p.add_argument(
-        "--scenes", type=int, default=4, help="displayed scenes devices can shoot"
-    )
-    p.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=256,
-        dest="queue_capacity",
-        help="bounded ingestion queue; requests beyond it are shed, "
-        "never buffered (counted as serve.shed)",
-    )
-    p.add_argument(
-        "--batch-max",
-        type=int,
-        default=64,
-        dest="batch_max",
-        help="max requests coalesced into one executor batch",
-    )
-    p.add_argument(
-        "--request-timeout",
-        type=float,
-        default=30.0,
-        dest="request_timeout",
-        help="queue-time budget per request; older requests answer "
-        "'timeout' instead of executing",
-    )
-    p.add_argument(
-        "--window",
-        type=float,
-        default=5.0,
-        help="streaming-metrics window length in seconds (0 = roll only "
-        "at drain)",
-    )
-    p.add_argument(
-        "--model",
-        choices=("quick", "untrained"),
-        default="quick",
-        help="quick = the fleet studies' quick-trained classifier "
-        "(cached after first run); untrained = instant-start smoke model",
-    )
-    p.add_argument(
-        "--warm",
-        action="store_true",
-        help="pre-capture every (device, scene) into the cache before "
-        "accepting traffic (needs --cache-dir)",
-    )
-    p.add_argument(
-        "--summary-out",
-        type=str,
-        default=None,
-        dest="summary_out",
-        help="write the post-drain run summary JSON here",
-    )
-    capture(p)
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "loadgen",
-        help="seeded open-loop load generator for `repro serve`",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--host", type=str, default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7070, help="serve endpoint port")
-    p.add_argument(
-        "--count", type=int, default=500, help="total requests to send"
-    )
-    p.add_argument(
-        "--rate",
-        type=float,
-        default=50.0,
-        help="mean offered rate in requests/s (Poisson arrivals; open "
-        "loop — never backs off under server latency)",
-    )
-    p.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        help="draw each request's repeat shot from [0, N); 1 pins "
-        "repeat=0 (maximally cache-friendly)",
-    )
-    p.add_argument(
-        "--drain",
-        action="store_true",
-        help="drain and stop the server after the run (prints its final "
-        "accounting)",
-    )
-    p.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=30.0,
-        dest="connect_timeout",
-        help="seconds to retry the initial connection (lets server and "
-        "client start concurrently)",
-    )
-    p.add_argument(
-        "--save", type=str, default=None, help="write the report JSON here"
-    )
-    p.set_defaults(func=_cmd_loadgen)
 
     return parser
 

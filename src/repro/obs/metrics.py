@@ -16,17 +16,6 @@ Merge semantics: counters add, gauges keep the maximum (they record
 high-water marks like worker count), histograms add their buckets and
 combine min/max. Merging is associative and commutative, so aggregation
 order across workers cannot change the result.
-
-That algebra is also what makes **windowed streaming aggregation**
-correct: a long-running consumer (``repro.serve``) records each
-window's events into a fresh registry, then folds the closed window's
-:meth:`MetricsRegistry.snapshot` into a cumulative registry with
-:meth:`MetricsRegistry.merge`. Because every merge operator is an
-associative, commutative monoid (sum, max, bucket-wise sum) with the
-empty registry as identity, any grouping of the same windows — one
-merge per window, a merge of pre-merged halves, or one registry that
-saw every event directly — yields the same cumulative state. Totals
-are *derived* from window merges, never double-counted.
 """
 
 from __future__ import annotations
@@ -154,10 +143,7 @@ class MetricsRegistry:
         exact state, and snapshots taken from disjoint event streams
         can be merged in any order or grouping (see the module
         docstring's associativity guarantee). This is the unit of
-        transport across both process and disk boundaries, and the unit
-        of *windowing* for streaming consumers: one registry per
-        window, one snapshot at window close, one merge into the
-        cumulative registry.
+        transport across both process and disk boundaries.
         """
         with self._lock:
             return {
@@ -179,11 +165,9 @@ class MetricsRegistry:
         pre-combined ``merge(a); merge(b)`` snapshot followed by ``c``:
         every per-metric operator (counter ``+``, gauge ``max``,
         histogram bucket-wise ``+`` with min/max combine) is associative
-        and commutative with the empty registry as identity. Both the
-        process-pool fan-in (workers merged in completion order) and the
-        ``repro.serve`` windowed aggregator (windows merged in time
-        order, totals derived only from window snapshots) rely on this;
-        ``tests/obs/`` and ``tests/serve/`` pin it down.
+        and commutative with the empty registry as identity. The
+        process-pool fan-in (workers merged in completion order) relies
+        on this; ``tests/obs/`` pins it down.
         """
         counters = snapshot.get("counters", {})
         gauges = snapshot.get("gauges", {})

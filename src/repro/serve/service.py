@@ -1,16 +1,16 @@
-"""The streaming ingestion service: bounded queue → batcher → executor.
+"""The in-process ingestion service: bounded queue → batcher → executor.
 
-:class:`IngestService` turns the one-shot capture pipeline into a
-long-running asyncio service. Requests name coordinates into
-server-owned state — device *d* of a seeded
-:func:`~repro.fleet.population.generate_devices` population photographs
-displayed scene *s*, repeat *r* — and flow through four stages:
+:class:`IngestService` runs the one-shot capture pipeline behind an
+asyncio queue. Requests name coordinates into service-owned state —
+device *d* of a seeded :func:`~repro.fleet.population.generate_devices`
+population photographs displayed scene *s*, repeat *r* — and flow
+through four stages:
 
 1. **Admission** (:meth:`IngestService.submit`) — synchronous and
    non-blocking. A full queue *sheds* the request immediately with a
-   counted ``serve.shed`` (explicit backpressure: the open-loop load
-   generator never blocks, the service never buffers unboundedly); a
-   draining service rejects with ``serve.rejected_draining``;
+   counted ``serve.shed`` (explicit backpressure: a caller never
+   blocks, the service never buffers unboundedly); a draining service
+   rejects with ``serve.rejected_draining``;
    out-of-range coordinates reject with ``serve.invalid``. Everything
    admitted increments ``serve.accepted`` and is *guaranteed a terminal
    response* — completed, timed out, or errored — which is the
@@ -20,13 +20,11 @@ displayed scene *s*, repeat *r* — and flow through four stages:
    batch finishes, never waiting for more, and coalesces duplicates:
    requests with equal ``(device, scene, repeat)`` coordinates map to
    one :class:`~repro.runner.units.CaptureUnit` (equal coordinates ⇒
-   equal unit ⇒ equal cache key), executed once and fanned back to
-   every requester (``serve.coalesced``). Requests
-   whose ``request_timeout_s`` deadline passed while queued are answered
-   ``timeout`` instead of executed.
+   equal unit), executed once and fanned back to every requester
+   (``serve.coalesced``). Requests whose ``request_timeout_s`` deadline
+   passed while queued are answered ``timeout`` instead of executed.
 3. **Execution** — the batch's unique units run through the same
-   :class:`~repro.runner.executor.FleetExecutor` (and optional
-   :class:`~repro.runner.cache.CaptureCache`) as every offline study,
+   :class:`~repro.runner.executor.FleetExecutor` as every offline study,
    in a worker thread so the event loop keeps admitting and shedding
    while capture work is in flight. The executor's fused group pass
    (:func:`~repro.runner.units.execute_unit_group`) carries every
@@ -37,18 +35,14 @@ displayed scene *s*, repeat *r* — and flow through four stages:
    arrival order, and worker count cannot change a bit. That is the
    drained-service == serial-runner invariant
    (:meth:`serial_reference`, pinned by ``tests/serve/``).
-4. **Metrics** — every event is recorded into the *current window*
-   :class:`~repro.obs.metrics.MetricsRegistry`; a window task rolls the
-   window every ``window_s`` seconds by snapshotting it and folding the
-   snapshot into the cumulative registry via
-   :meth:`~repro.obs.metrics.MetricsRegistry.merge` — the windowed
-   streaming aggregation that merge associativity exists for. Totals
-   are therefore *derived from window merges*, not double-counted, and
-   any grouping of windows merges to the same cumulative state.
+4. **Metrics** — every event is recorded into one
+   :class:`~repro.obs.metrics.MetricsRegistry`, ``self.metrics``;
+   :meth:`stats` is its snapshot and :meth:`accounting` reads its
+   counters.
 
 Shutdown is a **graceful drain** (:meth:`drain`): admission closes,
-everything already accepted is answered, background tasks stop, the
-open window folds in, and the final accounting is returned.
+everything already accepted is answered, the batcher stops, and the
+final accounting is returned.
 
 Wall-clock reads here steer scheduling and reported latencies only —
 payload bits all come from the pure capture path, which
@@ -60,8 +54,8 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,10 +65,9 @@ from ..imaging.image import ImageBuffer
 from ..lab.rig import CaptureRig, DisplayedImage
 from ..nn.model import Model, micro_mobilenet
 from ..obs.metrics import MetricsRegistry
-from ..runner.cache import CaptureCache
 from ..runner.executor import FleetExecutor
 from ..runner.seeds import unit_entropy
-from ..runner.units import CaptureUnit, execute_unit, unit_cache_key
+from ..runner.units import CaptureUnit, execute_unit
 from ..scenes.dataset import build_dataset
 from ..scenes.objects import ALL_CLASSES
 from ..scenes.screen import Screen
@@ -85,41 +78,10 @@ __all__ = [
     "CaptureRequest",
     "CaptureResponse",
     "IngestService",
-    "latency_summary",
 ]
 
 #: Terminal request statuses. Exactly one is attached to every submit().
 STATUSES = ("ok", "shed", "timeout", "draining", "invalid", "error")
-
-#: Exact-latency samples kept for percentile reporting; beyond this the
-#: run-level percentiles are computed over the first N samples (the
-#: histogram metric keeps counting exactly). Bounds service memory.
-LATENCY_KEEP = 1_000_000
-
-
-def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
-    """Nearest-rank percentile summary of a latency sample, in ms.
-
-    Returns ``{"count", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
-    "max_ms"}``; an empty sample returns ``{"count": 0}``.
-    """
-    if not latencies:
-        return {"count": 0}
-    data = sorted(latencies)
-
-    def rank(p: float) -> float:
-        idx = max(0, min(len(data) - 1, math.ceil(p / 100.0 * len(data)) - 1))
-        return data[idx] * 1e3
-
-    return {
-        "count": len(data),
-        "mean_ms": sum(data) / len(data) * 1e3,
-        "p50_ms": rank(50),
-        "p95_ms": rank(95),
-        "p99_ms": rank(99),
-        "max_ms": data[-1] * 1e3,
-    }
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -132,7 +94,7 @@ class ServeConfig:
         and displayed-scene set (same construction as the population
         study: shared radiance, one angle). ``seed`` also seeds the
         per-unit capture entropy, so a service and a population study
-        with equal seeds share capture-cache entries.
+        with equal seeds name the same capture units.
     queue_capacity:
         Bound on queued (admitted, not yet batched) requests. Admission
         beyond it sheds, never blocks.
@@ -148,8 +110,7 @@ class ServeConfig:
         :class:`FleetExecutor` process count for the capture fan-out
         (``0`` = serial in-thread — output-identical either way).
     window_s:
-        Streaming-metrics window length; ``0`` disables the periodic
-        window task (windows then roll only at :meth:`drain`).
+        Kept for callers that still pass it; only ``0.0`` is accepted.
     model:
         ``"quick"`` — the fleet studies' quick-trained classifier
         (:func:`repro.fleet.studies.fleet_model`, disk-cached);
@@ -164,7 +125,7 @@ class ServeConfig:
     batch_max: int = 64
     request_timeout_s: float = 30.0
     workers: int = 0
-    window_s: float = 5.0
+    window_s: float = 0.0
     model: str = "quick"
 
     def __post_init__(self) -> None:
@@ -178,8 +139,8 @@ class ServeConfig:
             raise ValueError("batch_max must be >= 1")
         if self.request_timeout_s < 0:
             raise ValueError("request_timeout_s must be >= 0")
-        if self.window_s < 0:
-            raise ValueError("window_s must be >= 0")
+        if self.window_s != 0.0:
+            raise ValueError("window_s must be 0.0 (metrics are not windowed)")
         if self.model not in ("quick", "untrained"):
             raise ValueError(f"unknown model choice {self.model!r}")
 
@@ -257,26 +218,17 @@ class IngestService:
     model:
         Optional explicit classifier (overrides ``config.model``) —
         tests pass an untrained model; production uses the default.
-    cache:
-        Optional shared :class:`CaptureCache`; also used for
-        :meth:`warm` and by the rig's radiance cache.
     """
 
-    def __init__(
-        self,
-        config: ServeConfig,
-        model: Optional[Model] = None,
-        cache: Optional[CaptureCache] = None,
-    ) -> None:
+    def __init__(self, config: ServeConfig, model: Optional[Model] = None) -> None:
         self.config = config
-        self.cache = cache
         self.devices: List[SyntheticDevice] = generate_devices(
             config.fleet_size, seed=config.seed
         )
         dataset = build_dataset(
             per_class=max(1, math.ceil(config.scenes / 5)), seed=config.seed
         )
-        rig = CaptureRig(screen=Screen(seed=config.seed), angles=(0.0,), cache=cache)
+        rig = CaptureRig(screen=Screen(seed=config.seed), angles=(0.0,))
         displayed = rig.present(list(dataset))[: config.scenes]
         if len(displayed) < config.scenes:
             raise ValueError(
@@ -292,27 +244,11 @@ class IngestService:
 
                 model = fleet_model()
         self.runtime = DeviceRuntime(model)
-        self.executor = FleetExecutor(workers=config.workers, cache=cache)
-
-        # Streaming metrics: events land in the current window; the
-        # cumulative registry is built purely by merging window
-        # snapshots (see _roll_window).
+        self.executor = FleetExecutor(workers=config.workers)
         self.metrics = MetricsRegistry()
-        self._window = MetricsRegistry()
-        self._window_latencies: List[float] = []
-        self._latencies: List[float] = []
-        self._windows_rolled = 0
-        self._window_started = 0.0
-        self._started_at: Optional[float] = None
-        self._drained_at: Optional[float] = None
-
         self._queue: Optional[asyncio.Queue] = None
         self._accepting = False
         self._batcher_task: Optional[asyncio.Task] = None
-        self._window_task: Optional[asyncio.Task] = None
-        #: Called with each rolled window's summary dict (CLI/server
-        #: wire this to a log line / JSONL sink). Side-band only.
-        self.on_window: Optional[Callable[[Dict], None]] = None
 
     # ------------------------------------------------------------------
     # Request → unit (the deterministic core)
@@ -321,8 +257,8 @@ class IngestService:
         """The :class:`CaptureUnit` a request's coordinates name.
 
         Identical to the population study's unit construction — same
-        entropy derivation, same profile, same radiance — so the service
-        shares cache entries with offline studies at equal seeds.
+        entropy derivation, same profile, same radiance — so a served
+        capture equals the offline study's capture at equal seeds.
         """
         device = self.devices[request.device]
         shown = self.displayed[request.scene]
@@ -383,50 +319,11 @@ class IngestService:
         )
 
     # ------------------------------------------------------------------
-    # Metrics plumbing
+    # Metrics
     # ------------------------------------------------------------------
-    def _count(self, name: str, n: float = 1) -> None:
-        self._window.count(name, n)
-
-    def _observe_latency(self, latency: float) -> None:
-        self._window.observe("serve.latency_ms", latency * 1e3)
-        self._window_latencies.append(latency)
-        if len(self._latencies) < LATENCY_KEEP:
-            self._latencies.append(latency)
-
-    def _roll_window(self, now: float) -> Dict:
-        """Close the current window: fold its snapshot into the
-        cumulative registry (the ``merge`` streaming-aggregation step)
-        and return the window's summary."""
-        snapshot = self._window.snapshot()
-        self._window = MetricsRegistry()
-        window_latencies = self._window_latencies
-        self._window_latencies = []
-        self.metrics.merge(snapshot)
-        duration = max(now - self._window_started, 1e-9)
-        self._window_started = now
-        self._windows_rolled += 1
-        counters = snapshot.get("counters", {})
-        completed = counters.get("serve.completed", 0)
-        summary = {
-            "window": self._windows_rolled,
-            "duration_s": duration,
-            "completed": completed,
-            "accepted": counters.get("serve.accepted", 0),
-            "shed": counters.get("serve.shed", 0),
-            "timeout": counters.get("serve.timeout", 0),
-            "captures_per_sec": completed / duration,
-            "latency": latency_summary(window_latencies),
-        }
-        return summary
-
     def stats(self) -> Dict:
-        """Cumulative metrics snapshot: rolled windows merged with the
-        still-open window (a pure read — nothing rolls)."""
-        combined = MetricsRegistry()
-        combined.merge(self.metrics.snapshot())
-        combined.merge(self._window.snapshot())
-        return combined.snapshot()
+        """Snapshot of every serve metric recorded so far."""
+        return self.metrics.snapshot()
 
     def accounting(self) -> Dict:
         """Request accounting, with the conservation check.
@@ -459,46 +356,17 @@ class IngestService:
         }
         return report
 
-    def run_summary(self) -> Dict:
-        """Final run report: accounting + throughput + tail latency."""
-        summary = {
-            "accounting": self.accounting(),
-            "latency": latency_summary(self._latencies),
-            "config": {
-                "fleet_size": self.config.fleet_size,
-                "scenes": self.config.scenes,
-                "seed": self.config.seed,
-                "queue_capacity": self.config.queue_capacity,
-                "batch_max": self.config.batch_max,
-                "workers": self.config.workers,
-                "model": self.config.model,
-            },
-        }
-        if self._started_at is not None and self._drained_at is not None:
-            elapsed = max(self._drained_at - self._started_at, 1e-9)
-            summary["elapsed_s"] = elapsed
-            summary["captures_per_sec"] = (
-                summary["accounting"]["completed"] / elapsed
-            )
-        return summary
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Begin accepting: spawn the batcher and (optionally) the
-        window-roll task. Must run inside an event loop."""
+        """Begin accepting: spawn the batcher. Must run inside an event
+        loop."""
         if self._batcher_task is not None:
             raise RuntimeError("service already started")
-        loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue()
         self._accepting = True
-        self._started_at = loop.time()
-        self._window_started = loop.time()
-        self._drained_at = None
-        self._batcher_task = loop.create_task(self._batch_loop())
-        if self.config.window_s > 0:
-            self._window_task = loop.create_task(self._window_loop())
+        self._batcher_task = asyncio.get_running_loop().create_task(self._batch_loop())
 
     async def drain(self) -> Dict:
         """Graceful shutdown: refuse new work, answer all accepted work.
@@ -509,16 +377,10 @@ class IngestService:
         self._accepting = False
         if self._queue is not None:
             await self._queue.join()
-        for task in (self._batcher_task, self._window_task):
-            if task is not None:
-                task.cancel()
-                await asyncio.gather(task, return_exceptions=True)
-        self._batcher_task = None
-        self._window_task = None
-        loop = asyncio.get_running_loop()
-        if self._drained_at is None:
-            self._drained_at = loop.time()
-        self._roll_window(loop.time())
+        if self._batcher_task is not None:
+            self._batcher_task.cancel()
+            await asyncio.gather(self._batcher_task, return_exceptions=True)
+            self._batcher_task = None
         return self.accounting()
 
     # ------------------------------------------------------------------
@@ -545,13 +407,13 @@ class IngestService:
         future: "asyncio.Future[CaptureResponse]" = loop.create_future()
         problem = self._validate(request)
         if problem is not None:
-            self._count("serve.invalid")
+            self.metrics.count("serve.invalid")
             future.set_result(
                 CaptureResponse(request.request_id, "invalid", detail=problem)
             )
             return future
         if not self._accepting or self._queue is None:
-            self._count("serve.rejected_draining")
+            self.metrics.count("serve.rejected_draining")
             future.set_result(
                 CaptureResponse(
                     request.request_id, "draining", detail="service is draining"
@@ -559,7 +421,7 @@ class IngestService:
             )
             return future
         if self._queue.qsize() >= self.config.queue_capacity:
-            self._count("serve.shed")
+            self.metrics.count("serve.shed")
             future.set_result(
                 CaptureResponse(
                     request.request_id,
@@ -568,9 +430,9 @@ class IngestService:
                 )
             )
             return future
-        self._count("serve.accepted")
+        self.metrics.count("serve.accepted")
         self._queue.put_nowait(_Pending(request, loop.time(), future))
-        self._window.gauge("serve.queue_depth", self._queue.qsize())
+        self.metrics.gauge("serve.queue_depth", self._queue.qsize())
         return future
 
     # ------------------------------------------------------------------
@@ -598,7 +460,7 @@ class IngestService:
         live: List[_Pending] = []
         for pending in batch:
             if now - pending.arrival > self.config.request_timeout_s:
-                self._count("serve.timeout")
+                self.metrics.count("serve.timeout")
                 self._resolve(
                     pending,
                     CaptureResponse(
@@ -621,16 +483,16 @@ class IngestService:
             request = pending.request
             key = (request.device, request.scene, request.repeat)
             groups.setdefault(key, []).append(pending)
-        self._count("serve.coalesced", len(live) - len(groups))
-        self._count("serve.batches")
-        self._window.gauge("serve.batch_size", len(live))
+        self.metrics.count("serve.coalesced", len(live) - len(groups))
+        self.metrics.count("serve.batches")
+        self.metrics.gauge("serve.batch_size", len(live))
         units = [
             self.unit_for(pendings[0].request) for pendings in groups.values()
         ]
         try:
             results = await loop.run_in_executor(None, self._execute, units)
         except Exception as exc:  # keep the batcher alive; answer everyone
-            self._count("serve.errors", len(live))
+            self.metrics.count("serve.errors", len(live))
             for pendings in groups.values():
                 for pending in pendings:
                     self._resolve(
@@ -646,8 +508,8 @@ class IngestService:
         for pendings, result in zip(groups.values(), results):
             for pending in pendings:
                 latency = done - pending.arrival
-                self._count("serve.completed")
-                self._observe_latency(latency)
+                self.metrics.count("serve.completed")
+                self.metrics.observe("serve.latency_ms", latency * 1e3)
                 self._resolve(
                     pending, self._ok_response(pending.request, result, latency)
                 )
@@ -665,38 +527,3 @@ class IngestService:
     def _resolve(pending: _Pending, response: CaptureResponse) -> None:
         if not pending.future.done():
             pending.future.set_result(response)
-
-    async def _window_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(self.config.window_s)
-            summary = self._roll_window(loop.time())
-            if self.on_window is not None:
-                self.on_window(summary)
-
-    # ------------------------------------------------------------------
-    # Cache warming
-    # ------------------------------------------------------------------
-    def warm(self) -> Dict[str, int]:
-        """Pre-populate the capture cache with every servable capture.
-
-        Enumerates repeat 0 of every ``(device, scene)`` the service can
-        be asked for and executes the not-yet-cached ones through the
-        executor, which writes them back. Synchronous; call before
-        :meth:`start`.
-        """
-        if self.cache is None:
-            raise ValueError("cache warming needs an attached CaptureCache")
-        units = [
-            self.unit_for(CaptureRequest(-1, device_idx, scene_idx, 0))
-            for device_idx in range(len(self.devices))
-            for scene_idx in range(len(self.displayed))
-        ]
-        missing = [unit for unit in units if unit_cache_key(unit) not in self.cache]
-        if missing:
-            self.executor.run(missing)  # cache-attached: results written back
-        return {
-            "candidates": len(units),
-            "already_cached": len(units) - len(missing),
-            "warmed": len(missing),
-        }

@@ -11,13 +11,12 @@ Every test here runs under an event-loop guard:
   logs any loop step longer than :data:`SLOW_CALLBACK_S`;
 * the autouse :func:`asyncio_guard` fails the test if the ``asyncio``
   logger recorded a WARNING or worse — a slow step, a pending task
-  destroyed, an exception never retrieved, a failing connection
-  callback;
+  destroyed, an exception never retrieved;
 * the autouse :func:`watchdog` dumps every thread's stack and exits
   when a test outlives :data:`WATCHDOG_S`, because a blocked loop never
   reaches ``asyncio.wait_for``'s timeout.
 
-Build each :class:`IngestService` or ``ServeServer`` before calling
+Build each :class:`IngestService` before calling
 :func:`run_scenario`: construction generates the fleet and presents the
 scenes, which is synchronous setup work, not a loop step.
 """
@@ -31,7 +30,8 @@ import os
 
 import pytest
 
-from repro.serve.service import IngestService, ServeConfig
+from repro.runner.seeds import derive_rng
+from repro.serve.service import CaptureRequest, IngestService, ServeConfig
 
 #: A loop step longer than this stalls every in-flight request. The
 #: clean suite's longest step is well under half of it.
@@ -53,11 +53,38 @@ def make_config(**overrides) -> ServeConfig:
         batch_max=8,
         request_timeout_s=30.0,
         workers=0,
-        window_s=0.0,
         model="untrained",
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
+
+
+def build_schedule(count, devices, scenes, seed, repeats):
+    """``count`` requests with uniform seeded coordinates.
+
+    Device, scene and repeat are drawn in that order, per request, from
+    the ``derive_rng(seed, "loadgen.coords")`` stream.
+    """
+    coords = derive_rng(seed, "loadgen.coords")
+    return [
+        CaptureRequest(
+            request_id=request_id,
+            device=int(coords.integers(0, devices)),
+            scene=int(coords.integers(0, scenes)),
+            repeat=int(coords.integers(0, repeats)),
+        )
+        for request_id in range(count)
+    ]
+
+
+async def drive_inproc(service, requests):
+    """Submit every request at once and gather the answers.
+
+    The service must already be started; the caller drains it. Returns
+    ``{"responses": {request_id: CaptureResponse}}``.
+    """
+    responses = await asyncio.gather(*(service.submit(r) for r in requests))
+    return {"responses": {r.request_id: r for r in responses}}
 
 
 def run_scenario(main):

@@ -6,11 +6,9 @@ repeats to fuse, neither the worker pool nor the arrival order may
 change a single deterministic response field.
 """
 
-from repro.loadgen.client import drive_inproc
-from repro.loadgen.generator import build_schedule
 from repro.serve.service import IngestService
 
-from .conftest import make_config, run_scenario
+from .conftest import build_schedule, drive_inproc, make_config, run_scenario
 
 
 def drive(config, schedule):
@@ -33,7 +31,7 @@ def fields(report):
 
 
 # repeats=3 gives every (device, scene) pair repeats to fuse.
-SCHEDULE = build_schedule(count=24, rate=1000.0, devices=4, scenes=2, seed=13, repeats=3)
+SCHEDULE = build_schedule(count=24, devices=4, scenes=2, seed=13, repeats=3)
 
 
 class TestBatchedServing:

@@ -9,11 +9,9 @@ these tests also pin fused == per-unit at the serving layer.
 """
 
 from repro import obs
-from repro.loadgen.client import drive_inproc
-from repro.loadgen.generator import ScheduledRequest, build_schedule
 from repro.serve.service import CaptureRequest, IngestService
 
-from .conftest import make_config, run_scenario
+from .conftest import build_schedule, drive_inproc, make_config, run_scenario
 
 
 def drive(config, schedule):
@@ -36,21 +34,18 @@ def fields(report):
 
 
 def serial_fields(service, schedule):
-    requests = [
-        CaptureRequest(p.request_id, p.device, p.scene, p.repeat) for p in schedule
-    ]
     return {
         r.request_id: r.deterministic_fields()
-        for r in service.serial_reference(requests)
+        for r in service.serial_reference(schedule)
     }
 
 
-SCHEDULE = build_schedule(count=24, rate=1000.0, devices=4, scenes=2, seed=11, repeats=2)
+SCHEDULE = build_schedule(count=24, devices=4, scenes=2, seed=11, repeats=2)
 
 # repeats=3 gives every (device, scene) pair repeats to fuse, and 24
 # draws over 24 coordinates repeat some of them, which coalesce.
 REPEATS_SCHEDULE = build_schedule(
-    count=24, rate=1000.0, devices=4, scenes=2, seed=13, repeats=3
+    count=24, devices=4, scenes=2, seed=13, repeats=3
 )
 
 
@@ -99,7 +94,7 @@ class TestFusedServingCounters:
         ]
         assert jpeg
         schedule = [
-            ScheduledRequest(k, 0.0, device, k % 2, k % 3)
+            CaptureRequest(k, device, k % 2, k % 3)
             for k, device in enumerate(jpeg * 2)
         ]
 

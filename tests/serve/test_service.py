@@ -1,24 +1,19 @@
-"""Service-path invariants: shedding, drain, timeouts, windows, warming.
+"""Service-path invariants: shedding, drain, timeouts, stalls.
 
-These are the acceptance criteria of the serving PR in executable form:
-bounded queues shed under overload without deadlock, graceful drain
-answers or accounts for every accepted request, and the streaming
-(windowed) metrics agree with the direct counts.
+Bounded queues shed under overload without deadlock, graceful drain
+answers or accounts for every accepted request, and a stalled executor
+sheds and times out queued work without unbalancing the accounting.
 """
 
 import asyncio
+import importlib.util
 import threading
 
 import pytest
 
-from repro.runner.cache import CaptureCache
-from repro.serve.service import (
-    CaptureRequest,
-    IngestService,
-    ServeConfig,
-    latency_summary,
-)
-from repro.runner.units import unit_cache_key
+import repro.serve
+from repro.__main__ import build_parser
+from repro.serve.service import CaptureRequest, IngestService, ServeConfig
 
 from .conftest import make_config, run_scenario
 
@@ -255,59 +250,55 @@ class TestExecutorFailure:
         assert accounting["balanced"]
 
 
-class TestWindowedMetrics:
-    def test_window_totals_match_direct_counts(self):
-        service = IngestService(make_config(window_s=0.05))
+class TestStalledExecutor:
+    def test_stalled_executor_sheds_then_times_out_and_balances(self, monkeypatch):
+        execute = IngestService._execute
+        entered = threading.Event()
+        release = threading.Event()
+
+        def stalled(self, units):
+            entered.set()
+            release.wait()
+            return execute(self, units)
+
+        monkeypatch.setattr(IngestService, "_execute", stalled)
+        service = IngestService(
+            make_config(queue_capacity=3, request_timeout_s=0.1)
+        )
 
         async def scenario():
             await service.start()
-            for burst in range(3):
-                futures = [
-                    service.submit(CaptureRequest(burst * 4 + i, i % 4, 0))
-                    for i in range(4)
+            try:
+                first = service.submit(CaptureRequest(0, device=0, scene=0))
+                await asyncio.to_thread(entered.wait, 10)
+                # The batcher is parked on the stalled batch: the queue
+                # fills to capacity and everything beyond it sheds.
+                queued = [
+                    service.submit(CaptureRequest(i, device=i % 4, scene=1))
+                    for i in range(1, 6)
                 ]
-                await asyncio.gather(*futures)
-                await asyncio.sleep(0.08)  # force at least one window roll
+                shed = [f.result().status for f in queued if f.done()]
+                await asyncio.sleep(0.2)  # outlive request_timeout_s
+                waiting = sum(not f.done() for f in queued)
+            finally:
+                release.set()
+            responses = await asyncio.gather(first, *queued)
             accounting = await service.drain()
-            return accounting
+            return shed, waiting, responses, accounting
 
-        accounting = run_scenario(scenario())
-        assert service._windows_rolled >= 3
-        # The cumulative registry was built purely from window-snapshot
-        # merges, yet its totals equal the per-event ground truth.
-        counters = service.stats()["counters"]
-        assert counters["serve.accepted"] == 12.0
-        assert counters["serve.completed"] == 12.0
-        assert service.stats()["histograms"]["serve.latency_ms"]["count"] == 12
-        assert accounting["balanced"]
-
-
-class TestCacheWarming:
-    def test_warm_caches_every_device_scene_unit(self, tmp_path):
-        cache = CaptureCache(tmp_path / "cache")
-        service = IngestService(make_config(fleet_size=4, scenes=2), cache=cache)
-        report = service.warm()
-        assert report == {"candidates": 4 * 2, "already_cached": 0, "warmed": 4 * 2}
-        # Every (device, scene) unit the service can be asked for is now
-        # a cache hit.
-        for device in range(4):
-            for scene in range(2):
-                unit = service.unit_for(CaptureRequest(-1, device, scene, 0))
-                assert unit_cache_key(unit) in cache
-
-    def test_warm_is_idempotent(self, tmp_path):
-        cache = CaptureCache(tmp_path / "cache")
-        service = IngestService(make_config(), cache=cache)
-        first = service.warm()
-        second = service.warm()
-        assert first["warmed"] > 0
-        assert second["warmed"] == 0
-        assert second["already_cached"] == first["candidates"]
-
-    def test_warm_requires_cache(self):
-        service = IngestService(make_config())
-        with pytest.raises(ValueError):
-            service.warm()
+        shed, waiting, responses, accounting = run_scenario(scenario())
+        assert shed == ["shed", "shed"]
+        # Expired requests are answered only when their batch is
+        # assembled, after the stalled one finishes.
+        assert waiting == 3
+        assert [r.status for r in responses] == ["ok"] + ["timeout"] * 3 + ["shed"] * 2
+        assert accounting["accepted"] == 4
+        assert accounting["shed"] == 2
+        assert accounting["accepted"] == (
+            accounting["completed"] + accounting["timed_out"] + accounting["errors"]
+        )
+        assert (accounting["completed"], accounting["timed_out"]) == (1, 3)
+        assert accounting["balanced"] is True
 
 
 class TestConfigValidation:
@@ -321,6 +312,7 @@ class TestConfigValidation:
             {"request_timeout_s": -1.0},
             {"window_s": -1.0},
             {"model": "resnet"},
+            {"window_s": 5.0},
         ],
     )
     def test_bad_config_rejected(self, overrides):
@@ -328,14 +320,17 @@ class TestConfigValidation:
             ServeConfig(**{**dict(model="untrained"), **overrides})
 
 
-class TestLatencySummary:
-    def test_empty(self):
-        assert latency_summary([]) == {"count": 0}
+class TestWireLayerRemoved:
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_cli_has_no_wire_commands(self, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command])
+        assert exc.value.code == 2
 
-    def test_percentiles_nearest_rank(self):
-        summary = latency_summary([i / 1000 for i in range(1, 101)])
-        assert summary["count"] == 100
-        assert summary["p50_ms"] == pytest.approx(50.0)
-        assert summary["p95_ms"] == pytest.approx(95.0)
-        assert summary["p99_ms"] == pytest.approx(99.0)
-        assert summary["max_ms"] == pytest.approx(100.0)
+    def test_no_load_generator_package(self):
+        assert importlib.util.find_spec("repro.loadgen") is None
+
+    def test_serve_exports_only_the_in_process_service(self):
+        assert sorted(repro.serve.__all__) == sorted(
+            ["STATUSES", "CaptureRequest", "CaptureResponse", "IngestService", "ServeConfig"]
+        )

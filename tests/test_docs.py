@@ -19,7 +19,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Docs whose quoted CLI commands must parse.
-CLI_DOCS = ("README.md", "EXPERIMENTS.md", "ARCHITECTURE.md", "SERVING.md")
+CLI_DOCS = ("README.md", "EXPERIMENTS.md", "ARCHITECTURE.md")
 
 #: Docs whose links/file references must resolve.
 LINK_DOCS = CLI_DOCS + ("DESIGN.md", "ROADMAP.md")
@@ -99,20 +99,6 @@ class TestCliExamplesParse:
     def test_docs_actually_quote_commands(self):
         """Guard the extractor itself: the docs do contain CLI examples."""
         assert len(_all_doc_commands()) >= 5
-
-    def test_serving_runbook_covers_both_entry_points(self):
-        """SERVING.md exists and quotes both halves of the serving
-        surface — a ``python -m repro serve`` and a ``python -m repro
-        loadgen`` command (each also parse-checked below)."""
-        doc = REPO_ROOT / "SERVING.md"
-        assert doc.is_file(), "SERVING.md missing"
-        commands = _repro_commands(doc)
-        assert any(c.startswith("python -m repro serve") for c in commands), (
-            "SERVING.md quotes no `python -m repro serve` command"
-        )
-        assert any(c.startswith("python -m repro loadgen") for c in commands), (
-            "SERVING.md quotes no `python -m repro loadgen` command"
-        )
 
     @pytest.mark.parametrize("command", _all_doc_commands())
     def test_command_parses(self, command):
