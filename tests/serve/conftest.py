@@ -8,8 +8,7 @@ event loop explicitly with :func:`run_scenario` — no async test plugin.
 Every test here runs under an event-loop guard:
 
 * :func:`run_scenario` runs a coroutine in asyncio's debug mode, which
-  logs any loop step longer than :data:`SLOW_CALLBACK_S`, with automatic
-  garbage collection paused so a collector pause is not taken for one;
+  logs any loop step longer than :data:`SLOW_CALLBACK_S`;
 * the autouse :func:`asyncio_guard` fails the test if the ``asyncio``
   logger recorded a WARNING or worse — a slow step, a pending task
   destroyed, an exception never retrieved;
@@ -82,34 +81,20 @@ async def drive_inproc(service, requests):
     """Submit every request at once and gather the answers.
 
     The service must already be started; the caller drains it. Returns
-    ``{"responses": {request_id: CaptureResponse}}``.
+    ``{request_id: CaptureResponse}``.
     """
     responses = await asyncio.gather(*(service.submit(r) for r in requests))
-    return {"responses": {r.request_id: r for r in responses}}
+    return {r.request_id: r for r in responses}
 
 
 def run_scenario(main):
-    """Run coroutine ``main`` to completion on a debug-mode event loop.
-
-    Automatic garbage collection is paused for the run. Late in a full
-    suite the heap other tests leave behind makes one full collection
-    take 100 ms or more, and one that lands inside a loop step trips
-    the slow-step check on code that never blocked. The
-    ``gc.collect()`` in :func:`asyncio_warnings` still runs, so dropped
-    tasks are still reported.
-    """
+    """Run coroutine ``main`` to completion on a debug-mode event loop."""
 
     async def guarded():
         asyncio.get_running_loop().slow_callback_duration = SLOW_CALLBACK_S
         return await asyncio.wait_for(main, SCENARIO_TIMEOUT_S)
 
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return asyncio.run(guarded(), debug=True)
-    finally:
-        if enabled:
-            gc.enable()
+    return asyncio.run(guarded(), debug=True)
 
 
 class _Collector(logging.Handler):

@@ -64,12 +64,3 @@ def test_defect_trips_the_check(main, message):
 
 def test_clean_scenario_passes():
     check_loop_records(records_of(clean))
-
-
-def test_scenario_pauses_automatic_collection():
-    async def collector_state():
-        return gc.isenabled()
-
-    assert gc.isenabled()
-    assert run_scenario(collector_state()) is False
-    assert gc.isenabled()

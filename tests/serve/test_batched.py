@@ -16,17 +16,16 @@ def drive(config, schedule):
 
     async def scenario():
         await service.start()
-        report = await drive_inproc(service, schedule)
+        responses = await drive_inproc(service, schedule)
         await service.drain()
-        return report
+        return responses
 
     return service, run_scenario(scenario())
 
 
-def fields(report):
+def fields(responses):
     return {
-        rid: response.deterministic_fields()
-        for rid, response in report["responses"].items()
+        rid: response.deterministic_fields() for rid, response in responses.items()
     }
 
 
@@ -38,7 +37,7 @@ class TestBatchedServing:
     def test_batched_with_worker_pool(self):
         _, serial = drive(make_config(workers=0), SCHEDULE)
         _, pooled = drive(make_config(workers=2), SCHEDULE)
-        assert all(r.status == "ok" for r in serial["responses"].values())
+        assert all(r.status == "ok" for r in serial.values())
         assert fields(serial) == fields(pooled)
 
     def test_batched_request_order(self):

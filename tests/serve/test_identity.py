@@ -19,17 +19,16 @@ def drive(config, schedule):
 
     async def scenario():
         await service.start()
-        report = await drive_inproc(service, schedule)
+        responses = await drive_inproc(service, schedule)
         await service.drain()
-        return report
+        return responses
 
     return service, run_scenario(scenario())
 
 
-def fields(report):
+def fields(responses):
     return {
-        rid: response.deterministic_fields()
-        for rid, response in report["responses"].items()
+        rid: response.deterministic_fields() for rid, response in responses.items()
     }
 
 
@@ -52,18 +51,18 @@ REPEATS_SCHEDULE = build_schedule(
 class TestBitIdentity:
     def test_drained_service_matches_serial_reference(self):
         config = make_config(batch_max=16, queue_capacity=64)
-        service, report = drive(config, SCHEDULE)
-        assert all(r.status == "ok" for r in report["responses"].values())
-        assert fields(report) == serial_fields(service, SCHEDULE)
+        service, responses = drive(config, SCHEDULE)
+        assert all(r.status == "ok" for r in responses.values())
+        assert fields(responses) == serial_fields(service, SCHEDULE)
 
     def test_coalesced_repeats_match_serial_reference(self):
         # batch_max=32: every request lands in one coalesced batch.
-        service, report = drive(make_config(batch_max=32), REPEATS_SCHEDULE)
-        assert all(r.status == "ok" for r in report["responses"].values())
+        service, responses = drive(make_config(batch_max=32), REPEATS_SCHEDULE)
+        assert all(r.status == "ok" for r in responses.values())
         distinct = {(p.device, p.scene, p.repeat) for p in REPEATS_SCHEDULE}
         coalesced = service.accounting()["coalesced"]
         assert coalesced == len(REPEATS_SCHEDULE) - len(distinct) > 0
-        assert fields(report) == serial_fields(service, REPEATS_SCHEDULE)
+        assert fields(responses) == serial_fields(service, REPEATS_SCHEDULE)
 
     def test_batch_composition_cannot_change_responses(self):
         # batch_max=1 (no coalescing, one unit per batch) versus
@@ -100,14 +99,14 @@ class TestFusedServingCounters:
 
         async def scenario():
             await service.start()
-            report = await drive_inproc(service, schedule)
+            responses = await drive_inproc(service, schedule)
             accounting = await service.drain()
-            return report, accounting
+            return responses, accounting
 
         with obs.observed() as ob:
-            report, accounting = run_scenario(scenario())
+            responses, accounting = run_scenario(scenario())
         assert accounting["balanced"]
-        assert all(r.status == "ok" for r in report["responses"].values())
+        assert all(r.status == "ok" for r in responses.values())
         counters = ob.metrics.snapshot()["counters"]
         assert counters["codec.encoded.jpeg"] == len(schedule) - accounting["coalesced"]
         assert "codec.bytes_decoded" not in counters

@@ -10,8 +10,6 @@ change which requests those suites check.
 
 import pytest
 
-from repro.serve.service import CaptureRequest
-
 from .conftest import build_schedule
 
 #: (seed, repeats) -> coordinates of the first 24 requests over a
@@ -44,35 +42,3 @@ class TestBuildSchedule:
         )
         assert coords(schedule) == PINNED[(seed, repeats)]
 
-    def test_returns_capture_requests_numbered_from_zero(self):
-        schedule = build_schedule(count=30, devices=4, scenes=2, seed=0, repeats=1)
-        assert all(isinstance(r, CaptureRequest) for r in schedule)
-        assert [r.request_id for r in schedule] == list(range(30))
-
-    def test_same_seed_same_schedule(self):
-        a = build_schedule(count=50, devices=8, scenes=4, seed=3, repeats=2)
-        b = build_schedule(count=50, devices=8, scenes=4, seed=3, repeats=2)
-        assert a == b
-
-    def test_different_seed_different_schedule(self):
-        a = build_schedule(count=50, devices=8, scenes=4, seed=3, repeats=1)
-        b = build_schedule(count=50, devices=8, scenes=4, seed=4, repeats=1)
-        assert coords(a) != coords(b)
-
-    def test_longer_schedule_extends_the_shorter_one(self):
-        short = build_schedule(count=10, devices=4, scenes=2, seed=11, repeats=2)
-        long = build_schedule(count=40, devices=4, scenes=2, seed=11, repeats=2)
-        assert long[:10] == short
-
-    def test_coordinates_stay_in_range(self):
-        schedule = build_schedule(count=200, devices=3, scenes=2, seed=1, repeats=2)
-        assert {r.device for r in schedule} == {0, 1, 2}
-        assert {r.scene for r in schedule} == {0, 1}
-        assert {r.repeat for r in schedule} == {0, 1}
-
-    def test_single_repeat_draws_only_repeat_zero(self):
-        schedule = build_schedule(count=50, devices=4, scenes=2, seed=5, repeats=1)
-        assert {r.repeat for r in schedule} == {0}
-
-    def test_empty_schedule(self):
-        assert build_schedule(count=0, devices=4, scenes=2, seed=0, repeats=1) == []
