@@ -5,6 +5,11 @@ Layers hold their parameters (``params``) and accumulated gradients
 needs. Gradients *accumulate* across backward calls until
 ``zero_grad()`` — stability training (paper §9.1) relies on this, since
 its loss backpropagates two related inputs through the same weights.
+
+``infer`` is the inference pass: the bits of ``forward(x,
+training=False)`` from the same float32 operations in the same order,
+with no backward state kept. The caller hands ``x`` over, and the
+elementwise layers (BatchNorm, ReLU6, ReLU) overwrite it in place.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """``forward(x, training=False)`` with no cache; may overwrite ``x``."""
         raise NotImplementedError
 
     def zero_grad(self) -> None:
@@ -102,6 +111,11 @@ class Conv2D(Layer):
         )
         return y
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return conv2d_forward(
+            x, self.params["weight"], self.params.get("bias"), self.stride, self.pad
+        )[0]
+
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dx, dw, db = conv2d_backward(dy, self._cache)
         self._accumulate("weight", dw)
@@ -140,6 +154,11 @@ class DepthwiseConv2D(Layer):
         )
         return y
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return depthwise_conv2d_forward(
+            x, self.params["weight"], self.params.get("bias"), self.stride, self.pad
+        )[0]
+
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dx, dw, db = depthwise_conv2d_backward(dy, self._cache)
         self._accumulate("weight", dw)
@@ -173,13 +192,21 @@ class BatchNorm2D(Layer):
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = x - mean[None, :, None, None]
-        x_hat *= inv_std[None, :, None, None]
+        y, x_hat, inv_std = self._normalize(x, mean, var)
         self._cache = (x_hat, inv_std, training, x.shape)
-        y = x_hat * self.params["gamma"][None, :, None, None]
-        y += self.params["beta"][None, :, None, None]
         return y
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self._normalize(x, self.running_mean, self.running_var, out=x)[0]
+
+    def _normalize(self, x, mean, var, out=None):
+        """``(y, x_hat, inv_std)``; ``x_hat`` and ``y`` are new arrays, or both ``out``."""
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat = np.subtract(x, mean[None, :, None, None], out=out)
+        x_hat *= inv_std[None, :, None, None]
+        y = np.multiply(x_hat, self.params["gamma"][None, :, None, None], out=out)
+        y += self.params["beta"][None, :, None, None]
+        return y, x_hat, inv_std
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x_hat, inv_std, training, x_shape = self._cache
@@ -204,7 +231,14 @@ class ReLU6(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = (x > 0) & (x < 6)
-        return np.clip(x, 0.0, 6.0)
+        return self._activate(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self._activate(x, out=x)
+
+    @staticmethod
+    def _activate(x, out=None):
+        return np.clip(x, 0.0, 6.0, out=out)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._cache
@@ -213,7 +247,14 @@ class ReLU6(Layer):
 class ReLU(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x > 0
-        return np.maximum(x, 0.0)
+        return self._activate(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self._activate(x, out=x)
+
+    @staticmethod
+    def _activate(x, out=None):
+        return np.maximum(x, 0.0, out=out)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._cache
@@ -241,6 +282,9 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x
+        return self.infer(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         y = x @ self.params["weight"].T
         if "bias" in self.params:
             y += self.params["bias"]
@@ -261,6 +305,9 @@ class GlobalAvgPool(Layer):
         y, self._cache = global_avg_pool_forward(x)
         return y
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return global_avg_pool_forward(x)[0]
+
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return global_avg_pool_backward(dy, self._cache)
 
@@ -268,6 +315,9 @@ class GlobalAvgPool(Layer):
 class Flatten(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x.shape
+        return self.infer(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

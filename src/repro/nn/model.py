@@ -74,6 +74,16 @@ class InvertedResidual(Layer):
             out = out + x
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        # The expand conv reads x without writing it, so the skip adds the
+        # block input as it came in.
+        out = x
+        for layer in self.sublayers:
+            out = layer.infer(out)
+        if self.use_residual:
+            out += x
+        return out
+
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dx = dy
         for layer in reversed(self.sublayers):
@@ -144,20 +154,33 @@ class Model:
 
     # ------------------------------------------------------------------
     def predict_proba(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Class probabilities in inference mode, mini-batched."""
+        """Class probabilities in inference mode, mini-batched.
+
+        The bits of ``softmax(forward(x, training=False)[0])``, computed by
+        the layers' ``infer`` passes, so no backward state is kept.
+        """
         outputs = []
         for start in range(0, len(x), batch_size):
-            logits, _ = self.forward(x[start : start + batch_size], training=False)
+            logits = self._infer(x[start : start + batch_size], self.layers)
             outputs.append(softmax(logits))
         return np.concatenate(outputs, axis=0)
 
     def embed(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Embeddings in inference mode."""
+        """Embeddings in inference mode (``forward``'s, with no backward state)."""
         outputs = []
+        tap = self.layers[: self.embedding_index + 1]
         for start in range(0, len(x), batch_size):
-            _, emb = self.forward(x[start : start + batch_size], training=False)
-            outputs.append(emb)
+            outputs.append(self._infer(x[start : start + batch_size], tap))
         return np.concatenate(outputs, axis=0)
+
+    @staticmethod
+    def _infer(x: np.ndarray, layers: List[Layer]) -> np.ndarray:
+        # The layers may overwrite what they are handed; the pass starts
+        # from its own float32 copy so the caller's array is never written.
+        out = x.astype(np.float32)
+        for layer in layers:
+            out = layer.infer(out)
+        return out
 
     # ------------------------------------------------------------------
     def trainable_layers(self) -> List[Layer]:

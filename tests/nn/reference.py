@@ -1,12 +1,15 @@
-"""The per-image oracle for the model's input path and BatchNorm.
+"""Oracles for the model's input path and its layer kernels.
 
 These are the forms that once ran in ``nn/preprocess.py``,
-``imaging/ops.py`` and ``nn/layers.py``: quantize the whole image to
-uint8, resize it with a self-contained bilinear gather and lerp, scale
-to ``[-1, 1]``, one image at a time; and BatchNorm as one expression.
-Slow and obviously correct, they are what the batched, quantize-the-
-corners front end and the in-place BatchNorm are proven bit-identical
-against (``test_preprocess_oracle.py``).
+``imaging/ops.py``, ``nn/layers.py`` and ``nn/functional.py``: quantize
+the whole image to uint8, resize it with a self-contained bilinear
+gather and lerp, scale to ``[-1, 1]``, one image at a time; BatchNorm as
+one expression; ``im2col`` over an ``np.pad``-ed input; and the
+depthwise convolution as one ``np.einsum``. Slow and obviously correct,
+they are what the batched, quantize-the-corners front end, the in-place
+BatchNorm, the zero-buffer padding and the direct depthwise matmul are
+proven bit-identical against (``test_preprocess_oracle.py``,
+``test_conv_oracle.py``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ import numpy as np
 
 from repro.imaging.image import ImageBuffer
 
-__all__ = ["batchnorm_forward", "bilinear_resize", "to_model_input"]
+__all__ = [
+    "batchnorm_forward",
+    "bilinear_resize",
+    "depthwise_conv2d_forward",
+    "im2col",
+    "to_model_input",
+    "windows",
+]
 
 
 def bilinear_resize(image: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -68,3 +78,37 @@ def batchnorm_forward(x, mean, var, gamma, beta, eps):
     x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
     y = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
     return y, x_hat, inv_std
+
+
+def windows(x, kernel, stride, pad):
+    """``(windows, out_h, out_w)`` over ``x`` padded with ``np.pad``."""
+    n, c, h, w = x.shape
+    out_h = (h + 2 * pad - kernel) // stride + 1
+    out_w = (w + 2 * pad - kernel) // stride + 1
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    s_n, s_c, s_h, s_w = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, out_h, out_w, kernel, kernel),
+        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
+        writeable=False,
+    )
+    return view, out_h, out_w
+
+
+def im2col(x, kernel, stride, pad):
+    """``(N * out_h * out_w, C * k * k)`` columns and ``(out_h, out_w)``."""
+    n, c = x.shape[:2]
+    view, out_h, out_w = windows(x, kernel, stride, pad)
+    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(
+        n * out_h * out_w, c * kernel * kernel
+    )
+    return np.ascontiguousarray(cols), (out_h, out_w)
+
+
+def depthwise_conv2d_forward(x, weight, stride, pad):
+    """``(N, C, out_h, out_w)`` depthwise convolution, one einsum."""
+    view, _, _ = windows(x, weight.shape[-1], stride, pad)
+    y = np.einsum("nchwkl,ckl->nchw", view, weight, optimize=True)
+    return y.astype(x.dtype, copy=False)

@@ -128,6 +128,11 @@ def test_batchnorm_forward_matches_expression(training):
     _same_bytes(bn._cache[0], x_hat)
     _same_bytes(bn._cache[1], inv_std)
     _same_bytes(x, x_before)
+    if not training:
+        owned = x.copy()
+        inferred = bn.infer(owned)
+        _same_bytes(inferred, y)
+        assert np.shares_memory(inferred, owned)  # in place, no x_hat kept
     # Backward still runs from the cache in both modes.
     dx = bn.backward(np.ones_like(x))
     assert dx.shape == x.shape and np.isfinite(dx).all()

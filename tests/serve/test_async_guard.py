@@ -64,3 +64,16 @@ def test_defect_trips_the_check(main, message):
 
 def test_clean_scenario_passes():
     check_loop_records(records_of(clean))
+
+
+def test_scenario_collects_its_own_garbage_and_unfreezes():
+    seen = {}
+
+    async def probe():
+        seen["enabled"] = gc.isenabled()
+        seen["frozen"] = gc.get_freeze_count()
+
+    run_scenario(probe())
+    assert seen["enabled"]
+    assert seen["frozen"] > 0  # the heap from before the scenario
+    assert gc.get_freeze_count() == 0
