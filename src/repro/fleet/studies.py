@@ -19,9 +19,12 @@ record tables aggregated by :mod:`repro.fleet.stats`:
   family* and are expanded to per-device records columnar-ly, so
   decode and inference cost does not grow with the fleet size.
 
-Determinism: capture units reuse the executor's identity-derived seeds
+Determinism: capture units come from the lab studies' one seeding rule,
+:func:`repro.lab.common.capture_units`
 (``unit_entropy(seed, device_name, image_id, repeat)``), inference
-chunking is fixed by position, and every aggregate is an integer sum —
+chunking is fixed by position at the lab's
+:data:`~repro.lab.common.INFERENCE_BATCH`, and every aggregate is an
+integer sum —
 so study outputs are bit-identical across worker counts and cache
 states, the invariant the CI ``fleet-smoke`` job asserts.
 """
@@ -38,17 +41,14 @@ from .. import obs
 from ..devices.runtime import DeviceRuntime, Prediction
 from ..devices.os_sim import DECODER_FAMILIES
 from ..imaging.image import ImageBuffer
+from ..lab.common import INFERENCE_BATCH, capture_units, present_items
 from ..lab.firebase import build_photo_set
-from ..lab.rig import CaptureRig
 from ..nn.model import Model, micro_mobilenet  # noqa: F401 (re-export)
 from ..nn.pretrained import PretrainConfig, load_pretrained
 from ..runner.cache import CaptureCache
 from ..runner.executor import FleetExecutor
-from ..runner.seeds import unit_entropy
-from ..runner.units import CaptureUnit
 from ..scenes.dataset import build_dataset
 from ..scenes.objects import ALL_CLASSES
-from ..scenes.screen import Screen
 from .columnar import ColumnarStore
 from .population import SyntheticDevice, generate_devices
 from .stats import (
@@ -66,9 +66,6 @@ __all__ = [
     "run_population_study",
     "run_drift_study",
 ]
-
-#: Inference chunk size (matches the lab experiments' DeviceRuntime use).
-INFERENCE_BATCH = 64
 
 #: Devices per executor stream and per ``store.append_columns`` call.
 #: Peak payload memory is the executor's in-flight window plus one chunk
@@ -179,14 +176,10 @@ def run_population_study(
     )
 
     # One shared presentation set: same radiance for every device, the
-    # rig's experimental-control property at population scale.
+    # rig's experimental-control property at population scale (built
+    # through this module's ``build_dataset``, which perfbench patches).
     dataset = build_dataset(per_class=max(1, math.ceil(scenes / 5)), seed=seed)
-    rig = CaptureRig(screen=Screen(seed=seed), angles=(0.0,), cache=cache)
-    displayed = rig.present(list(dataset))[:scenes]
-    if len(displayed) < scenes:
-        raise ValueError(
-            f"dataset yielded only {len(displayed)} scenes; asked for {scenes}"
-        )
+    displayed = present_items(dataset, seed, cache=cache)[:scenes]
     true_labels = np.array([shown.item.label for shown in displayed], dtype=np.int16)
 
     with obs.span(
@@ -198,19 +191,11 @@ def run_population_study(
     ), FleetExecutor(workers=workers, cache=cache) as executor:
         for start in range(0, len(devices), DEVICE_CHUNK):
             chunk = devices[start : start + DEVICE_CHUNK]
-            units = [
-                CaptureUnit(
-                    kind="photograph",
-                    profile=device.profile,
-                    radiance=shown.radiance.pixels,
-                    entropy=unit_entropy(
-                        seed, device.profile.name, shown.image_id, repeat
-                    ),
-                )
-                for device in chunk
-                for shown in displayed
-                for repeat in range(repeats)
-            ]
+            units = capture_units(
+                [(d.profile.name, d.profile, displayed) for d in chunk],
+                seed,
+                repeats=range(repeats),
+            )
             # Label each INFERENCE_BATCH as soon as it has streamed in,
             # while the pool keeps capturing: the same cuts
             # DeviceRuntime.predict makes over the whole chunk.
@@ -326,11 +311,6 @@ def run_drift_study(
         corpus = build_photo_set(
             num_photos=photos, image_format=image_format, seed=seed
         )
-        if len(corpus) < photos:
-            raise ValueError(
-                f"photo corpus yielded only {len(corpus)}; asked for {photos}"
-            )
-        corpus = corpus[:photos]
         true_labels = np.array([p["label"] for p in corpus], dtype=np.int16)
         sizes = np.array([len(p["bytes"]) for p in corpus], dtype=np.int64)
 

@@ -1,26 +1,48 @@
-"""Shared plumbing for the lab experiments."""
+"""Shared plumbing for the rig studies.
+
+The paper's experimental control (§3.2, Fig. 2a) is written once here:
+:func:`present` shows every environment (a phone, a lighting condition,
+a lens unit) the same images, :func:`capture_units` seeds one unit per
+(environment, image[, repeat]), and :class:`Study` holds the runtime,
+executor, seed and cache a study runs with.
+"""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.records import ExperimentResult, PredictionRecord
+from ..devices.profiles import DeviceProfile
 from ..devices.runtime import DeviceRuntime, Prediction
 from ..imaging.image import ImageBuffer
 from ..nn.model import Model
 from ..nn.pretrained import load_pretrained
+from ..runner.cache import CaptureCache
+from ..runner.executor import FleetExecutor
+from ..runner.seeds import unit_entropy
+from ..runner.units import CaptureUnit
+from ..scenes.dataset import LabeledScene, build_dataset
 from ..scenes.objects import ALL_CLASSES
-from .rig import DisplayedImage
+from ..scenes.screen import Screen
+from .rig import CaptureRig, DisplayedImage
 
 __all__ = [
+    "INFERENCE_BATCH",
+    "Study",
+    "capture_units",
     "classify",
     "make_record",
+    "present",
+    "present_items",
     "resolve_model",
     "SIZE_SCALE_TO_12MP",
     "scaled_mb",
 ]
+
+#: Frames per ``predict_proba`` call in the batched studies.
+INFERENCE_BATCH = 64
 
 #: Our working resolution is 96x96; the paper's phones shoot ~12 MP.
 #: File sizes reported next to the paper's tables are scaled by the pixel
@@ -36,6 +58,83 @@ def scaled_mb(size_bytes: float) -> float:
 def resolve_model(model: Optional[Model]) -> Model:
     """Use the supplied model or fall back to the shared pretrained base."""
     return model if model is not None else load_pretrained()
+
+
+def present_items(
+    items: Iterable[LabeledScene],
+    seed: int,
+    angles: Sequence[float] = (0.0,),
+    cache: Optional[CaptureCache] = None,
+) -> List[DisplayedImage]:
+    """Show ``items`` on a fresh rig with a ``seed`` screen.
+
+    Presentations are numbered ``0..n-1`` in item → angle order.
+    """
+    rig = CaptureRig(screen=Screen(seed=seed), angles=angles, cache=cache)
+    return rig.present(list(items))
+
+
+def present(
+    per_class: int,
+    seed: int,
+    angles: Sequence[float] = (0.0,),
+    cache: Optional[CaptureCache] = None,
+) -> List[DisplayedImage]:
+    """The seeded dataset's presentations on the rig."""
+    dataset = build_dataset(per_class=per_class, seed=seed)
+    return present_items(dataset, seed, angles, cache)
+
+
+def capture_units(
+    arms: Sequence[Tuple[str, DeviceProfile, Sequence[DisplayedImage]]],
+    seed: int,
+    kind: str = "photograph",
+    options: Optional[Mapping[str, object]] = None,
+    repeats: Optional[Sequence[int]] = None,
+) -> List[CaptureUnit]:
+    """One capture unit per (arm, image[, repeat]), in that order.
+
+    An arm is ``(environment, profile, displayed)``: ``profile``
+    photographs every image of ``displayed``, and each unit is seeded by
+    ``unit_entropy(seed, environment, image_id)`` with the repeat index
+    appended when ``repeats`` is given (``None``: no repeat axis).
+    """
+    shots = [()] if repeats is None else [(repeat,) for repeat in repeats]
+    return [
+        CaptureUnit(
+            kind=kind,
+            profile=profile,
+            radiance=shown.radiance.pixels,
+            entropy=unit_entropy(seed, environment, shown.image_id, *shot),
+            options=dict(options or {}),
+        )
+        for environment, profile, displayed in arms
+        for shown in displayed
+        for shot in shots
+    ]
+
+
+class Study:
+    """The runtime, executor, seed and cache of one rig study.
+
+    ``batch_size`` is a class attribute because inference chunking is
+    part of a study's output bits: at 65 frames per environment, lens
+    variation at batch 64 instead of one call changed 4 of 260 records.
+    """
+
+    batch_size: Optional[int] = INFERENCE_BATCH
+
+    def __init__(
+        self,
+        model: Optional[Model] = None,
+        seed: int = 0,
+        workers: int = 0,
+        cache: Optional[CaptureCache] = None,
+    ) -> None:
+        self.runtime = DeviceRuntime(resolve_model(model), batch_size=self.batch_size)
+        self.executor = FleetExecutor(workers=workers, cache=cache)
+        self.seed = seed
+        self.cache = cache
 
 
 def make_record(

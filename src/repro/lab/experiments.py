@@ -48,15 +48,18 @@ from ..imaging.metrics import PixelDiffStats, pixel_diff_map
 from ..nn.model import Model
 from ..runner.cache import CaptureCache
 from ..runner.executor import FleetExecutor
-from ..runner.seeds import unit_entropy
 from ..runner.units import CaptureUnit, payload_to_raw, raw_to_payload
 from ..scenes.dataset import build_dataset
-from ..scenes.screen import Screen
-from .common import classify, resolve_model, scaled_mb
-from .rig import DEFAULT_ANGLES, CaptureRig, DisplayedImage
-
-#: Inference chunk size for experiment sweeps (see DeviceRuntime).
-INFERENCE_BATCH = 64
+from .common import (
+    Study,
+    capture_units,
+    classify,
+    present,
+    present_items,
+    resolve_model,
+    scaled_mb,
+)
+from .rig import DEFAULT_ANGLES, DisplayedImage
 
 __all__ = [
     "EndToEndExperiment",
@@ -74,7 +77,7 @@ __all__ = [
 # ======================================================================
 # §4 — end-to-end
 # ======================================================================
-class EndToEndExperiment:
+class EndToEndExperiment(Study):
     """Photograph every dataset scene on every phone at every angle.
 
     The result feeds Fig. 3 (accuracy/instability by phone, class,
@@ -98,41 +101,25 @@ class EndToEndExperiment:
     ) -> None:
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
+        super().__init__(model, seed, workers, cache)
         self.profiles = list(phones) if phones is not None else capture_fleet()
-        self.runtime = DeviceRuntime(resolve_model(model), batch_size=INFERENCE_BATCH)
         self.angles = tuple(angles)
         self.repeats = repeats
-        self.seed = seed
-        self.cache = cache
-        self.executor = FleetExecutor(workers=workers, cache=cache)
 
     def run(self, per_class: int = 8) -> ExperimentResult:
-        dataset = build_dataset(per_class=per_class, seed=self.seed)
-        rig = CaptureRig(
-            screen=Screen(seed=self.seed), angles=self.angles, cache=self.cache
+        displayed = present(per_class, self.seed, self.angles, self.cache)
+        units = capture_units(
+            [(profile.name, profile, displayed) for profile in self.profiles],
+            self.seed,
+            repeats=range(self.repeats),
         )
-        shots = [
-            (shown, repeat)
-            for shown in rig.present(list(dataset))
-            for repeat in range(self.repeats)
-        ]
-        units = [
-            CaptureUnit(
-                kind="photograph",
-                profile=profile,
-                radiance=shown.radiance.pixels,
-                entropy=unit_entropy(self.seed, profile.name, shown.image_id, repeat),
-            )
-            for profile in self.profiles
-            for shown, repeat in shots
-        ]
-        frames = [shown for shown, _ in shots]
+        frames = [shown for shown in displayed for _ in range(self.repeats)]
         return classify(
             self.runtime,
             "end_to_end",
             self.executor.run(units),
             [(profile.name, frames) for profile in self.profiles],
-            repeat=[repeat for _, repeat in shots],
+            repeat=list(range(self.repeats)) * len(displayed),
         )
 
 
@@ -162,28 +149,18 @@ class RawCaptureBank:
         cache: Optional[CaptureCache] = None,
     ) -> "RawCaptureBank":
         profiles = [p for p in capture_fleet() if p.supports_raw]
-        dataset = build_dataset(per_class=per_class, seed=seed)
-        rig = CaptureRig(screen=Screen(seed=seed), angles=(0.0,), cache=cache)
-        displayed = rig.present(list(dataset))
-
-        units: List[CaptureUnit] = []
-        shown_out: List[DisplayedImage] = []
-        names: List[str] = []
-        for profile in profiles:
-            for shown in displayed:
-                units.append(
-                    CaptureUnit(
-                        kind="raw",
-                        profile=profile,
-                        radiance=shown.radiance.pixels,
-                        entropy=unit_entropy(seed, profile.name, shown.image_id),
-                    )
-                )
-                shown_out.append(shown)
-                names.append(profile.name)
-        runner = FleetExecutor(workers=workers, cache=cache)
-        raws = [payload_to_raw(payload) for payload in runner.run(units)]
-        return cls(raws=raws, displayed=shown_out, phone_names=names)
+        displayed = present(per_class, seed, cache=cache)
+        units = capture_units(
+            [(profile.name, profile, displayed) for profile in profiles],
+            seed,
+            kind="raw",
+        )
+        payloads = FleetExecutor(workers=workers, cache=cache).run(units)
+        return cls(
+            raws=[payload_to_raw(payload) for payload in payloads],
+            displayed=displayed * len(profiles),
+            phone_names=[profile.name for profile in profiles for _ in displayed],
+        )
 
     def __len__(self) -> int:
         return len(self.raws)
@@ -211,11 +188,12 @@ class CompressionResult:
         return instability(self.result)
 
 
-class _DevelopSweep:
+class _DevelopSweep(Study):
     """Develop every raw of a bank under each environment's options.
 
     The base of the §5 and §6 experiments: the raws stay fixed and only
     the ``develop`` options (ISP, codec, quality) vary per environment.
+    Development is noise-free, so a sweep takes no seed.
     """
 
     def __init__(
@@ -224,8 +202,7 @@ class _DevelopSweep:
         workers: int = 0,
         cache: Optional[CaptureCache] = None,
     ) -> None:
-        self.runtime = DeviceRuntime(resolve_model(model), batch_size=INFERENCE_BATCH)
-        self.executor = FleetExecutor(workers=workers, cache=cache)
+        super().__init__(model, workers=workers, cache=cache)
 
     def _sweep(
         self, bank: RawCaptureBank, name: str, table: Dict[str, Dict[str, object]]
@@ -378,7 +355,7 @@ class RawVsJpegOutcome:
         return (jpeg - self.instability_raw()) / jpeg
 
 
-class RawVsJpegExperiment:
+class RawVsJpegExperiment(Study):
     """§9.2 / Fig. 8: each phone shoots both JPEG and raw DNG.
 
     The raw arm converts every DNG with the *same* software ISP on both
@@ -395,11 +372,6 @@ class RawVsJpegExperiment:
         cache: Optional[CaptureCache] = None,
         phones: Optional[Sequence[DeviceProfile]] = None,
     ) -> None:
-        self.runtime = DeviceRuntime(resolve_model(model), batch_size=INFERENCE_BATCH)
-        self.seed = seed
-        self.conversion_isp_name = "imagemagick"
-        self.cache = cache
-        self.executor = FleetExecutor(workers=workers, cache=cache)
         self.profiles = [
             p
             for p in (phones if phones is not None else capture_fleet())
@@ -407,31 +379,27 @@ class RawVsJpegExperiment:
         ]
         if not self.profiles:
             raise ValueError("no raw-capable phones supplied")
+        super().__init__(model, seed, workers, cache)
+        self.conversion_isp_name = "imagemagick"
 
     def run(
         self, per_class: int = 8, angles: Sequence[float] = (0.0,)
     ) -> RawVsJpegOutcome:
-        dataset = build_dataset(per_class=per_class, seed=self.seed)
-        rig = CaptureRig(
-            screen=Screen(seed=self.seed), angles=angles, cache=self.cache
-        )
-        displayed = rig.present(list(dataset))
-
+        displayed = present(per_class, self.seed, angles, self.cache)
         # One unit per exposure; each unit develops both arms from the
         # *same* raw frame, the §9.2 controlled comparison.
         units = [
-            CaptureUnit(
+            unit
+            for profile in self.profiles
+            for unit in capture_units(
+                [(profile.name, profile, displayed)],
+                self.seed,
                 kind="raw_vs_jpeg",
-                profile=profile,
-                radiance=shown.radiance.pixels,
-                entropy=unit_entropy(self.seed, profile.name, shown.image_id),
                 options={
                     "conversion_isp": self.conversion_isp_name,
                     "quality": profile.save_quality,
                 },
             )
-            for profile in self.profiles
-            for shown in displayed
         ]
         payloads = self.executor.run(units)
         chunks = [(profile.name, displayed) for profile in self.profiles]
@@ -482,24 +450,17 @@ def repeat_shot_demo(
     """
     profile = capture_fleet()[0]  # Galaxy S10, as in the paper
     runtime = DeviceRuntime(resolve_model(model))
-    dataset = build_dataset(per_class=max(1, max_scenes // 5), seed=seed)
-    rig = CaptureRig(screen=Screen(seed=seed), angles=(0.0,))
     executor = FleetExecutor()
 
+    dataset = build_dataset(per_class=max(1, max_scenes // 5), seed=seed)
     outcome = None
     for index, item in enumerate(list(dataset)[:max_scenes]):
         # Render scene by scene: the demo stops at the first divergent
         # pair. With one angle a scene's image_id is its dataset index.
-        shown = replace(rig.present([item])[0], image_id=index)
-        units = [
-            CaptureUnit(
-                kind="photograph",
-                profile=profile,
-                radiance=shown.radiance.pixels,
-                entropy=unit_entropy(seed, profile.name, shown.image_id, shot),
-            )
-            for shot in range(2 * pairs_per_scene)
-        ]
+        shown = replace(present_items([item], seed)[0], image_id=index)
+        units = capture_units(
+            [(profile.name, profile, [shown])], seed, repeats=range(2 * pairs_per_scene)
+        )
         pixels = [payload["pixels"] for payload in executor.run(units)]
         predictions = runtime.predict([ImageBuffer(p) for p in pixels])
         for first in range(0, len(units), 2):

@@ -19,31 +19,28 @@ varies.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core.records import ExperimentResult
 from ..devices.profiles import DeviceProfile, capture_fleet
-from ..devices.runtime import DeviceRuntime
 from ..nn.model import Model
 from ..runner.cache import CaptureCache
-from ..runner.executor import FleetExecutor
-from ..runner.seeds import unit_entropy
-from ..runner.units import CaptureUnit
 from ..scenes.dataset import build_dataset
-from ..scenes.screen import Screen
-from .common import classify, resolve_model
-from .rig import CaptureRig
+from .common import Study, capture_units, classify, present, present_items
 
 __all__ = ["LightingVariationExperiment", "LensVariationExperiment"]
 
 
-class LightingVariationExperiment:
+class LightingVariationExperiment(Study):
     """Instability across lighting conditions, one phone (§11 future work).
 
-    The phone is the paper's Galaxy S10 (``capture_fleet()[0]``).
+    The phone is the paper's Galaxy S10 (``capture_fleet()[0]``). Each
+    condition's frames are one inference call.
     """
+
+    batch_size = None
 
     #: (label, brightness multiplier, warmth) staging conditions.
     CONDITIONS = (
@@ -52,58 +49,35 @@ class LightingVariationExperiment:
         ("bright_cool", 1.15, -0.06),
     )
 
-    def __init__(
-        self,
-        model: Optional[Model] = None,
-        seed: int = 0,
-        workers: int = 0,
-        cache: Optional[CaptureCache] = None,
-    ) -> None:
-        self.profile = capture_fleet()[0]
-        self.runtime = DeviceRuntime(resolve_model(model))
-        self.seed = seed
-        self.cache = cache
-        self.executor = FleetExecutor(workers=workers, cache=cache)
-
     def run(self, per_class: int = 8) -> ExperimentResult:
         dataset = build_dataset(per_class=per_class, seed=self.seed)
-        screen = Screen(seed=self.seed)
-        units: List[CaptureUnit] = []
         chunks = []
         for label, brightness, warmth in self.CONDITIONS:
             relit = [
                 replace(item, scene=replace(item.scene, brightness=brightness, warmth=warmth))
                 for item in dataset
             ]
-            rig = CaptureRig(screen=screen, angles=(0.0,), cache=self.cache)
-            displayed = rig.present(relit)
-            chunks.append((label, displayed))
-            units.extend(
-                CaptureUnit(
-                    kind="photograph",
-                    profile=self.profile,
-                    radiance=shown.radiance.pixels,
-                    entropy=unit_entropy(self.seed, label, shown.image_id),
-                )
-                for shown in displayed
-            )
+            chunks.append((label, present_items(relit, self.seed, cache=self.cache)))
+        profile = capture_fleet()[0]
+        units = capture_units(
+            [(label, profile, shown) for label, shown in chunks], self.seed
+        )
         return classify(
-            self.runtime,
-            "lighting_variation",
-            self.executor.run(units),
-            chunks,
-            image_id=range(len(dataset)),
+            self.runtime, "lighting_variation", self.executor.run(units), chunks
         )
 
 
-class LensVariationExperiment:
+class LensVariationExperiment(Study):
     """Instability across manufacturing units of one phone model.
 
     Models the paper's observation (§6, citing Rameshwar 2019) that units
     of the *same phone model* (the Galaxy S10) can differ in their
     imaging components: each simulated unit perturbs the nominal lens
-    (blur, vignetting) within plausible assembly tolerances.
+    (blur, vignetting) within plausible assembly tolerances. Each unit's
+    frames are one inference call.
     """
+
+    batch_size = None
 
     #: Per-unit lens perturbation bounds: blur sigma and vignetting move
     #: by up to these amounts either way.
@@ -120,12 +94,9 @@ class LensVariationExperiment:
     ) -> None:
         if units < 2:
             raise ValueError("need at least two units to compare")
+        super().__init__(model, seed, workers, cache)
         self.profile = capture_fleet()[0]
-        self.runtime = DeviceRuntime(resolve_model(model))
         self.units = units
-        self.seed = seed
-        self.cache = cache
-        self.executor = FleetExecutor(workers=workers, cache=cache)
 
     def _unit_profiles(self) -> Sequence[DeviceProfile]:
         rng = np.random.default_rng(self.seed + 77)
@@ -156,25 +127,11 @@ class LensVariationExperiment:
         return units
 
     def run(self, per_class: int = 8) -> ExperimentResult:
-        dataset = build_dataset(per_class=per_class, seed=self.seed)
-        rig = CaptureRig(
-            screen=Screen(seed=self.seed), angles=(0.0,), cache=self.cache
-        )
-        displayed = rig.present(list(dataset))
-        profiles = list(self._unit_profiles())
-        work = [
-            CaptureUnit(
-                kind="photograph",
-                profile=profile,
-                radiance=shown.radiance.pixels,
-                entropy=unit_entropy(self.seed, profile.name, shown.image_id),
-            )
-            for profile in profiles
-            for shown in displayed
-        ]
+        displayed = present(per_class, self.seed, cache=self.cache)
+        arms = [(unit.name, unit, displayed) for unit in self._unit_profiles()]
         return classify(
             self.runtime,
             "lens_variation",
-            self.executor.run(work),
-            [(profile.name, displayed) for profile in profiles],
+            self.executor.run(capture_units(arms, self.seed)),
+            [(name, shown) for name, _, shown in arms],
         )

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..codecs.registry import get_codec
 from ..core.instability import instability
 from ..core.records import ExperimentResult, PredictionRecord
@@ -31,11 +29,8 @@ from ..devices.os_sim import content_hash
 from ..devices.profiles import firebase_fleet
 from ..devices.runtime import DeviceRuntime
 from ..nn.model import Model
-from ..scenes.dataset import build_dataset
 from ..scenes.objects import ALL_CLASSES
-from ..scenes.screen import Screen
-from .common import resolve_model
-from .rig import CaptureRig
+from .common import present, resolve_model
 
 __all__ = ["FirebaseTestLab", "FirebaseOutcome", "build_photo_set"]
 
@@ -53,12 +48,9 @@ def build_photo_set(
     reference encoder — every device receives byte-identical files. The
     §7 experiment and the fleet drift study share this corpus builder.
     """
-    per_class = max(1, -(-num_photos // 5))
-    dataset = build_dataset(per_class=per_class, seed=seed)
-    rig = CaptureRig(screen=Screen(seed=seed), angles=(0.0,))
     codec = get_codec(image_format)
     photos = []
-    for shown in rig.present(list(dataset))[:num_photos]:
+    for shown in present(max(1, -(-num_photos // 5)), seed)[:num_photos]:
         img = shown.radiance
         if codec.default_quality is None:
             data = codec.encode(img)

@@ -21,11 +21,8 @@ from ..devices.profiles import capture_fleet
 from ..imaging.image import ImageBuffer
 from ..nn.preprocess import to_model_input
 from ..runner.executor import FleetExecutor
-from ..runner.seeds import unit_entropy
-from ..runner.units import CaptureUnit
-from ..scenes.dataset import build_dataset
-from ..scenes.screen import Screen
-from ..lab.rig import CaptureRig, DisplayedImage
+from ..lab.common import capture_units, present
+from ..lab.rig import DisplayedImage
 
 __all__ = ["StabilityCorpus", "build_stability_corpus"]
 
@@ -82,21 +79,11 @@ def build_stability_corpus(
     primary = next(p for p in fleet if p.name == "samsung_galaxy_s10")
     secondary = next(p for p in fleet if p.name == "iphone_xr")
 
-    dataset = build_dataset(per_class=per_class, seed=seed)
-    rig = CaptureRig(screen=Screen(seed=seed), angles=angles)
-    displayed = rig.present(list(dataset))
-
+    displayed = present(per_class, seed, angles)
     # Photograph everything on both phones, primary first.
-    units = [
-        CaptureUnit(
-            kind="photograph",
-            profile=profile,
-            radiance=shown.radiance.pixels,
-            entropy=unit_entropy(seed, profile.name, shown.image_id),
-        )
-        for profile in (primary, secondary)
-        for shown in displayed
-    ]
+    units = capture_units(
+        [(profile.name, profile, displayed) for profile in (primary, secondary)], seed
+    )
     x = to_model_input([ImageBuffer(p["pixels"]) for p in FleetExecutor().run(units)])
     x_primary, x_secondary = x[: len(displayed)], x[len(displayed) :]
 

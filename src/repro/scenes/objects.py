@@ -18,7 +18,7 @@ Three distractor classes (mug, vase, lampshade) widen the label space so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -450,7 +450,3 @@ def render_object(canvas: Canvas, spec: ObjectSpec) -> None:
 def class_index(class_name: str) -> int:
     """Stable integer label for a class name."""
     return ALL_CLASSES.index(class_name)
-
-
-def class_names() -> List[str]:
-    return list(ALL_CLASSES)

@@ -62,15 +62,14 @@ import numpy as np
 from ..devices.runtime import DeviceRuntime
 from ..fleet.population import SyntheticDevice, generate_devices
 from ..imaging.image import ImageBuffer
-from ..lab.rig import CaptureRig, DisplayedImage
+from ..lab.common import capture_units, present_items
+from ..lab.rig import DisplayedImage
 from ..nn.model import Model, micro_mobilenet
 from ..obs.metrics import MetricsRegistry
 from ..runner.executor import FleetExecutor
-from ..runner.seeds import unit_entropy
 from ..runner.units import CaptureUnit, execute_unit
 from ..scenes.dataset import build_dataset
 from ..scenes.objects import ALL_CLASSES
-from ..scenes.screen import Screen
 
 __all__ = [
     "STATUSES",
@@ -225,17 +224,13 @@ class IngestService:
         self.devices: List[SyntheticDevice] = generate_devices(
             config.fleet_size, seed=config.seed
         )
+        # The population study's scene set (built through this module's
+        # ``build_dataset``, which perfbench patches).
         dataset = build_dataset(
             per_class=max(1, math.ceil(config.scenes / 5)), seed=config.seed
         )
-        rig = CaptureRig(screen=Screen(seed=config.seed), angles=(0.0,))
-        displayed = rig.present(list(dataset))[: config.scenes]
-        if len(displayed) < config.scenes:
-            raise ValueError(
-                f"dataset yielded only {len(displayed)} scenes; "
-                f"asked for {config.scenes}"
-            )
-        self.displayed: List[DisplayedImage] = displayed
+        displayed = present_items(dataset, config.seed)
+        self.displayed: List[DisplayedImage] = displayed[: config.scenes]
         if model is None:
             if config.model == "untrained":
                 model = micro_mobilenet(num_classes=len(ALL_CLASSES), seed=1)
@@ -256,23 +251,14 @@ class IngestService:
     def unit_for(self, request: CaptureRequest) -> CaptureUnit:
         """The :class:`CaptureUnit` a request's coordinates name.
 
-        Identical to the population study's unit construction — same
-        entropy derivation, same profile, same radiance — so a served
-        capture equals the offline study's capture at equal seeds.
+        Built by the population study's own unit rule,
+        :func:`~repro.lab.common.capture_units`, over one (device, scene,
+        repeat) coordinate, so a served capture equals the offline
+        study's capture at equal seeds.
         """
-        device = self.devices[request.device]
-        shown = self.displayed[request.scene]
-        return CaptureUnit(
-            kind="photograph",
-            profile=device.profile,
-            radiance=shown.radiance.pixels,
-            entropy=unit_entropy(
-                self.config.seed,
-                device.profile.name,
-                shown.image_id,
-                request.repeat,
-            ),
-        )
+        profile = self.devices[request.device].profile
+        arm = (profile.name, profile, [self.displayed[request.scene]])
+        return capture_units([arm], self.config.seed, repeats=[request.repeat])[0]
 
     def _result_from_payload(self, payload: Dict[str, np.ndarray]) -> _UnitResult:
         pixels = payload["pixels"]
